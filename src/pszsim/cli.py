@@ -1,4 +1,4 @@
-"""Experiment runner: config parsing, sweeps, maps, deterministic output.
+"""Experiment runner: sweeps, maps, deterministic output.
 
 Subcommands
 -----------
@@ -16,427 +16,52 @@ map <config>
     Evaluate single-point IPI maps at the requested frequencies, extract
     iso-level contours and write an area summary.
 
-All randomness flows from the seed in the config (overridable with
---seed), and outputs never embed timestamps, so identical inputs give
-byte-identical files regardless of worker count (PSZSIM_WORKERS).
+The config format is defined in :mod:`pszsim.config`. All randomness
+flows from the seed in the config (overridable with --seed), and outputs
+never embed timestamps, so identical inputs give byte-identical files.
 Exit codes: 0 success, 1 config error, 2 runtime numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .acoustics import transfer_matrix
+# log_frequency_grid and resolve_config stay importable from pszsim.cli
+from .config import (  # noqa: F401
+    ConfigError,
+    ExperimentConfig,
+    ListenerCase,
+    default_config_dict,
+    load_config,
+    log_frequency_grid,
+    map_tag,
+    resolve_config,
+)
 from .filter_design import (
     IllConditionedError,
     RenderingMode,
     build_target_matrix,
-    default_beta,
     pressure_matching,
     program_channels,
     system_matrix,
 )
 from .metrics import MetricSpectrum, ipi, izi, third_octave_smooth
-from .perturbation import UncertaintyModel, averaged_perturbed
-from .scene import ListenerDisplacement, Scene, default_scene, move_listener
-from .scene import validate as validate_scene
+from .perturbation import averaged_perturbed
+from .scene import Scene, move_listener
 from .spatial_analysis import enclosed_area, extract_contours, ipi_map
 
 _DESIGN_STREAM = "design"
 _EVAL_STREAM = "eval"
 
 
-class ConfigError(Exception):
-    """Invalid configuration; ``problems`` lists human readable messages."""
-
-    def __init__(self, problems):
-        self.problems = list(problems)
-        super().__init__("; ".join(self.problems))
-
-
-def log_frequency_grid(start_hz: float, stop_hz: float, points_per_octave: int) -> np.ndarray:
-    """Log-spaced grid start * 2^(i/ppo), ending at or below stop."""
-    if start_hz <= 0 or stop_hz <= start_hz:
-        raise ValueError("need 0 < start_hz < stop_hz")
-    n = int(math.floor(points_per_octave * math.log2(stop_hz / start_hz))) + 1
-    return start_hz * 2.0 ** (np.arange(n) / points_per_octave)
-
-
-@dataclass(frozen=True)
-class ListenerCase:
-    name: str
-    displacement: ListenerDisplacement | None
-
-
-@dataclass(frozen=True)
-class MapRequest:
-    mode: RenderingMode
-    bright_zone: str
-    frequencies: tuple[float, ...]
-    levels_db: tuple[float, ...]
-    region: tuple[float, float, float, float]
-    resolution: float
-    cap_db: float
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    scene: Scene
-    scene_spec: object
-    frequencies: np.ndarray
-    grid_spec: dict
-    modes: tuple[RenderingMode, ...]
-    model: UncertaintyModel
-    beta_spec: object
-    cases: tuple[ListenerCase, ...]
-    filter_positions: tuple[str, ...]
-    map_request: MapRequest | None
-    output_dir: Path
-
-    def beta_at(self, frequency: float) -> float:
-        if self.beta_spec == "auto":
-            sigma = max(self.model.sigma_amp_sq, self.model.sigma_phase_sq)
-            return default_beta(self.scene.n_points, sigma)
-        if isinstance(self.beta_spec, dict):
-            return float(
-                np.interp(
-                    frequency,
-                    self.beta_spec["frequencies_hz"],
-                    self.beta_spec["values"],
-                )
-            )
-        return float(self.beta_spec)
-
-
-def default_config_dict() -> dict:
-    """The built-in experiment template as a plain dict."""
-    return {
-        "scene": "default",
-        "frequency_grid": {
-            "start_hz": 100.0,
-            "stop_hz": 10000.0,
-            "points_per_octave": 48,
-        },
-        "modes": ["mono", "stereo", "xtc"],
-        "uncertainty": {"sigma_sq": 1e-4, "trials": 10, "seed": 0},
-        "beta": "auto",
-        "listener_cases": [
-            {"name": "centered"},
-            {"name": "moved_a", "listener": "A", "dx": -0.3, "dy": -0.2},
-        ],
-        "filter_positions": ["matched", "centered"],
-        "map": {
-            "mode": "mono",
-            "bright_zone": "A",
-            "frequencies_hz": [500.0, 1000.0, 2000.0],
-            "levels_db": [20.0, 30.0],
-            "region": {"x_min": -1.0, "x_max": 0.0, "y_min": 0.0, "y_max": 2.0},
-            "resolution_m": 0.02,
-            "cap_db": 40.0,
-        },
-        "output_dir": "results",
-    }
-
-
-def _build_scene(spec, problems: list[str]) -> Scene:
-    if spec == "default":
-        return default_scene()
-    if not isinstance(spec, dict):
-        problems.append("scene: must be \"default\" or an object")
-        return default_scene()
-    try:
-        # config files use 1-based indices; convert at this boundary
-        scene = Scene(
-            speakers=spec["speakers"],
-            control_points=spec["control_points"],
-            zone_a=tuple(i - 1 for i in spec["zone_a"]),
-            zone_b=tuple(i - 1 for i in spec["zone_b"]),
-            program_a=tuple(i - 1 for i in spec["program_a"]),
-            program_b=tuple(i - 1 for i in spec["program_b"]),
-            virtual_source_map=tuple(i - 1 for i in spec["virtual_sources"]),
-            sound_speed=float(spec.get("sound_speed", 343.0)),
-            piston_radius=float(spec.get("piston_radius", 0.05)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        problems.append(f"scene: {exc!r}")
-        return default_scene()
-    for violation in validate_scene(scene):
-        problems.append(f"scene: {violation}")
-    return scene
-
-
-def _resolve_uncertainty(raw, problems: list[str]) -> UncertaintyModel:
-    if not isinstance(raw, dict):
-        problems.append("uncertainty: must be an object")
-        return UncertaintyModel(0.0, 0.0)
-    if "sigma_sq" in raw:
-        amp = phase = raw["sigma_sq"]
-    else:
-        amp = raw.get("sigma_amp_sq", 0.0)
-        phase = raw.get("sigma_phase_sq", 0.0)
-    trials = raw.get("trials", 1)
-    seed = raw.get("seed", 0)
-    try:
-        return UncertaintyModel(
-            sigma_amp_sq=float(amp),
-            sigma_phase_sq=float(phase),
-            trials=int(trials),
-            seed=int(seed),
-        )
-    except (TypeError, ValueError) as exc:
-        problems.append(f"uncertainty: {exc}")
-        return UncertaintyModel(0.0, 0.0)
-
-
-def _resolve_map(raw, scene: Scene, problems: list[str]) -> MapRequest | None:
-    if raw is None:
-        return None
-    if not isinstance(raw, dict):
-        problems.append("map: must be an object")
-        return None
-    try:
-        mode = RenderingMode(raw.get("mode", "mono"))
-    except ValueError:
-        problems.append(f"map.mode: unknown mode {raw.get('mode')!r}")
-        mode = RenderingMode.MONO
-    bright = str(raw.get("bright_zone", "A")).upper()
-    if bright not in ("A", "B"):
-        problems.append(f"map.bright_zone: must be 'A' or 'B', got {raw.get('bright_zone')!r}")
-        bright = "A"
-    freqs = tuple(float(f) for f in raw.get("frequencies_hz", []))
-    if not freqs:
-        problems.append("map.frequencies_hz: need at least one frequency")
-    if any(f <= 0 for f in freqs):
-        problems.append("map.frequencies_hz: frequencies must be positive")
-    levels = tuple(float(v) for v in raw.get("levels_db", []))
-    if not levels:
-        problems.append("map.levels_db: need at least one level")
-    region_raw = raw.get("region", {})
-    try:
-        region = (
-            float(region_raw["x_min"]),
-            float(region_raw["x_max"]),
-            float(region_raw["y_min"]),
-            float(region_raw["y_max"]),
-        )
-        if region[1] <= region[0] or region[3] <= region[2]:
-            problems.append("map.region: must have positive extent")
-    except (KeyError, TypeError, ValueError):
-        problems.append("map.region: need numeric x_min/x_max/y_min/y_max")
-        region = (-1.0, 0.0, 0.0, 2.0)
-    resolution = raw.get("resolution_m", 0.02)
-    if not isinstance(resolution, (int, float)) or resolution <= 0:
-        problems.append(f"map.resolution_m: must be positive, got {resolution!r}")
-        resolution = 0.02
-    cap = float(raw.get("cap_db", 40.0))
-    return MapRequest(
-        mode=mode,
-        bright_zone=bright,
-        frequencies=freqs,
-        levels_db=levels,
-        region=region,
-        resolution=float(resolution),
-        cap_db=cap,
-    )
-
-
-def resolve_config(raw: dict, seed_override: int | None = None,
-                   output_override: str | None = None) -> ExperimentConfig:
-    """Fill defaults and validate; raises ConfigError listing every problem."""
-    problems: list[str] = []
-    if not isinstance(raw, dict):
-        raise ConfigError(["config root must be a JSON object"])
-    known = {
-        "scene", "frequency_grid", "modes", "uncertainty", "beta",
-        "listener_cases", "filter_positions", "map", "output_dir",
-    }
-    for key in sorted(set(raw) - known):
-        problems.append(f"{key}: unknown config key")
-
-    scene = _build_scene(raw.get("scene", "default"), problems)
-
-    grid_spec = raw.get("frequency_grid", {})
-    if not isinstance(grid_spec, dict):
-        problems.append("frequency_grid: must be an object")
-        grid_spec = {}
-    grid_spec = {
-        "start_hz": float(grid_spec.get("start_hz", 100.0)),
-        "stop_hz": float(grid_spec.get("stop_hz", 10000.0)),
-        **(
-            {"step_hz": float(grid_spec["step_hz"])}
-            if "step_hz" in grid_spec
-            else {"points_per_octave": int(grid_spec.get("points_per_octave", 48))}
-        ),
-    }
-    frequencies = np.array([])
-    if grid_spec["start_hz"] <= 0:
-        problems.append("frequency_grid.start_hz: must be positive")
-    elif grid_spec["stop_hz"] <= grid_spec["start_hz"]:
-        problems.append("frequency_grid: stop_hz must exceed start_hz")
-    elif "step_hz" in grid_spec:
-        if grid_spec["step_hz"] <= 0:
-            problems.append("frequency_grid.step_hz: must be positive")
-        else:
-            frequencies = np.arange(
-                grid_spec["start_hz"], grid_spec["stop_hz"] + 1e-9, grid_spec["step_hz"]
-            )
-    elif grid_spec["points_per_octave"] < 1:
-        problems.append("frequency_grid.points_per_octave: must be >= 1")
-    else:
-        frequencies = log_frequency_grid(
-            grid_spec["start_hz"], grid_spec["stop_hz"], grid_spec["points_per_octave"]
-        )
-
-    modes = []
-    for name in raw.get("modes", ["mono", "stereo", "xtc"]):
-        try:
-            modes.append(RenderingMode(name))
-        except ValueError:
-            problems.append(f"modes: unknown rendering mode {name!r}")
-    if not modes:
-        problems.append("modes: need at least one rendering mode")
-
-    model = _resolve_uncertainty(raw.get("uncertainty", {"sigma_sq": 0.0}), problems)
-    if seed_override is not None:
-        model = dataclasses.replace(model, seed=int(seed_override))
-
-    beta_spec = raw.get("beta", "auto")
-    if isinstance(beta_spec, dict):
-        freqs = beta_spec.get("frequencies_hz")
-        values = beta_spec.get("values")
-        if (
-            not isinstance(freqs, list) or not isinstance(values, list)
-            or len(freqs) != len(values) or not freqs
-            or any(b <= a for a, b in zip(freqs, freqs[1:]))
-            or any(v < 0 for v in values)
-        ):
-            problems.append(
-                "beta: table needs equal-length frequencies_hz (increasing) "
-                "and values (nonnegative)"
-            )
-        else:
-            beta_spec = {
-                "frequencies_hz": [float(f) for f in freqs],
-                "values": [float(v) for v in values],
-            }
-    elif beta_spec != "auto":
-        try:
-            beta_spec = float(beta_spec)
-            if beta_spec < 0:
-                problems.append("beta: must be >= 0")
-        except (TypeError, ValueError):
-            problems.append(f"beta: must be a number, \"auto\" or a table, got {beta_spec!r}")
-            beta_spec = "auto"
-
-    cases = []
-    seen_names = set()
-    for i, entry in enumerate(raw.get("listener_cases", [{"name": "centered"}])):
-        if not isinstance(entry, dict) or "name" not in entry:
-            problems.append(f"listener_cases[{i}]: need an object with a name")
-            continue
-        name = str(entry["name"])
-        if not name or not all(c.isalnum() or c in "_-" for c in name):
-            problems.append(
-                f"listener_cases[{i}].name: use letters, digits, '-' or '_', got {name!r}"
-            )
-            continue
-        if name in seen_names:
-            problems.append(f"listener_cases[{i}].name: duplicate name {name!r}")
-            continue
-        seen_names.add(name)
-        if "listener" in entry:
-            listener = str(entry["listener"]).upper()
-            if listener not in ("A", "B"):
-                problems.append(
-                    f"listener_cases[{i}].listener: must be 'A' or 'B', got {entry['listener']!r}"
-                )
-                continue
-            try:
-                disp = ListenerDisplacement(
-                    listener, float(entry.get("dx", 0.0)), float(entry.get("dy", 0.0))
-                )
-            except (TypeError, ValueError):
-                problems.append(f"listener_cases[{i}]: dx and dy must be numbers")
-                continue
-            cases.append(ListenerCase(name, disp))
-        else:
-            cases.append(ListenerCase(name, None))
-    if not cases:
-        problems.append("listener_cases: need at least one case")
-
-    positions = tuple(raw.get("filter_positions", ["matched", "centered"]))
-    for p in positions:
-        if p not in ("matched", "centered"):
-            problems.append(
-                f"filter_positions: must be 'matched' or 'centered', got {p!r}"
-            )
-    if not positions:
-        problems.append("filter_positions: need at least one entry")
-    if len(set(positions)) != len(positions):
-        problems.append("filter_positions: duplicate entries")
-
-    map_request = _resolve_map(raw.get("map"), scene, problems)
-
-    output_dir = Path(output_override or raw.get("output_dir", "results"))
-
-    if problems:
-        raise ConfigError(problems)
-    return ExperimentConfig(
-        scene=scene,
-        scene_spec=raw.get("scene", "default"),
-        frequencies=frequencies,
-        grid_spec=grid_spec,
-        modes=tuple(modes),
-        model=model,
-        beta_spec=beta_spec,
-        cases=tuple(cases),
-        filter_positions=positions,
-        map_request=map_request,
-        output_dir=output_dir,
-    )
-
-
-def load_config(path: str, seed_override=None, output_override=None) -> ExperimentConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError([f"cannot read {path}: {exc.strerror or exc}"]) from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            [f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"]
-        ) from exc
-    return resolve_config(raw, seed_override, output_override)
-
-
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
-
-
-def _n_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("PSZSIM_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def _parallel(worker, items):
-    n = _n_workers()
-    if n <= 1:
-        return [worker(item) for item in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(worker, items))
 
 
 def _design_filters(config: ExperimentConfig, design_scene: Scene,
@@ -460,31 +85,27 @@ def _spectra_for(config: ExperimentConfig, mode: RenderingMode,
     prog_a, prog_b = program_channels(base, mode)
     zone_a, zone_b = base.zone_a, base.zone_b
 
-    def worker(frequency: float):
+    kept, skipped = [], []
+    for frequency in config.frequencies:
         try:
             filters = _design_filters(config, design_scene, mode, frequency)
         except IllConditionedError as exc:
-            return ("skipped", frequency, str(exc))
+            skipped.append((frequency, str(exc)))
+            continue
         h_nominal = transfer_matrix(eval_scene, eval_scene.control_points, frequency)
         h_eval = averaged_perturbed(h_nominal, config.model, _EVAL_STREAM)
         m = system_matrix(h_eval, filters)
-        return (
-            "ok",
-            frequency,
+        kept.append(
             (
                 izi(m, zone_a, zone_b, prog_a),
                 izi(m, zone_b, zone_a, prog_b),
                 ipi(m, zone_a, prog_a, prog_b),
                 ipi(m, zone_b, prog_b, prog_a),
-            ),
+            )
         )
-
-    results = _parallel(worker, config.frequencies)
-    kept = [r for r in results if r[0] == "ok"]
-    skipped = [(r[1], r[2]) for r in results if r[0] == "skipped"]
     labels = ("IZI_A", "IZI_B", "IPI_A", "IPI_B")
     spectra = tuple(
-        MetricSpectrum(label, tuple(r[2][j] for r in kept))
+        MetricSpectrum(label, tuple(r[j] for r in kept))
         for j, label in enumerate(labels)
     )
     return spectra, skipped
@@ -509,61 +130,10 @@ def _write_spectra_csv(path: Path, spectra, smoothed):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _config_echo(config: ExperimentConfig) -> dict:
-    cases = []
-    for case in config.cases:
-        if case.displacement is None:
-            cases.append({"name": case.name})
-        else:
-            cases.append(
-                {
-                    "name": case.name,
-                    "listener": case.displacement.listener_id,
-                    "dx": case.displacement.dx,
-                    "dy": case.displacement.dy,
-                }
-            )
-    echo = {
-        "scene": config.scene_spec,
-        "frequency_grid": config.grid_spec,
-        "modes": [m.value for m in config.modes],
-        "uncertainty": {
-            "sigma_amp_sq": config.model.sigma_amp_sq,
-            "sigma_phase_sq": config.model.sigma_phase_sq,
-            "trials": config.model.trials,
-            "seed": config.model.seed,
-        },
-        "beta": config.beta_spec,
-        "beta_resolved_hint": config.beta_at(float(config.frequencies[0]))
-        if len(config.frequencies)
-        else None,
-        "listener_cases": cases,
-        "filter_positions": list(config.filter_positions),
-        "output_dir": str(config.output_dir),
-    }
-    if config.map_request is not None:
-        mr = config.map_request
-        echo["map"] = {
-            "mode": mr.mode.value,
-            "bright_zone": mr.bright_zone,
-            "frequencies_hz": list(mr.frequencies),
-            "levels_db": list(mr.levels_db),
-            "region": {
-                "x_min": mr.region[0],
-                "x_max": mr.region[1],
-                "y_min": mr.region[2],
-                "y_max": mr.region[3],
-            },
-            "resolution_m": mr.resolution,
-            "cap_db": mr.cap_db,
-        }
-    return echo
-
-
 def _write_manifest(config: ExperimentConfig, command: str, outputs, skipped):
     manifest = {
         "command": command,
-        "config": _config_echo(config),
+        "config": config.echo,
         "outputs": sorted(str(p.name) for p in outputs),
         "skipped_frequencies": skipped,
         "version": __version__,
@@ -682,7 +252,7 @@ def run_map(config: ExperimentConfig) -> list[Path]:
             interferer,
             cap_db=request.cap_db,
         )
-        tag = f"{request.mode.value}_{frequency:g}hz"
+        tag = map_tag(request.mode.value, frequency)
         csv_path = config.output_dir / f"map_{tag}.csv"
         _write_map_csv(csv_path, m)
         json_path = config.output_dir / f"map_{tag}.json"
@@ -737,7 +307,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":
             config = load_config(args.config)
-            print(json.dumps(_config_echo(config), indent=2, sort_keys=True))
+            print(json.dumps(config.echo, indent=2, sort_keys=True))
             return 0
         config = load_config(args.config, args.seed, args.output_dir)
         if args.command == "spectra":

@@ -89,6 +89,27 @@ class ContourSet:
         object.__setattr__(self, "polylines", tuple(frozen))
 
 
+def grid_shape(region, resolution: float) -> tuple[int, int]:
+    """(nx, ny) of the grid covering ``region`` = (x_min, x_max, y_min, y_max)
+    exactly at ``resolution``; ValueError unless both extents are positive
+    integer multiples of a positive resolution (to 1e-6 of a step)."""
+    if resolution <= 0:
+        raise ValueError(f"resolution must be positive, got {resolution}")
+    x_min, x_max, y_min, y_max = (float(v) for v in region)
+    if x_max <= x_min or y_max <= y_min:
+        raise ValueError(f"region must have positive extent, got {region}")
+    counts = []
+    for name, extent in (("x", x_max - x_min), ("y", y_max - y_min)):
+        steps = extent / resolution
+        # an infinite step count (extent overflowed) has no nearest integer
+        if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-6:
+            raise ValueError(
+                f"region {name} extent {extent} is not a multiple of resolution {resolution}"
+            )
+        counts.append(int(round(steps)) + 1)
+    return counts[0], counts[1]
+
+
 def ipi_map(
     scene: Scene,
     C: FilterMatrix,
@@ -116,27 +137,12 @@ def ipi_map(
     grid point exactly on a speaker yields NaN for that cell instead of
     failing the whole map.
     """
-    if resolution <= 0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
+    nx, ny = grid_shape(region, resolution)
     if C.frequency != frequency:
         raise ValueError(
             f"filters designed at {C.frequency} Hz, map requested at {frequency} Hz"
         )
-    x_min, x_max, y_min, y_max = (float(v) for v in region)
-    if x_max <= x_min or y_max <= y_min:
-        raise ValueError(f"region must have positive extent, got {region}")
-
-    def _axis_count(extent: float, name: str) -> int:
-        steps = extent / resolution
-        n = int(round(steps))
-        if abs(steps - n) > 1e-6:
-            raise ValueError(
-                f"region {name} extent {extent} is not a multiple of resolution {resolution}"
-            )
-        return n + 1
-
-    nx = _axis_count(x_max - x_min, "x")
-    ny = _axis_count(y_max - y_min, "y")
+    x_min, _, y_min, _ = (float(v) for v in region)
 
     target = tuple(int(i) for i in target_channels)
     interferer = tuple(int(i) for i in interferer_channels)

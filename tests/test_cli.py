@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pszsim import ListenerDisplacement
 from pszsim.cli import (
     ConfigError,
     default_config_dict,
@@ -88,6 +89,18 @@ def test_unknown_keys_are_rejected(tmp_path):
     path = small_config(tmp_path, typo_key=1)
     with pytest.raises(ConfigError, match="typo_key"):
         load_config(str(path))
+
+
+def test_zone_letters_are_case_insensitive(tmp_path):
+    path = small_config(
+        tmp_path,
+        listener_cases=[{"name": "moved_b", "listener": "b", "dx": 0.1}],
+        map={"bright_zone": "b"},
+    )
+    config = load_config(str(path))
+    assert config.cases[0].displacement == ListenerDisplacement("B", 0.1, 0.0)
+    assert config.map_request.bright_zone == "B"
+    assert config.echo["listener_cases"][0]["listener"] == "B"
 
 
 def test_spectra_symmetry_without_noise(tmp_path):
@@ -204,7 +217,7 @@ def test_map_runs_are_byte_identical(tmp_path):
         assert pa.read_bytes() == pb.read_bytes(), pa.name
 
 
-def test_custom_scene_uses_one_based_indices(tmp_path):
+def custom_scene_config(output_dir):
     cfg = default_config_dict()
     cfg["scene"] = {
         "speakers": [[-0.3, 0.0, 0.0], [-0.1, 0.0, 0.0], [0.1, 0.0, 0.0], [0.3, 0.0, 0.0]],
@@ -220,7 +233,12 @@ def test_custom_scene_uses_one_based_indices(tmp_path):
     cfg["listener_cases"] = [{"name": "centered"}]
     cfg["filter_positions"] = ["matched"]
     del cfg["map"]
-    cfg["output_dir"] = str(tmp_path / "custom")
+    cfg["output_dir"] = output_dir
+    return cfg
+
+
+def test_custom_scene_uses_one_based_indices(tmp_path):
+    cfg = custom_scene_config(str(tmp_path / "custom"))
     path = tmp_path / "custom.json"
     path.write_text(json.dumps(cfg))
     config = load_config(str(path))
@@ -274,3 +292,181 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "runtime error" in err
     assert "skipped" in err
+
+
+# Resolved echoes that `validate` printed before the config format became a
+# table of fields; the echo is also the "config" of every manifest.
+TEMPLATE_ECHO = {
+    "beta": "auto",
+    "beta_resolved_hint": 0.0004,
+    "filter_positions": ["matched", "centered"],
+    "frequency_grid": {"points_per_octave": 48, "start_hz": 100.0, "stop_hz": 10000.0},
+    "listener_cases": [
+        {"name": "centered"},
+        {"dx": -0.3, "dy": -0.2, "listener": "A", "name": "moved_a"},
+    ],
+    "map": {
+        "bright_zone": "A",
+        "cap_db": 40.0,
+        "frequencies_hz": [500.0, 1000.0, 2000.0],
+        "levels_db": [20.0, 30.0],
+        "mode": "mono",
+        "region": {"x_max": 0.0, "x_min": -1.0, "y_max": 2.0, "y_min": 0.0},
+        "resolution_m": 0.02,
+    },
+    "modes": ["mono", "stereo", "xtc"],
+    "output_dir": "results",
+    "scene": "default",
+    "uncertainty": {"seed": 0, "sigma_amp_sq": 0.0001, "sigma_phase_sq": 0.0001, "trials": 10},
+}
+
+
+def test_template_text_is_pinned(capsys):
+    template = {
+        "scene": "default",
+        "frequency_grid": {"start_hz": 100.0, "stop_hz": 10000.0, "points_per_octave": 48},
+        "modes": ["mono", "stereo", "xtc"],
+        "uncertainty": {"sigma_sq": 1e-4, "trials": 10, "seed": 0},
+        "beta": "auto",
+        "listener_cases": [
+            {"name": "centered"},
+            {"name": "moved_a", "listener": "A", "dx": -0.3, "dy": -0.2},
+        ],
+        "filter_positions": ["matched", "centered"],
+        "map": {
+            "mode": "mono",
+            "bright_zone": "A",
+            "frequencies_hz": [500.0, 1000.0, 2000.0],
+            "levels_db": [20.0, 30.0],
+            "region": {"x_min": -1.0, "x_max": 0.0, "y_min": 0.0, "y_max": 2.0},
+            "resolution_m": 0.02,
+            "cap_db": 40.0,
+        },
+        "output_dir": "results",
+    }
+    assert main(["template"]) == 0
+    assert capsys.readouterr().out == json.dumps(template, indent=2) + "\n"
+
+
+def _template_with(**changes):
+    cfg = default_config_dict()
+    cfg.update(changes)
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "cfg, echo",
+    [
+        (default_config_dict(), TEMPLATE_ECHO),
+        (
+            _template_with(
+                uncertainty={"sigma_amp_sq": 2e-4, "sigma_phase_sq": 5e-5, "trials": 3, "seed": 7}
+            ),
+            {
+                **TEMPLATE_ECHO,
+                "beta_resolved_hint": 0.0008,
+                "uncertainty": {
+                    "seed": 7, "sigma_amp_sq": 0.0002, "sigma_phase_sq": 5e-05, "trials": 3,
+                },
+            },
+        ),
+        (
+            _template_with(frequency_grid={"start_hz": 100.0, "stop_hz": 2000.0, "step_hz": 50.0}),
+            {
+                **TEMPLATE_ECHO,
+                "frequency_grid": {"start_hz": 100.0, "step_hz": 50.0, "stop_hz": 2000.0},
+            },
+        ),
+        (
+            _template_with(
+                beta={"frequencies_hz": [100.0, 1000.0, 10000.0], "values": [1e-3, 4e-4, 1e-4]}
+            ),
+            {
+                **TEMPLATE_ECHO,
+                "beta": {
+                    "frequencies_hz": [100.0, 1000.0, 10000.0],
+                    "values": [0.001, 0.0004, 0.0001],
+                },
+                "beta_resolved_hint": 0.001,
+            },
+        ),
+        (
+            custom_scene_config("custom"),
+            {
+                "beta": "auto",
+                "beta_resolved_hint": 0.0002,
+                "filter_positions": ["matched"],
+                "frequency_grid": {"points_per_octave": 4, "start_hz": 100.0, "stop_hz": 10000.0},
+                "listener_cases": [{"name": "centered"}],
+                "modes": ["mono"],
+                "output_dir": "custom",
+                "scene": {
+                    "control_points": [[-0.2, 1.0, 0.0], [0.2, 1.0, 0.0]],
+                    "program_a": [1],
+                    "program_b": [2],
+                    "speakers": [
+                        [-0.3, 0.0, 0.0], [-0.1, 0.0, 0.0], [0.1, 0.0, 0.0], [0.3, 0.0, 0.0],
+                    ],
+                    "virtual_sources": [1, 4],
+                    "zone_a": [1],
+                    "zone_b": [2],
+                },
+                "uncertainty": {
+                    "seed": 0, "sigma_amp_sq": 0.0001, "sigma_phase_sq": 0.0001, "trials": 10,
+                },
+            },
+        ),
+    ],
+    ids=["template", "sigma_split", "step_grid", "beta_table", "custom_scene"],
+)
+def test_validate_echo_is_pinned(tmp_path, capsys, cfg, echo):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == echo
+
+
+@pytest.mark.parametrize(
+    "section, value, field",
+    [
+        ("uncertainty", {"sigma_sq": float("nan")}, "uncertainty.sigma_sq"),
+        ("frequency_grid", {"stop_hz": float("inf")}, "frequency_grid.stop_hz"),
+    ],
+)
+def test_nan_and_infinity_are_config_errors(tmp_path, capsys, section, value, field):
+    path = small_config(tmp_path, **{section: value})
+    assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+    assert main(["validate", str(path)]) == 1
+    assert f"config error: {field}: must be a finite number" in capsys.readouterr().err
+
+
+def test_map_resolution_must_divide_the_region(tmp_path, capsys):
+    path = small_config(tmp_path, map={"resolution_m": 0.03})
+    assert main(["map", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: map: region x extent 1.0" in err
+    assert "resolution 0.03" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_map_frequencies_must_not_share_a_file_tag(tmp_path, capsys):
+    path = small_config(tmp_path, map={"frequencies_hz": [1000, 1000.0000001]})
+    assert main(["map", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: map.frequencies_hz: [1000.0, 1000.0000001]" in err
+    assert "mono_1000hz" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_override_out_of_range_is_a_config_error(tmp_path, capsys):
+    path = small_config(tmp_path)
+    assert main(["spectra", str(path), "--seed", str(2**63)]) == 1
+    assert "config error: --seed: must be <" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b'{"scene": "\xff"}')
+    assert main(["validate", str(path)]) == 1
+    assert "not UTF-8" in capsys.readouterr().err

@@ -1,0 +1,226 @@
+"""Seeded mutation test of config handling: a malformed config never raises.
+
+Mutants of the built-in template and of a few variants go through
+``pszsim validate``. Each must exit 0 or 1, never raise, and print at least
+one ``config error:`` line when it exits 1. A handful of the mutants that
+validate also run through reduced ``spectra`` and ``map`` runs, which may
+exit 0 or 2 (numerical failure) but never raise.
+
+The fixed cases are configs that ended in a traceback, or were silently
+accepted, before the config format became one table of fields.
+
+The mutants come from stdlib ``random`` with a fixed seed, so every run
+checks the same configs.
+"""
+
+import copy
+import json
+import random
+
+import pytest
+
+from pszsim.cli import ConfigError, default_config_dict, main, resolve_config
+
+SEED = 2022
+N_MUTANTS = 300
+N_RUNS = 5
+
+# values that no field, or only some fields, accept
+ODD_VALUES = [
+    "x", "", "auto", "A", 5, -1, 0, 2.5, 10**400, True, False, None,
+    [], {}, [1, "a"], [[]], {"k": 1}, float("nan"), float("inf"), -float("inf"),
+]
+BOUND_PAIRS = [
+    ("frequency_grid", "start_hz", "stop_hz"),
+    ("map.region", "x_min", "x_max"),
+    ("map.region", "y_min", "y_max"),
+]
+
+
+def variants():
+    """The template and variants that reach the fields it leaves out."""
+    template = default_config_dict()
+    split = copy.deepcopy(template)
+    split["uncertainty"] = {"sigma_amp_sq": 2e-4, "sigma_phase_sq": 5e-5, "trials": 3}
+    split["frequency_grid"] = {"start_hz": 100.0, "stop_hz": 2000.0, "step_hz": 50.0}
+    table = copy.deepcopy(template)
+    table["beta"] = {"frequencies_hz": [100.0, 1000.0], "values": [1e-3, 1e-4]}
+    custom = copy.deepcopy(template)
+    custom["scene"] = {
+        "speakers": [[-0.3, 0.0, 0.0], [-0.1, 0.0, 0.0], [0.1, 0.0, 0.0], [0.3, 0.0, 0.0]],
+        "control_points": [[-0.2, 1.0, 0.0], [0.2, 1.0, 0.0]],
+        "zone_a": [1],
+        "zone_b": [2],
+        "program_a": [1],
+        "program_b": [2],
+        "virtual_sources": [1, 4],
+        "sound_speed": 343.0,
+    }
+    return [template, split, table, custom]
+
+
+def reduced(cfg):
+    """A config whose spectra and map runs take a few tens of milliseconds."""
+    cfg = copy.deepcopy(cfg)
+    cfg["frequency_grid"] = {"start_hz": 200.0, "stop_hz": 1600.0, "points_per_octave": 2}
+    cfg["modes"] = ["mono"]
+    cfg["listener_cases"] = [{"name": "moved", "listener": "B", "dx": 0.1, "dy": 0.0}]
+    cfg["filter_positions"] = ["centered"]
+    cfg["uncertainty"]["trials"] = 2
+    cfg["map"].update(frequencies_hz=[500.0], resolution_m=0.1)
+    return cfg
+
+
+def nodes(tree, path=()):
+    """(container, key, path) of every value in a JSON tree."""
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+    for key, value in items:
+        yield tree, key, path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from nodes(value, path + (key,))
+
+
+def lookup(tree, dotted):
+    for key in dotted.split("."):
+        if not isinstance(tree, dict) or key not in tree:
+            return None
+        tree = tree[key]
+    return tree
+
+
+def mutate(cfg, rng):
+    """Apply one random mutation to ``cfg`` in place; returns its description."""
+    container, key, path = rng.choice(list(nodes(cfg)))
+    value = container[key]
+    op = rng.choice(["replace", "bool", "empty", "container", "swap", "unknown", "delete"])
+    if op == "bool" and isinstance(value, int) and not isinstance(value, bool):
+        container[key] = rng.choice([True, False])
+    elif op == "empty" and isinstance(value, (list, dict)):
+        container[key] = type(value)()
+    elif op == "container" and isinstance(value, list):
+        container[key] = rng.choice([{"0": value[0] if value else 1}, "mono", 1.0])
+    elif op == "swap":
+        section, low, high = rng.choice(BOUND_PAIRS)
+        parent = lookup(cfg, section)
+        if isinstance(parent, dict) and low in parent and high in parent:
+            parent[low], parent[high] = parent[high], parent[low]
+        return f"swap {section}.{low}/{high}"
+    elif op == "unknown":
+        dicts = [c for c, _, _ in nodes(cfg) if isinstance(c, dict)]
+        target = rng.choice(dicts)
+        target[rng.choice(["typo", "trial", "resolutionm", "Name", "start_Hz"])] = 1
+        return "unknown key"
+    elif op == "delete" and isinstance(container, dict):
+        del container[key]
+    else:
+        container[key] = copy.deepcopy(rng.choice(ODD_VALUES))
+        op = "replace"
+    return f"{op} {'.'.join(map(str, path))}"
+
+
+def mutants(count, bases, rng):
+    for _ in range(count):
+        cfg = copy.deepcopy(rng.choice(bases))
+        steps = [mutate(cfg, rng) for _ in range(rng.choice([1, 1, 1, 2, 3]))]
+        yield cfg, steps
+
+
+def run(tmp_path, capsys, argv_head, cfg, steps):
+    """Exit code of one CLI call on ``cfg``; fails the test if it raises."""
+    path = tmp_path / "mutant.json"
+    path.write_text(json.dumps(cfg))
+    try:
+        code = main([*argv_head, str(path)])
+    except Exception as exc:  # any raise is the failure this test looks for
+        pytest.fail(f"{argv_head[0]} raised {exc!r} after {steps}: {json.dumps(cfg)}")
+    err = capsys.readouterr().err
+    if code == 1:
+        assert "config error: " in err, (steps, err)
+    return code
+
+
+def test_mutated_configs_validate_or_list_their_problems(tmp_path, capsys):
+    rng = random.Random(SEED)
+    codes = [
+        run(tmp_path, capsys, ["validate"], cfg, steps)
+        for cfg, steps in mutants(N_MUTANTS, variants(), rng)
+    ]
+    assert set(codes) == {0, 1}
+    assert codes.count(1) > N_MUTANTS // 2  # most mutations break the config
+
+
+def test_valid_mutants_run_or_fail_numerically(tmp_path, capsys):
+    rng = random.Random(SEED + 1)
+    bases = [reduced(cfg) for cfg in variants()]
+    ran = 0
+    for i, (cfg, steps) in enumerate(mutants(200, bases, rng)):
+        if ran == N_RUNS or not isinstance(cfg.get("map"), dict):
+            continue
+        try:
+            config = resolve_config(cfg)
+        except ConfigError:
+            continue
+        # keep the file fast: skip mutants that restored a long default grid
+        passes = len(config.frequencies) * len(config.modes) * len(config.cases)
+        if passes * len(config.filter_positions) > 40 or config.map_request.resolution < 0.05:
+            continue
+        cfg["output_dir"] = str(tmp_path / f"out{i}")
+        assert run(tmp_path, capsys, ["spectra"], cfg, steps) in (0, 2), steps
+        assert run(tmp_path, capsys, ["map"], cfg, steps) in (0, 2), steps
+        ran += 1
+    assert ran == N_RUNS
+
+
+def set_path(dotted, value):
+    def edit(cfg):
+        *parents, leaf = dotted.split(".")
+        node = cfg
+        for key in parents:
+            node = node[key]
+        node[leaf] = value
+
+    return edit
+
+
+FIXED = {
+    "map frequency 'x'": (set_path("map.frequencies_hz", [500.0, "x"]), "map.frequencies_hz[1]"),
+    "level 'x'": (set_path("map.levels_db", ["x"]), "map.levels_db[0]"),
+    "cap_db 'x'": (set_path("map.cap_db", "x"), "map.cap_db"),
+    "points_per_octave 'abc'": (
+        set_path("frequency_grid.points_per_octave", "abc"), "frequency_grid.points_per_octave",
+    ),
+    "beta table of strings": (
+        set_path("beta", {"frequencies_hz": [100.0, 1000.0], "values": ["a", "b"]}),
+        "beta.values[0]",
+    ),
+    "resolution 0.03": (set_path("map.resolution_m", 0.03), "map: region x extent"),
+    "start_hz 'x'": (set_path("frequency_grid.start_hz", "x"), "frequency_grid.start_hz"),
+    "modes 5": (set_path("modes", 5), "modes"),
+    "modes []": (set_path("modes", []), "modes"),
+    "levels_db []": (set_path("map.levels_db", []), "map.levels_db"),
+    "filter_positions [{}]": (set_path("filter_positions", [{}]), "filter_positions[0]"),
+    "listener_cases 5": (set_path("listener_cases", 5), "listener_cases"),
+    "output_dir 5": (set_path("output_dir", 5), "output_dir"),
+    "stop_hz Infinity": (set_path("frequency_grid.stop_hz", float("inf")), "frequency_grid.stop_hz"),
+    "sigma_sq NaN": (set_path("uncertainty.sigma_sq", float("nan")), "uncertainty.sigma_sq"),
+    "trials 2.5": (set_path("uncertainty.trials", 2.5), "uncertainty.trials"),
+    "trials true": (set_path("uncertainty.trials", True), "uncertainty.trials"),
+    "uncertainty.trial typo": (set_path("uncertainty.trial", 3), "uncertainty.trial"),
+    "map.resolutionm typo": (set_path("map.resolutionm", 0.05), "map.resolutionm"),
+    "map file tag collision": (
+        set_path("map.frequencies_hz", [1000, 1000.0000001]), "map.frequencies_hz",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FIXED)
+def test_fixed_malformed_config_exits_1_naming_the_field(tmp_path, capsys, name):
+    edit, field = FIXED[name]
+    cfg = default_config_dict()
+    edit(cfg)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {field}" in err
+    assert all(line.startswith("config error: ") for line in err.splitlines())

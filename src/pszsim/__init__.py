@@ -11,7 +11,6 @@ from .acoustics import (
     CoincidentPointError,
     TransferMatrix,
     directivity,
-    piston_response,
     response_matrix,
     transfer_matrix,
 )
@@ -34,10 +33,9 @@ from .metrics import (
     acoustic_contrast,
     ipi,
     izi,
-    single_point_ipi,
     third_octave_smooth,
 )
-from .perturbation import UncertaintyModel, averaged_perturbed, perturb
+from .perturbation import UncertaintyModel, averaged_perturbed
 from .scene import (
     ListenerDisplacement,
     Scene,
@@ -81,12 +79,9 @@ __all__ = [
     "ipi_map",
     "izi",
     "move_listener",
-    "perturb",
-    "piston_response",
     "pressure_matching",
     "program_channels",
     "response_matrix",
-    "single_point_ipi",
     "system_matrix",
     "third_octave_smooth",
     "transfer_matrix",

@@ -44,11 +44,20 @@ class CoincidentPointError(ValueError):
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """Complex transfer functions at one frequency.
+    """A read-only complex matrix at one frequency.
 
-    ``entries[k, l]`` is the normalized pressure at point k per unit input
-    to speaker l. Rows follow the order of the point list the matrix was
-    built from; columns follow the scene's speaker order.
+    As built by :func:`transfer_matrix`, ``entries[k, l]`` is the
+    normalized pressure at point k per unit input to speaker l. Rows
+    follow the order of the point list the matrix was built from; columns
+    follow the scene's speaker order.
+
+    The matrices of the filter design are subclasses that differ only in
+    what their axes mean: :class:`~pszsim.filter_design.TargetMatrix` and
+    :class:`~pszsim.filter_design.SystemMatrix` are (points, channels),
+    :class:`~pszsim.filter_design.FilterMatrix` is (speakers, channels).
+    Construction copies ``entries`` to a read-only complex array and
+    ``frequency`` to a float; instances of different subclasses never
+    compare equal.
     """
 
     frequency: float
@@ -84,50 +93,6 @@ def directivity(x):
     xl = x[~small]
     out[~small] = 2.0 * j1(xl) / xl
     return float(out[0]) if scalar else out
-
-
-def piston_response(
-    source_pos,
-    source_axis,
-    field_pos,
-    frequency: float,
-    piston_radius: float,
-    sound_speed: float,
-) -> complex:
-    """Complex response of a single baffled piston at one field point.
-
-    Parameters
-    ----------
-    source_pos, field_pos : array_like of shape (3,)
-        Positions in meters.
-    source_axis : array_like of shape (3,)
-        Direction the piston faces; normalized internally.
-    frequency : float
-        Hz, must be positive.
-    piston_radius : float
-        Piston radius a in meters.
-    sound_speed : float
-        Speed of sound c in m/s.
-
-    Returns
-    -------
-    complex
-        D(theta) * exp(-1j*k*r) / r.
-    """
-    if frequency <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency}")
-    d = np.asarray(field_pos, dtype=float) - np.asarray(source_pos, dtype=float)
-    r = float(np.linalg.norm(d))
-    if r == 0.0:
-        raise CoincidentPointError([(0, 0)])
-    axis = np.asarray(source_axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    axial = float(d @ axis)
-    lateral = d - axial * axis
-    sin_theta = float(np.linalg.norm(lateral)) / r
-    k = 2.0 * np.pi * frequency / sound_speed
-    d_gain = directivity(k * piston_radius * sin_theta)
-    return complex(d_gain * np.exp(-1j * k * r) / r)
 
 
 def response_matrix(

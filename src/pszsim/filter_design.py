@@ -27,7 +27,6 @@ Three rendering modes define the target:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -46,47 +45,16 @@ class IllConditionedError(RuntimeError):
     """The normal matrix could not be factorized (singular at beta = 0)."""
 
 
-def _frozen_matrix(obj, field_name: str = "entries"):
-    arr = np.asarray(getattr(obj, field_name), dtype=complex)
-    if arr.ndim != 2:
-        raise ValueError(f"{field_name} must be 2D, got shape {arr.shape}")
-    arr = arr.copy() if arr is getattr(obj, field_name) else arr
-    arr.setflags(write=False)
-    object.__setattr__(obj, field_name, arr)
-    object.__setattr__(obj, "frequency", float(obj.frequency))
-
-
-@dataclass(frozen=True)
-class TargetMatrix:
+class TargetMatrix(TransferMatrix):
     """Desired pressures per program channel, shape (points, channels)."""
 
-    frequency: float
-    entries: np.ndarray
 
-    def __post_init__(self):
-        _frozen_matrix(self)
-
-
-@dataclass(frozen=True)
-class FilterMatrix:
+class FilterMatrix(TransferMatrix):
     """Speaker driving filters per program channel, shape (speakers, channels)."""
 
-    frequency: float
-    entries: np.ndarray
 
-    def __post_init__(self):
-        _frozen_matrix(self)
-
-
-@dataclass(frozen=True)
-class SystemMatrix:
+class SystemMatrix(TransferMatrix):
     """End to end response per program channel, shape (points, channels)."""
-
-    frequency: float
-    entries: np.ndarray
-
-    def __post_init__(self):
-        _frozen_matrix(self)
 
 
 def program_channels(scene: Scene, mode: RenderingMode):

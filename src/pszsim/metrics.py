@@ -17,11 +17,13 @@ bright zone and dark zone, averaging over the points of each zone.
 Inter-program isolation (IPI) compares the target program against the
 interfering program within one zone, normalizing each program by its
 channel count. For a single channel both reduce to the classic acoustic
-contrast ratio.
+contrast ratio. Both are one kernel over blocks of M, which also gives
+:func:`~pszsim.spatial_analysis.ipi_map` its one-point zones.
 
 Values are linear power ratios; ``db`` is 10*log10(value). A zero
 denominator (perfect cancellation) yields an infinite ratio flagged by
-``unbounded`` rather than an error, so frequency sweeps stay total.
+``unbounded`` rather than an error, so frequency sweeps stay total. A NaN
+entry makes the ratio, the value and ``db`` NaN.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ class MetricValue:
     ``value`` their minimum and ``db`` its decibel form. ``unbounded``
     marks a zero denominator; ``db`` is then +inf. A zero numerator gives
     db = -inf with ``unbounded`` False (silence in the numerator is a
-    bounded, if extreme, outcome).
+    bounded, if extreme, outcome). A NaN ratio makes ``value`` and ``db``
+    NaN.
     """
 
     frequency: float
@@ -56,19 +59,21 @@ class MetricValue:
 
     @classmethod
     def from_ratios(cls, frequency: float, corr: float, uncorr: float) -> "MetricValue":
-        value = min(corr, uncorr)
-        unbounded = math.isinf(value)
-        if value > 0:
-            db = 10.0 * math.log10(value) if not unbounded else math.inf
-        else:
+        corr, uncorr = float(corr), float(uncorr)
+        value = float(np.minimum(corr, uncorr))  # a NaN ratio propagates
+        if value <= 0.0:
             db = -math.inf
+        elif math.isfinite(value):
+            db = 10.0 * math.log10(value)
+        else:
+            db = value  # +inf or NaN
         return cls(
             frequency=float(frequency),
             corr=corr,
             uncorr=uncorr,
             value=value,
             db=db,
-            unbounded=unbounded,
+            unbounded=value == math.inf,
         )
 
 
@@ -99,10 +104,10 @@ class MetricSpectrum:
         return len(self.values)
 
 
-def _ratio(num: float, den: float) -> float:
-    if den == 0.0:
-        return math.inf
-    return num / den
+def _ratio(num, den):
+    """num / den elementwise; +inf where den is zero, NaN where either is NaN."""
+    # where den is zero the fill num + inf stands: inf, or NaN for a NaN num
+    return np.divide(num, den, out=np.asarray(num + np.inf), where=den != 0.0)
 
 
 def _check_indices(name: str, indices, bound: int):
@@ -115,12 +120,30 @@ def _check_indices(name: str, indices, bound: int):
     return idx
 
 
-def _zone_powers(M: np.ndarray, points, channels):
-    """(coherent, incoherent) power sums of one program over a point set."""
-    block = M[np.ix_(points, channels)]
-    coh = float(np.sum(np.abs(block.sum(axis=1)) ** 2))
-    inc = float(np.sum(np.abs(block) ** 2))
-    return coh, inc
+def _check_disjoint(name_a: str, a, name_b: str, b, bound: int):
+    """Validated index tuples of two sets that must not share an index."""
+    a = _check_indices(name_a, a, bound)
+    b = _check_indices(name_b, b, bound)
+    if set(a) & set(b):
+        raise ValueError(f"{name_a} and {name_b} overlap: {sorted(set(a) & set(b))}")
+    return a, b
+
+
+def _isolation(num, num_count: int, den, den_count: int):
+    """(corr, uncorr) power ratios of two (..., points, channels) blocks of M.
+
+    A block's coherent power sums |channel sum|^2 over its points, its
+    incoherent power sums every |entry|^2; each is divided by its count.
+    """
+
+    def powers(block, count):
+        coh = (np.abs(block.sum(axis=-1)) ** 2).sum(axis=-1) / count
+        # one flat sum keeps numpy's summation order of the whole block
+        inc = (np.abs(block) ** 2).reshape(*block.shape[:-2], -1).sum(axis=-1) / count
+        return coh, inc
+
+    (num_coh, num_inc), (den_coh, den_inc) = powers(num, num_count), powers(den, den_count)
+    return _ratio(num_coh, den_coh), _ratio(num_inc, den_inc)
 
 
 def izi(M: SystemMatrix, bz_points, dz_points, program_channels) -> MetricValue:
@@ -134,17 +157,11 @@ def izi(M: SystemMatrix, bz_points, dz_points, program_channels) -> MetricValue:
 
     and value = min(corr, uncorr). Point sets must be disjoint.
     """
-    k_count = M.entries.shape[0]
-    bz = _check_indices("bz_points", bz_points, k_count)
-    dz = _check_indices("dz_points", dz_points, k_count)
-    if set(bz) & set(dz):
-        raise ValueError(f"bright and dark zones overlap: {sorted(set(bz) & set(dz))}")
+    bz, dz = _check_disjoint("bz_points", bz_points, "dz_points", dz_points, M.entries.shape[0])
     chans = _check_indices("program_channels", program_channels, M.entries.shape[1])
-
-    bz_coh, bz_inc = _zone_powers(M.entries, bz, chans)
-    dz_coh, dz_inc = _zone_powers(M.entries, dz, chans)
-    corr = _ratio(bz_coh / len(bz), dz_coh / len(dz))
-    uncorr = _ratio(bz_inc / len(bz), dz_inc / len(dz))
+    corr, uncorr = _isolation(
+        M.entries[np.ix_(bz, chans)], len(bz), M.entries[np.ix_(dz, chans)], len(dz)
+    )
     return MetricValue.from_ratios(M.frequency, corr, uncorr)
 
 
@@ -161,25 +178,16 @@ def ipi(M: SystemMatrix, zone_points, target_channels, interferer_channels) -> M
     Note the normalizers count channels, not points; the point sums run
     over the same zone in numerator and denominator.
     """
-    i_count = M.entries.shape[1]
     zone = _check_indices("zone_points", zone_points, M.entries.shape[0])
-    target = _check_indices("target_channels", target_channels, i_count)
-    interferer = _check_indices("interferer_channels", interferer_channels, i_count)
-    if set(target) & set(interferer):
-        raise ValueError(
-            f"target and interferer programs overlap: {sorted(set(target) & set(interferer))}"
-        )
-
-    t_coh, t_inc = _zone_powers(M.entries, zone, target)
-    j_coh, j_inc = _zone_powers(M.entries, zone, interferer)
-    corr = _ratio(t_coh / len(target), j_coh / len(interferer))
-    uncorr = _ratio(t_inc / len(target), j_inc / len(interferer))
+    target, interferer = _check_disjoint(
+        "target_channels", target_channels, "interferer_channels", interferer_channels,
+        M.entries.shape[1],
+    )
+    corr, uncorr = _isolation(
+        M.entries[np.ix_(zone, target)], len(target),
+        M.entries[np.ix_(zone, interferer)], len(interferer),
+    )
     return MetricValue.from_ratios(M.frequency, corr, uncorr)
-
-
-def single_point_ipi(M: SystemMatrix, k: int, target_channels, interferer_channels) -> MetricValue:
-    """IPI evaluated at a single point: ipi with the zone set {k}."""
-    return ipi(M, (int(k),), target_channels, interferer_channels)
 
 
 def acoustic_contrast(H_A: np.ndarray, H_B: np.ndarray, q: np.ndarray) -> float:
@@ -194,7 +202,7 @@ def acoustic_contrast(H_A: np.ndarray, H_B: np.ndarray, q: np.ndarray) -> float:
     q = np.asarray(q, dtype=complex).reshape(-1)
     num = float(np.sum(np.abs(h_a @ q) ** 2)) / h_a.shape[0]
     den = float(np.sum(np.abs(h_b @ q) ** 2)) / h_b.shape[0]
-    return _ratio(num, den)
+    return float(_ratio(num, den))
 
 
 def third_octave_smooth(spectrum: MetricSpectrum) -> MetricSpectrum:
@@ -217,12 +225,7 @@ def third_octave_smooth(spectrum: MetricSpectrum) -> MetricSpectrum:
         hi = f * _THIRD_OCTAVE_HALF_WIDTH
         window = db_vals[(freqs >= lo) & (freqs <= hi)]
         db = float(np.mean(window))
-        if db == math.inf:
-            value = math.inf
-        elif db == -math.inf or math.isnan(db):
-            value = 0.0
-        else:
-            value = 10.0 ** (db / 10.0)
+        value = 10.0 ** (db / 10.0)  # +-inf dB give inf and 0, NaN stays NaN
         smoothed.append(
             MetricValue(
                 frequency=float(f),

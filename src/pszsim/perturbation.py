@@ -3,9 +3,10 @@
 Measured transfer functions never match the nominal model exactly. This
 module perturbs a nominal matrix entrywise, drawing the amplitude from
 N(|H_kl|, sigma_amp_sq) and the phase from N(arg H_kl, sigma_phase_sq),
-and optionally averages several independent draws the way a repeated
-measurement would. Separate stream ids keep the set used for filter
-design statistically independent from the set used for evaluation.
+and averages ``trials`` independent draws the way a repeated measurement
+would (one trial is a single draw); :func:`averaged_perturbed` is its one
+entry point. Separate stream ids keep the set used for filter design
+statistically independent from the set used for evaluation.
 
 All draws come from a counter-based generator keyed by
 (seed, stream_id, frequency), so results are reproducible regardless of
@@ -75,31 +76,19 @@ def _draw(H: TransferMatrix, model: UncertaintyModel, stream_id: str, trials: in
     return amp * np.exp(1j * phase)
 
 
-def perturb(H: TransferMatrix, model: UncertaintyModel, stream_id: str) -> TransferMatrix:
-    """One independent perturbed copy of a transfer matrix.
-
-    Each entry is resampled as A * exp(1j*phi) with A drawn around the
-    nominal magnitude and phi around the nominal phase. Negative amplitude
-    samples are clamped to zero (vanishingly rare at realistic variances).
-    Deterministic given (seed, stream_id, frequency): the same call always
-    returns bit-identical output. With both variances zero the input
-    entries are returned unchanged.
-    """
-    if model.sigma_amp_sq == 0.0 and model.sigma_phase_sq == 0.0:
-        return TransferMatrix(H.frequency, H.entries.copy())
-    entries = _draw(H, model, stream_id, trials=1)[0]
-    return TransferMatrix(H.frequency, entries)
-
-
 def averaged_perturbed(
     H: TransferMatrix, model: UncertaintyModel, stream_id: str
 ) -> TransferMatrix:
     """Complex entrywise mean of ``model.trials`` independent perturbations.
 
-    Mimics averaging repeated measurements of the same setup. Use distinct
-    stream ids for the design and evaluation sets so the two are
-    statistically independent. trials=1 equals a single :func:`perturb`
-    draw bit for bit; zero variance returns H exactly for any trial count.
+    Each draw resamples every entry as A * exp(1j*phi), with A drawn around
+    the nominal magnitude and phi around the nominal phase; negative
+    amplitude samples are clamped to zero (vanishingly rare at realistic
+    variances). Mimics averaging repeated measurements of the same setup.
+    Use distinct stream ids for the design and evaluation sets so the two
+    are statistically independent. Deterministic given (seed, stream_id,
+    frequency). trials=1 returns a single draw bit for bit; zero variance
+    returns H exactly for any trial count.
     """
     if model.sigma_amp_sq == 0.0 and model.sigma_phase_sq == 0.0:
         return TransferMatrix(H.frequency, H.entries.copy())

@@ -23,6 +23,7 @@ import numpy as np
 
 from .acoustics import response_matrix
 from .filter_design import FilterMatrix
+from .metrics import _check_disjoint, _isolation
 from .scene import Scene
 
 
@@ -132,29 +133,22 @@ def ipi_map(
     target_channels, interferer_channels
         Disjoint channel index sets of the designed system.
 
-    At each grid point the 1 x L transfer row is formed, multiplied by C,
-    and the single-point IPI computed from the resulting channel row. A
-    grid point exactly on a speaker yields NaN for that cell instead of
-    failing the whole map.
+    At each grid point the 1 x L transfer row is formed and multiplied by
+    C; the resulting channel row is a one-point zone whose IPI comes from
+    the same kernel as :func:`~pszsim.metrics.ipi`, with the same channel
+    checks. A grid point exactly on a speaker yields NaN for that cell
+    instead of failing the whole map.
     """
     nx, ny = grid_shape(region, resolution)
     if C.frequency != frequency:
         raise ValueError(
             f"filters designed at {C.frequency} Hz, map requested at {frequency} Hz"
         )
+    target, interferer = _check_disjoint(
+        "target_channels", target_channels, "interferer_channels", interferer_channels,
+        C.entries.shape[1],
+    )
     x_min, _, y_min, _ = (float(v) for v in region)
-
-    target = tuple(int(i) for i in target_channels)
-    interferer = tuple(int(i) for i in interferer_channels)
-    n_chan = C.entries.shape[1]
-    for name, chans in (("target", target), ("interferer", interferer)):
-        if not chans:
-            raise ValueError(f"{name} channel set must not be empty")
-        bad = [i for i in chans if not 0 <= i < n_chan]
-        if bad:
-            raise ValueError(f"{name} channel indices out of range: {bad}")
-    if set(target) & set(interferer):
-        raise ValueError("target and interferer channel sets overlap")
 
     xs = x_min + np.arange(nx) * resolution
     ys = y_min + np.arange(ny) * resolution
@@ -162,15 +156,13 @@ def ipi_map(
     points = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
 
     rows = response_matrix(scene, points, frequency, on_coincident="nan")
-    m = rows @ C.entries  # (n_points, n_channels); NaN rows propagate
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_coh = np.abs(m[:, target].sum(axis=1)) ** 2 / len(target)
-        j_coh = np.abs(m[:, interferer].sum(axis=1)) ** 2 / len(interferer)
-        t_inc = (np.abs(m[:, target]) ** 2).sum(axis=1) / len(target)
-        j_inc = (np.abs(m[:, interferer]) ** 2).sum(axis=1) / len(interferer)
-        value = np.minimum(t_coh / j_coh, t_inc / j_inc)
-        values_db = 10.0 * np.log10(value)
+    # one single-point zone per grid point: (n_points, 1, n_channels)
+    m = (rows @ C.entries)[:, None, :]  # NaN rows propagate
+    corr, uncorr = _isolation(
+        m[..., target], len(target), m[..., interferer], len(interferer)
+    )
+    with np.errstate(divide="ignore"):
+        values_db = 10.0 * np.log10(np.minimum(corr, uncorr))
 
     return IpiMap(
         frequency=float(frequency),

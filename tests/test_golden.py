@@ -1,0 +1,135 @@
+"""Golden reference: every number a reduced default run writes.
+
+The run is the template experiment at 6 points per octave with the map at
+0.05 m: all modes, listener cases and filter positions through ``spectra``,
+and the template map through ``map``. Every CSV cell and every JSON value
+of every file written, manifests included, is compared with
+``tests/golden/reference.json``.
+
+Numbers match when they agree to a relative 2e-8 or an absolute 1e-12
+(grid coordinates that come out as 0 or 1e-16). The writers print 9
+significant digits, so one unit in the last printed digit is up to 1e-8
+of the value: a tighter tolerance, such as 1e-9 dB, would demand an exact
+match of the printed digits, and a refactor that moves the numbers by
+~1e-12 relative (a batched solve in place of the per-frequency Cholesky
+solve) may flip a last digit. Changing beta by one part in a million
+already moves many values by more than the tolerance, as the second test
+shows.
+
+Regenerate the reference only for an intended change of numbers, and
+record that change in CHANGES.md::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+from pszsim.cli import main as cli_main
+from pszsim.config import default_config_dict
+
+REFERENCE = Path(__file__).resolve().parent / "golden" / "reference.json"
+REL_TOL = 2e-8
+ABS_TOL = 1e-12
+
+
+def golden_config() -> dict:
+    cfg = default_config_dict()
+    cfg["frequency_grid"]["points_per_octave"] = 6
+    cfg["map"]["resolution_m"] = 0.05
+    # relative to the working directory, so no manifest names a temp path
+    cfg["output_dir"] = "out"
+    return cfg
+
+
+def parse_file(path: Path):
+    """A CSV as {"header", "columns"} of floats; a JSON file as its tree."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        return json.loads(text)
+    header, *rows = (line.split(",") for line in text.splitlines())
+    return {"header": header, "columns": [[float(r[j]) for r in rows] for j in range(len(header))]}
+
+
+def run(cfg: dict, commands=("spectra", "map")) -> dict:
+    """Run ``commands`` in the working directory; every file written, parsed, by name."""
+    Path("config.json").write_text(json.dumps(cfg), encoding="utf-8")
+    for command in commands:
+        assert cli_main([command, "config.json"]) == 0
+    return {p.name: parse_file(p) for p in sorted(Path(cfg["output_dir"]).iterdir())}
+
+
+def mismatches(ref, out, where: str = "") -> list[str]:
+    """Every place where ``out`` differs from ``ref`` beyond the tolerance."""
+    if isinstance(ref, (int, float)) and not isinstance(ref, bool) and isinstance(out, (int, float)):
+        a, b = float(ref), float(out)
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            return []
+        if abs(a - b) <= max(REL_TOL * max(abs(a), abs(b)), ABS_TOL):
+            return []
+        return [f"{where}: {b!r} != {a!r}"]
+    if isinstance(ref, dict) and isinstance(out, dict):
+        if set(ref) != set(out):
+            return [f"{where}: keys {sorted(out)} != {sorted(ref)}"]
+        return [m for k in sorted(ref) for m in mismatches(ref[k], out[k], f"{where}/{k}")]
+    if isinstance(ref, list) and isinstance(out, list):
+        if len(ref) != len(out):
+            return [f"{where}: {len(out)} items != {len(ref)}"]
+        return [m for i, (r, o) in enumerate(zip(ref, out)) for m in mismatches(r, o, f"{where}[{i}]")]
+    return [] if ref == out else [f"{where}: {out!r} != {ref!r}"]
+
+
+def load_reference() -> dict:
+    return json.loads(REFERENCE.read_text(encoding="utf-8"))
+
+
+def _round9(node):
+    """Round floats to the 9 significant digits the CSV writers print."""
+    if isinstance(node, float) and math.isfinite(node):
+        return float(f"{node:.9g}")
+    if isinstance(node, list):
+        return [_round9(v) for v in node]
+    if isinstance(node, dict):
+        return {k: _round9(v) for k, v in node.items()}
+    return node
+
+
+def test_reduced_default_run_matches_the_golden_reference(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert mismatches(load_reference(), run(golden_config())) == []
+
+
+def test_beta_changed_by_one_part_in_a_million_fails_the_comparison(tmp_path, monkeypatch):
+    # auto beta is K * sigma^2 = 4 * 1e-4: given as that number the spectra
+    # match; one part in a million more moves hundreds of their 4320 values
+    monkeypatch.chdir(tmp_path)
+    reference = load_reference()
+    counts = []
+    for beta, out_dir in ((4e-4, "same"), (4e-4 * (1 + 1e-6), "nudged")):
+        cfg = golden_config()
+        cfg["beta"], cfg["output_dir"] = beta, out_dir
+        out = run(cfg, commands=("spectra",))
+        names = [n for n in out if n.startswith("spectra_")]
+        assert len(names) == 12
+        counts.append(len(mismatches({n: reference[n] for n in names}, {n: out[n] for n in names})))
+    assert counts[0] == 0 and counts[1] > 100, counts
+
+
+if __name__ == "__main__":
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        parsed = run(golden_config())
+        os.chdir(home)
+    REFERENCE.parent.mkdir(exist_ok=True)
+    REFERENCE.write_text(
+        json.dumps(_round9(parsed), sort_keys=True, separators=(",", ":")) + "\n",
+        encoding="utf-8",
+    )
+    print(f"wrote {REFERENCE} ({REFERENCE.stat().st_size} bytes)", file=sys.stderr)

@@ -10,7 +10,6 @@ from pszsim.metrics import (
     acoustic_contrast,
     ipi,
     izi,
-    single_point_ipi,
     third_octave_smooth,
 )
 
@@ -65,20 +64,35 @@ def test_ipi_two_channel_hand_oracle():
     assert result.value == pytest.approx(20.0)
 
 
-def test_single_point_ipi_is_singleton_zone():
-    rng = np.random.default_rng(0)
-    m = system(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    a = single_point_ipi(m, 2, (0, 1), (2, 3))
-    b = ipi(m, (2,), (0, 1), (2, 3))
-    assert a == b
-
-
 def test_zero_interferer_gives_unbounded_sentinel():
     m = system([[1.0, 0.0]])
     result = ipi(m, (0,), (0,), (1,))
     assert result.unbounded
     assert result.db == math.inf
     assert result.value == math.inf
+
+
+def test_silent_zone_on_both_sides_is_unbounded():
+    # perfect cancellation in the denominator wins, even over a silent
+    # numerator: 0/0 reads as +inf, the same rule as any zero denominator
+    m = system([[0.0, 0.0], [1.0, 1.0]])
+    result = izi(m, (1,), (0,), (0, 1))
+    assert result.unbounded and result.db == math.inf
+    result = ipi(m, (0,), (0,), (1,))
+    assert result.unbounded and result.value == math.inf
+
+
+def test_nan_entry_gives_nan_not_minus_infinity():
+    m = system([[1.0, 0.5], [math.nan, 0.1]])
+    silent = system([[math.nan, 0.0]])  # a zero denominator alone reads +inf
+    for result in (
+        izi(m, (0,), (1,), (0, 1)),
+        izi(m, (1,), (0,), (0, 1)),
+        ipi(m, (1,), (0,), (1,)),
+        ipi(silent, (0,), (0,), (1,)),
+    ):
+        assert math.isnan(result.value) and math.isnan(result.db)
+        assert not result.unbounded
 
 
 def test_zero_target_gives_minus_infinity_db():
@@ -228,3 +242,25 @@ def test_metric_value_from_ratios():
     assert not v.unbounded
     w = MetricValue.from_ratios(1000.0, corr=math.inf, uncorr=math.inf)
     assert w.unbounded and w.db == math.inf
+
+
+@pytest.mark.parametrize("corr, uncorr", [(math.nan, 5.0), (5.0, math.nan), (math.inf, math.nan)])
+def test_metric_value_nan_ratio_propagates_in_either_order(corr, uncorr):
+    v = MetricValue.from_ratios(1000.0, corr, uncorr)
+    assert math.isnan(v.value) and math.isnan(v.db)
+    assert not v.unbounded
+
+
+def test_smoothing_nan_window_stays_nan():
+    freqs = 100.0 * 2 ** (np.arange(12) / 12)
+    dbs = np.full(12, 10.0)
+    dbs[6] = math.nan
+    out = third_octave_smooth(spectrum_from_db(freqs, dbs))
+    half = 2 ** (1 / 6)
+    for f, v in zip(freqs, out.values):
+        if f / half <= freqs[6] <= f * half:
+            assert math.isnan(v.db) and math.isnan(v.value)
+            assert not v.unbounded
+        else:
+            assert v.db == pytest.approx(10.0, abs=1e-12)
+            assert v.value == pytest.approx(10.0, rel=1e-12)

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from pszsim.acoustics import TransferMatrix, transfer_matrix
-from pszsim.perturbation import UncertaintyModel, averaged_perturbed, perturb
+from pszsim.perturbation import UncertaintyModel, _generator, averaged_perturbed
 from pszsim.scene import default_scene
 
 
@@ -14,7 +16,7 @@ def nominal():
 
 def test_zero_variance_returns_input_unchanged(nominal):
     model = UncertaintyModel(0.0, 0.0, trials=1, seed=7)
-    out = perturb(nominal, model, "design")
+    out = averaged_perturbed(nominal, model, "design")
     assert np.array_equal(out.entries, nominal.entries)
 
 
@@ -26,8 +28,9 @@ def test_zero_variance_averaging_is_exact(nominal):
 
 def test_same_seed_and_stream_is_bit_identical(nominal):
     model = UncertaintyModel(1e-4, 1e-4, trials=10, seed=3)
-    a = perturb(nominal, model, "design")
-    b = perturb(nominal, model, "design")
+    single = dataclasses.replace(model, trials=1)
+    a = averaged_perturbed(nominal, single, "design")
+    b = averaged_perturbed(nominal, single, "design")
     assert np.array_equal(a.entries, b.entries)
     c = averaged_perturbed(nominal, model, "design")
     d = averaged_perturbed(nominal, model, "design")
@@ -36,14 +39,14 @@ def test_same_seed_and_stream_is_bit_identical(nominal):
 
 def test_distinct_streams_differ(nominal):
     model = UncertaintyModel(1e-4, 1e-4, seed=3)
-    a = perturb(nominal, model, "design")
-    b = perturb(nominal, model, "eval")
+    a = averaged_perturbed(nominal, model, "design")
+    b = averaged_perturbed(nominal, model, "eval")
     assert not np.array_equal(a.entries, b.entries)
 
 
 def test_distinct_seeds_differ(nominal):
-    a = perturb(nominal, UncertaintyModel(1e-4, 1e-4, seed=1), "design")
-    b = perturb(nominal, UncertaintyModel(1e-4, 1e-4, seed=2), "design")
+    a = averaged_perturbed(nominal, UncertaintyModel(1e-4, 1e-4, seed=1), "design")
+    b = averaged_perturbed(nominal, UncertaintyModel(1e-4, 1e-4, seed=2), "design")
     assert not np.array_equal(a.entries, b.entries)
 
 
@@ -52,16 +55,22 @@ def test_distinct_frequencies_draw_independently():
     model = UncertaintyModel(1e-4, 1e-4, seed=0)
     h1 = transfer_matrix(scene, scene.control_points, 1000.0)
     h2 = TransferMatrix(2000.0, h1.entries)  # same entries, other frequency
-    a = perturb(h1, model, "design")
-    b = perturb(h2, model, "design")
+    a = averaged_perturbed(h1, model, "design")
+    b = averaged_perturbed(h2, model, "design")
     assert not np.array_equal(a.entries - h1.entries, b.entries - h2.entries)
 
 
-def test_single_trial_average_equals_perturb(nominal):
-    model = UncertaintyModel(1e-4, 1e-4, trials=1, seed=11)
+def test_single_trial_is_one_literal_draw(nominal):
+    # one trial is the documented draw itself, A * exp(1j*phi) from the
+    # (seed, stream, frequency) generator, with no averaging arithmetic
+    model = UncertaintyModel(1e-4, 4e-4, trials=1, seed=11)
+    z = _generator(11, "design", 1000.0).standard_normal((2, *nominal.shape))
+    amp = np.abs(nominal.entries) + 1e-2 * z[0]
+    phase = np.angle(nominal.entries) + 2e-2 * z[1]
+    assert (amp > 0).all()  # no amplitude is clamped at this variance
     assert np.array_equal(
         averaged_perturbed(nominal, model, "design").entries,
-        perturb(nominal, model, "design").entries,
+        amp * np.exp(1j * phase),
     )
 
 
@@ -72,7 +81,7 @@ def test_amplitude_sample_mean_converges():
     sigma_sq = 1e-4
     nominal_value = 0.8 * np.exp(0.3j)
     H = TransferMatrix(500.0, np.full((1, n), nominal_value))
-    out = perturb(H, UncertaintyModel(sigma_sq, sigma_sq, seed=5), "design")
+    out = averaged_perturbed(H, UncertaintyModel(sigma_sq, sigma_sq, seed=5), "design")
     amp = np.abs(out.entries)
     sigma = np.sqrt(sigma_sq)
     assert abs(amp.mean() - 0.8) < 3 * sigma / np.sqrt(n)
@@ -107,7 +116,7 @@ def test_error_decreases_with_trial_count(nominal):
 def test_negative_amplitudes_clamp_to_zero():
     # nominal magnitude far below sigma makes negative draws common
     H = TransferMatrix(100.0, np.full((1, 2000), 1e-6 + 0j))
-    out = perturb(H, UncertaintyModel(1e-2, 0.0, seed=1), "design")
+    out = averaged_perturbed(H, UncertaintyModel(1e-2, 0.0, seed=1), "design")
     assert np.abs(out.entries).min() == 0.0
 
 

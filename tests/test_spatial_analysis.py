@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from pszsim.filter_design import RenderingMode, build_target_matrix, pressure_matching, program_channels
-from pszsim.acoustics import transfer_matrix
+from pszsim.acoustics import response_matrix, transfer_matrix
 from pszsim.scene import default_scene
 from pszsim.spatial_analysis import (
     ContourSet,
@@ -181,6 +183,42 @@ def test_ipi_map_mirrored_region_with_swapped_programs():
         scene, filters, (0.25, 0.75, 0.5, 1.5), 0.125, frequency, interferer, target
     )
     assert np.allclose(left.values_db, right.values_db[:, ::-1], rtol=0, atol=1e-9)
+
+
+def _brute_point_ipi_db(row, target, interferer):
+    """10 log10 of the IPI of one channel row, from literal nested sums."""
+    def coherent(channels):
+        s = 0 + 0j
+        for i in channels:
+            s = s + row[i]
+        return abs(s) ** 2 / len(channels)
+
+    def incoherent(channels):
+        total = 0.0
+        for i in channels:
+            total = total + abs(row[i]) ** 2
+        return total / len(channels)
+
+    corr = coherent(target) / coherent(interferer)
+    uncorr = incoherent(target) / incoherent(interferer)
+    return 10.0 * math.log10(min(corr, uncorr))
+
+
+@pytest.mark.parametrize("mode", [RenderingMode.MONO, RenderingMode.STEREO], ids=lambda m: m.value)
+def test_ipi_map_matches_literal_nested_sums(mode):
+    scene = default_scene()
+    frequency = 1000.0
+    filters = designed_filters(scene, frequency, mode=mode)
+    target, interferer = program_channels(scene, mode)
+    m = ipi_map(
+        scene, filters, (-0.75, -0.25, 0.75, 1.25), 0.125, frequency, target, interferer
+    )
+    assert m.values_db.shape == (5, 5) and np.isfinite(m.values_db).all()
+    for iy, y in enumerate(m.y_coords()):
+        for ix, x in enumerate(m.x_coords()):
+            row = (response_matrix(scene, [[x, y, 0.0]], frequency) @ filters.entries)[0]
+            want = _brute_point_ipi_db(row.tolist(), target, interferer)
+            assert m.values_db[iy, ix] == pytest.approx(want, rel=1e-12)
 
 
 def test_ipi_map_speaker_coincidence_marks_cell_invalid():

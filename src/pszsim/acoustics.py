@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import j1
 
-from .scene import Scene
+from .scene import Scene, _frozen
 
 # Below this argument the directivity is evaluated by its Taylor series to
 # sidestep the 0/0 form; the two branches agree to ~1e-16 at the seam.
@@ -64,11 +64,9 @@ class TransferMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex)
+        arr = _frozen(self.entries, complex)
         if arr.ndim != 2:
             raise ValueError(f"entries must be 2D, got shape {arr.shape}")
-        arr = arr.copy() if arr is self.entries else arr
-        arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
         object.__setattr__(self, "frequency", float(self.frequency))
 
@@ -96,18 +94,22 @@ def directivity(x):
 
 
 def response_matrix(
-    scene: Scene, points, frequency: float, on_coincident: str = "raise"
+    scene: Scene, points, frequency, on_coincident: str = "raise"
 ) -> np.ndarray:
     """Vectorized piston responses from all scene speakers to many points.
 
-    Returns a complex (n_points, n_speakers) array. All speakers share the
-    scene's +y axis. ``on_coincident`` selects what happens when a point
-    sits exactly on a speaker: "raise" throws CoincidentPointError with
-    the offending index pairs, "nan" fills that row/column entry with NaN
-    so grid scans can skip the cell.
+    Returns a complex (n_points, n_speakers) array for one frequency, or an
+    (F, n_points, n_speakers) stack for a 1-D array of F frequencies; each
+    matrix of the stack is bit for bit the one-frequency result. All
+    speakers share the scene's +y axis. ``on_coincident`` selects what
+    happens when a point sits exactly on a speaker: "raise" throws
+    CoincidentPointError with the offending index pairs, "nan" fills that
+    row/column entry with NaN so grid scans can skip the cell.
     """
-    if frequency <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency}")
+    freqs = np.asarray(frequency, dtype=float)
+    if np.any(freqs <= 0):
+        bad = frequency if freqs.ndim == 0 else freqs[freqs <= 0][0]
+        raise ValueError(f"frequency must be positive, got {bad}")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"points must be (n, 3), got shape {pts.shape}")
@@ -123,7 +125,7 @@ def response_matrix(
 
     # speakers face +y: sin(theta) = sqrt(dx^2 + dz^2) / r
     lateral = np.hypot(diff[..., 0], diff[..., 2])
-    k = 2.0 * np.pi * frequency / scene.sound_speed
+    k = (2.0 * np.pi * freqs / scene.sound_speed)[..., None, None]
     with np.errstate(invalid="ignore"):  # NaN radii are deliberate here
         d_gain = directivity(k * scene.piston_radius * (lateral / r))
         return d_gain * np.exp(-1j * k * r) / r

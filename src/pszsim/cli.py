@@ -30,8 +30,10 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .acoustics import transfer_matrix
+from .acoustics import response_matrix
 # log_frequency_grid and resolve_config stay importable from pszsim.cli
 from .config import (  # noqa: F401
     ConfigError,
@@ -43,16 +45,9 @@ from .config import (  # noqa: F401
     map_tag,
     resolve_config,
 )
-from .filter_design import (
-    IllConditionedError,
-    RenderingMode,
-    build_target_matrix,
-    pressure_matching,
-    program_channels,
-    system_matrix,
-)
-from .metrics import MetricSpectrum, ipi, izi, third_octave_smooth
-from .perturbation import averaged_perturbed
+from .filter_design import FilterMatrix, RenderingMode, program_channels, solve_stack, target_stack
+from .metrics import ipi_ratios, izi_ratios, min_db, smooth_db
+from .perturbation import averaged_perturbed_stacks
 from .scene import Scene, move_listener
 from .spatial_analysis import enclosed_area, extract_contours, ipi_map
 
@@ -64,70 +59,56 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _design_filters(config: ExperimentConfig, design_scene: Scene,
-                    mode: RenderingMode, frequency: float):
-    """Design-set perturbed transfer functions, target and filters."""
-    h_nominal = transfer_matrix(design_scene, design_scene.control_points, frequency)
-    h_design = averaged_perturbed(h_nominal, config.model, _DESIGN_STREAM)
-    target = build_target_matrix(design_scene, h_design, mode)
-    beta = config.beta_at(frequency)
-    return pressure_matching(h_design, target, beta)
+def _design_filters(config: ExperimentConfig, scene: Scene, h_design, mode: RenderingMode,
+                    frequencies):
+    """Filters from the design-set transfer stack: ``solve_stack``'s (filters, kept, failures)."""
+    target = target_stack(scene, h_design, mode)
+    return solve_stack(h_design, target, config.beta_at(frequencies), frequencies)
 
 
-def _spectra_for(config: ExperimentConfig, mode: RenderingMode,
-                 case: ListenerCase, strategy: str):
-    """Four metric spectra for one (mode, case, strategy) combination."""
-    base = config.scene
-    eval_scene = (
-        move_listener(base, case.displacement) if case.displacement else base
+def _perturbed_transfers(config: ExperimentConfig, scenes: dict, streams: dict) -> dict:
+    """(scene key, stream) -> averaged perturbed (F, K, L) transfer stack.
+
+    ``streams`` maps each stream to the keys of the scenes it perturbs. Each
+    scene's nominal stack is computed once over the whole grid, and each
+    stream's draws once for all of its scenes.
+    """
+    freqs = config.frequencies
+    nominal = {
+        key: response_matrix(scenes[key], scenes[key].control_points, freqs)
+        for key in dict.fromkeys(key for keys in streams.values() for key in keys)
+    }
+    stacks = {}
+    for stream, keys in streams.items():
+        perturbed = averaged_perturbed_stacks([nominal[k] for k in keys], freqs, config.model, stream)
+        stacks.update(((key, stream), h) for key, h in zip(keys, perturbed))
+    return stacks
+
+
+def _spectra_db(scene: Scene, mode: RenderingMode, m):
+    """(4, F) raw dB of IZI_A, IZI_B, IPI_A and IPI_B from an (F, K, C) system stack."""
+    prog_a, prog_b = program_channels(scene, mode)
+    zone_a, zone_b = scene.zone_a, scene.zone_b
+    ratios = (
+        izi_ratios(m, zone_a, zone_b, prog_a),
+        izi_ratios(m, zone_b, zone_a, prog_b),
+        ipi_ratios(m, zone_a, prog_a, prog_b),
+        ipi_ratios(m, zone_b, prog_b, prog_a),
     )
-    design_scene = eval_scene if strategy == "matched" else base
-    prog_a, prog_b = program_channels(base, mode)
-    zone_a, zone_b = base.zone_a, base.zone_b
-
-    kept, skipped = [], []
-    for frequency in config.frequencies:
-        try:
-            filters = _design_filters(config, design_scene, mode, frequency)
-        except IllConditionedError as exc:
-            skipped.append((frequency, str(exc)))
-            continue
-        h_nominal = transfer_matrix(eval_scene, eval_scene.control_points, frequency)
-        h_eval = averaged_perturbed(h_nominal, config.model, _EVAL_STREAM)
-        m = system_matrix(h_eval, filters)
-        kept.append(
-            (
-                izi(m, zone_a, zone_b, prog_a),
-                izi(m, zone_b, zone_a, prog_b),
-                ipi(m, zone_a, prog_a, prog_b),
-                ipi(m, zone_b, prog_b, prog_a),
-            )
-        )
-    labels = ("IZI_A", "IZI_B", "IPI_A", "IPI_B")
-    spectra = tuple(
-        MetricSpectrum(label, tuple(r[j] for r in kept))
-        for j, label in enumerate(labels)
-    )
-    return spectra, skipped
+    return np.array([min_db(corr, uncorr)[1] for corr, uncorr in ratios])
 
 
-def _write_spectra_csv(path: Path, spectra, smoothed):
+def _write_spectra_csv(path: Path, freqs, raw, smoothed):
     columns = ["izi_a", "izi_b", "ipi_a", "ipi_b"]
     header = (
         ["frequency_hz"]
         + [f"{c}_db" for c in columns]
         + [f"{c}_smooth_db" for c in columns]
     )
-    lines = [",".join(header)]
-    freqs = spectra[0].frequencies()
-    raw_db = [s.db() for s in spectra]
-    smooth_db = [s.db() for s in smoothed]
-    for i, f in enumerate(freqs):
-        row = [_fmt(f)]
-        row += [_fmt(col[i]) for col in raw_db]
-        row += [_fmt(col[i]) for col in smooth_db]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in np.column_stack([freqs, raw.T, smoothed.T]):
+            fh.write(",".join(_fmt(x) for x in row.tolist()) + "\n")
 
 
 def _write_manifest(config: ExperimentConfig, command: str, outputs, skipped):
@@ -146,27 +127,55 @@ def _write_manifest(config: ExperimentConfig, command: str, outputs, skipped):
 
 
 def run_spectra(config: ExperimentConfig) -> list[Path]:
-    """Run all sweep combinations and write CSVs plus a manifest."""
+    """Run all sweep combinations and write CSVs plus a manifest.
+
+    One pipeline over the whole frequency grid: every transfer stack,
+    draw and design is computed once per run and shared by the
+    combinations that use it.
+    """
     config.output_dir.mkdir(parents=True, exist_ok=True)
+    base, freqs = config.scene, config.frequencies
+    # scenes are keyed by the displacement that makes them; None is the base scene
+    scenes = {None: base}
+    for case in config.cases:
+        if case.displacement is not None:
+            scenes[case.displacement] = move_listener(base, case.displacement)
+
+    def design_key(case: ListenerCase, strategy: str):
+        return case.displacement if strategy == "matched" else None
+
+    combos = [
+        (mode, case, strategy)
+        for mode in config.modes
+        for case in config.cases
+        for strategy in config.filter_positions
+    ]
+    h = _perturbed_transfers(config, scenes, {
+        _DESIGN_STREAM: list(dict.fromkeys(design_key(c, s) for _, c, s in combos)),
+        _EVAL_STREAM: list(dict.fromkeys(c.displacement for c in config.cases)),
+    })
+    designs = {}
     outputs: list[Path] = []
     skipped_log: dict[str, list] = {}
-    for mode in config.modes:
-        for case in config.cases:
-            for strategy in config.filter_positions:
-                spectra, skipped = _spectra_for(config, mode, case, strategy)
-                key = f"{mode.value}_{case.name}_{strategy}"
-                if skipped:
-                    skipped_log[key] = [
-                        {"frequency_hz": f, "reason": reason} for f, reason in skipped
-                    ]
-                    for f, reason in skipped:
-                        print(f"warning: {key}: skipped {f:.6g} Hz: {reason}", file=sys.stderr)
-                if len(spectra[0]) == 0:
-                    raise RuntimeError(f"{key}: every frequency failed to solve")
-                smoothed = tuple(third_octave_smooth(s) for s in spectra)
-                path = config.output_dir / f"spectra_{key}.csv"
-                _write_spectra_csv(path, spectra, smoothed)
-                outputs.append(path)
+    for mode, case, strategy in combos:
+        scene_key = design_key(case, strategy)
+        if (mode, scene_key) not in designs:
+            designs[mode, scene_key] = _design_filters(
+                config, scenes[scene_key], h[scene_key, _DESIGN_STREAM], mode, freqs
+            )
+        filters, kept, skipped = designs[mode, scene_key]
+        key = f"{mode.value}_{case.name}_{strategy}"
+        if skipped:
+            skipped_log[key] = [{"frequency_hz": f, "reason": reason} for f, reason in skipped]
+            for f, reason in skipped:
+                print(f"warning: {key}: skipped {f:.6g} Hz: {reason}", file=sys.stderr)
+        if not kept.any():
+            raise RuntimeError(f"{key}: every frequency failed to solve")
+        m = h[case.displacement, _EVAL_STREAM][kept] @ filters
+        raw = _spectra_db(base, mode, m)
+        path = config.output_dir / f"spectra_{key}.csv"
+        _write_spectra_csv(path, freqs[kept], raw, smooth_db(freqs[kept], raw))
+        outputs.append(path)
     outputs.append(_write_manifest(config, "spectra", outputs, skipped_log))
     return outputs
 
@@ -230,21 +239,23 @@ def run_map(config: ExperimentConfig) -> list[Path]:
     else:
         target, interferer = prog_b, prog_a
 
-    outputs: list[Path] = []
+    freqs = np.array(request.frequencies)
+    (h_design,) = averaged_perturbed_stacks(
+        [response_matrix(scene, scene.control_points, freqs)], freqs, config.model, _DESIGN_STREAM
+    )
+    filters, kept, failures = _design_filters(config, scene, h_design, request.mode, freqs)
     skipped: dict[str, list] = {}
+    for frequency, reason in failures:
+        skipped.setdefault("map", []).append({"frequency_hz": frequency, "reason": reason})
+        print(f"warning: map: skipped {frequency:.6g} Hz: {reason}", file=sys.stderr)
+
+    outputs: list[Path] = []
     area_rows = []
-    for frequency in request.frequencies:
-        try:
-            filters = _design_filters(config, scene, request.mode, frequency)
-        except IllConditionedError as exc:
-            skipped.setdefault("map", []).append(
-                {"frequency_hz": frequency, "reason": str(exc)}
-            )
-            print(f"warning: map: skipped {frequency:.6g} Hz: {exc}", file=sys.stderr)
-            continue
+    kept_freqs = [f for f, ok in zip(request.frequencies, kept) if ok]
+    for frequency, c in zip(kept_freqs, filters):
         m = ipi_map(
             scene,
-            filters,
+            FilterMatrix(frequency, c),
             request.region,
             request.resolution,
             frequency,

@@ -81,19 +81,16 @@ class ExperimentConfig:
     output_dir: Path
     echo: dict  # the resolved config as `validate` prints it and manifests embed it
 
-    def beta_at(self, frequency: float) -> float:
+    def beta_at(self, frequency):
+        """beta at one frequency, as a float, or at an array of them, as an array."""
         if self.beta_spec == "auto":
             sigma = max(self.model.sigma_amp_sq, self.model.sigma_phase_sq)
-            return default_beta(self.scene.n_points, sigma)
-        if isinstance(self.beta_spec, dict):
-            return float(
-                np.interp(
-                    frequency,
-                    self.beta_spec["frequencies_hz"],
-                    self.beta_spec["values"],
-                )
-            )
-        return float(self.beta_spec)
+            beta = np.full(np.shape(frequency), default_beta(self.scene.n_points, sigma))
+        elif isinstance(self.beta_spec, dict):
+            beta = np.interp(frequency, self.beta_spec["frequencies_hz"], self.beta_spec["values"])
+        else:
+            beta = np.full(np.shape(frequency), float(self.beta_spec))
+        return float(beta) if np.ndim(beta) == 0 else beta
 
 
 class _Invalid(Exception):

@@ -34,6 +34,8 @@ import scipy.linalg
 from .acoustics import TransferMatrix
 from .scene import Scene
 
+_BLOCK_FREQUENCIES = 256  # normal matrices formed at once; bounds the temporaries
+
 
 class RenderingMode(enum.Enum):
     MONO = "mono"
@@ -76,6 +78,42 @@ def _zone_layout(scene: Scene):
     )
 
 
+def target_stack(scene: Scene, H: np.ndarray, mode: RenderingMode) -> np.ndarray:
+    """Target pressures for a rendering mode from a (..., points, speakers) stack.
+
+    Returns the (..., points, channels) stack that :func:`build_target_matrix`
+    describes, gathered for every leading index (frequency) at once.
+    """
+    k_points = scene.n_points
+    if H.shape[-2] != k_points:
+        raise ValueError(
+            f"H has {H.shape[-2]} rows but the scene has {k_points} control points"
+        )
+    if not isinstance(mode, RenderingMode):
+        raise ValueError(f"unknown rendering mode: {mode!r}")
+
+    blocks = []
+    for zone, channels in _zone_layout(scene):
+        zone = list(zone)
+        sources = [scene.virtual_source_map[c] for c in channels]
+        if mode is RenderingMode.XTC and len(channels) != len(zone):
+            raise ValueError(
+                "xtc needs one channel per zone point, got "
+                f"{len(channels)} channels for {len(zone)} points"
+            )
+        n_cols = 1 if mode is RenderingMode.MONO else len(sources)
+        block = np.zeros((*H.shape[:-2], k_points, n_cols), dtype=complex)
+        if mode is RenderingMode.MONO:
+            block[..., zone, 0] = H[..., zone, :][..., sources].mean(axis=-1)
+        elif mode is RenderingMode.STEREO:
+            block[..., zone, :] = H[..., zone, :][..., sources]
+        else:  # channel j of the zone targets only the zone's j-th point
+            cols = np.arange(len(zone))
+            block[..., zone, cols] = H[..., zone, sources]
+        blocks.append(block)
+    return np.concatenate(blocks, axis=-1)
+
+
 def build_target_matrix(scene: Scene, H: TransferMatrix, mode: RenderingMode) -> TargetMatrix:
     """Target pressure matrix for a rendering mode.
 
@@ -88,38 +126,46 @@ def build_target_matrix(scene: Scene, H: TransferMatrix, mode: RenderingMode) ->
     or when xtc is requested for a zone whose channel count differs from
     its point count.
     """
-    k_points = scene.n_points
-    if H.entries.shape[0] != k_points:
-        raise ValueError(
-            f"H has {H.entries.shape[0]} rows but the scene has {k_points} control points"
-        )
+    return TargetMatrix(H.frequency, target_stack(scene, H.entries, mode))
 
-    columns = []
-    for zone, channels in _zone_layout(scene):
-        sources = [scene.virtual_source_map[c] for c in channels]
-        if mode is RenderingMode.MONO:
-            col = np.zeros(k_points, dtype=complex)
-            col[list(zone)] = H.entries[list(zone)][:, sources].mean(axis=1)
-            columns.append(col)
-        elif mode is RenderingMode.STEREO:
-            for src in sources:
-                col = np.zeros(k_points, dtype=complex)
-                col[list(zone)] = H.entries[list(zone), src]
-                columns.append(col)
-        elif mode is RenderingMode.XTC:
-            if len(channels) != len(zone):
-                raise ValueError(
-                    "xtc needs one channel per zone point, got "
-                    f"{len(channels)} channels for {len(zone)} points"
+
+def solve_stack(H: np.ndarray, M_T: np.ndarray, betas, frequencies):
+    """Regularized pressure matching filters at F frequencies at once.
+
+    ``H`` is an (F, points, speakers) stack, ``M_T`` an (F, points,
+    channels) stack and ``betas`` the F regularization weights. The normal
+    matrices and right hand sides are formed for blocks of frequencies at
+    once; each frequency is then factorized and solved by LAPACK's Cholesky
+    routines, so every filter is bit for bit what a one-frequency solve
+    gives.
+    Returns ``(filters, kept, failures)``: the (F_kept, speakers, channels)
+    filters of the frequencies whose normal matrix factorized, the (F,)
+    boolean mask of those frequencies, and a ``(frequency, message)`` pair
+    for every other one, in grid order.
+    """
+    betas = np.asarray(betas, dtype=float)
+    filters = np.empty((len(betas), H.shape[-1], M_T.shape[-1]), dtype=complex)
+    kept = np.ones(len(betas), dtype=bool)
+    failures = []
+    diag = np.arange(H.shape[-1])
+    for start in range(0, len(betas), _BLOCK_FREQUENCIES):
+        block = slice(start, start + _BLOCK_FREQUENCIES)
+        h_herm = H[block].conj().swapaxes(-1, -2)
+        normal = h_herm @ H[block]
+        normal[..., diag, diag] += betas[block, None]
+        rhs = h_herm @ M_T[block]
+        for i, n, b in zip(range(start, len(betas)), normal, rhs):
+            try:
+                factor = scipy.linalg.cho_factor(n)
+            except np.linalg.LinAlgError:
+                frequency, beta = float(frequencies[i]), float(betas[i])
+                failures.append(
+                    (frequency, f"normal matrix is singular at {frequency} Hz (beta = {beta})")
                 )
-            for point, src in zip(zone, sources):
-                col = np.zeros(k_points, dtype=complex)
-                col[point] = H.entries[point, src]
-                columns.append(col)
-        else:
-            raise ValueError(f"unknown rendering mode: {mode!r}")
-
-    return TargetMatrix(H.frequency, np.column_stack(columns))
+                kept[i] = False
+                continue
+            filters[i] = scipy.linalg.cho_solve(factor, b)
+    return (filters if kept.all() else filters[kept]), kept, failures
 
 
 def pressure_matching(H: TransferMatrix, M_T: TargetMatrix, beta: float) -> FilterMatrix:
@@ -136,21 +182,16 @@ def pressure_matching(H: TransferMatrix, M_T: TargetMatrix, beta: float) -> Filt
         raise ValueError(
             f"frequency mismatch: H at {H.frequency} Hz, target at {M_T.frequency} Hz"
         )
-    h = H.entries
-    if h.shape[0] != M_T.entries.shape[0]:
+    if H.entries.shape[0] != M_T.entries.shape[0]:
         raise ValueError(
-            f"H has {h.shape[0]} rows but the target has {M_T.entries.shape[0]}"
+            f"H has {H.entries.shape[0]} rows but the target has {M_T.entries.shape[0]}"
         )
-    normal = h.conj().T @ h
-    normal[np.diag_indices_from(normal)] += beta
-    try:
-        factor = scipy.linalg.cho_factor(normal)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedError(
-            f"normal matrix is singular at {H.frequency} Hz (beta = {beta})"
-        ) from exc
-    filters = scipy.linalg.cho_solve(factor, h.conj().T @ M_T.entries)
-    return FilterMatrix(H.frequency, filters)
+    filters, _, failures = solve_stack(
+        H.entries[None], M_T.entries[None], [beta], [H.frequency]
+    )
+    if failures:
+        raise IllConditionedError(failures[0][1])
+    return FilterMatrix(H.frequency, filters[0])
 
 
 def cost(H: TransferMatrix, C: FilterMatrix, M_T: TargetMatrix, beta: float) -> float:

@@ -60,13 +60,7 @@ class MetricValue:
     @classmethod
     def from_ratios(cls, frequency: float, corr: float, uncorr: float) -> "MetricValue":
         corr, uncorr = float(corr), float(uncorr)
-        value = float(np.minimum(corr, uncorr))  # a NaN ratio propagates
-        if value <= 0.0:
-            db = -math.inf
-        elif math.isfinite(value):
-            db = 10.0 * math.log10(value)
-        else:
-            db = value  # +inf or NaN
+        (value,), (db,) = (a.tolist() for a in min_db(np.array([corr]), np.array([uncorr])))
         return cls(
             frequency=float(frequency),
             corr=corr,
@@ -75,6 +69,20 @@ class MetricValue:
             db=db,
             unbounded=value == math.inf,
         )
+
+
+def min_db(corr: np.ndarray, uncorr: np.ndarray):
+    """``value`` = min(corr, uncorr) and its dB form, elementwise, as in :class:`MetricValue`.
+
+    A NaN ratio propagates; value 0 gives -inf dB, +inf stays +inf. The
+    logarithm is ``math.log10`` per value, because numpy's vectorized
+    log10 differs from it in the last bit for some inputs.
+    """
+    value = np.minimum(corr, uncorr)
+    db = np.where(value <= 0.0, -math.inf, value)  # +inf and NaN stay
+    finite = np.isfinite(value) & (value > 0.0)
+    db[finite] = [10.0 * math.log10(v) for v in value[finite].tolist()]
+    return value, db
 
 
 @dataclass(frozen=True)
@@ -146,6 +154,24 @@ def _isolation(num, num_count: int, den, den_count: int):
     return _ratio(num_coh, den_coh), _ratio(num_inc, den_inc)
 
 
+def izi_ratios(M: np.ndarray, bz_points, dz_points, program_channels):
+    """(corr, uncorr) arrays of :func:`izi` for a (..., points, channels) stack of M."""
+    bz, dz = _check_disjoint("bz_points", bz_points, "dz_points", dz_points, M.shape[-2])
+    chans = _check_indices("program_channels", program_channels, M.shape[-1])
+    return _isolation(M[..., bz, :][..., chans], len(bz), M[..., dz, :][..., chans], len(dz))
+
+
+def ipi_ratios(M: np.ndarray, zone_points, target_channels, interferer_channels):
+    """(corr, uncorr) arrays of :func:`ipi` for a (..., points, channels) stack of M."""
+    zone = _check_indices("zone_points", zone_points, M.shape[-2])
+    target, interferer = _check_disjoint(
+        "target_channels", target_channels, "interferer_channels", interferer_channels,
+        M.shape[-1],
+    )
+    rows = M[..., zone, :]
+    return _isolation(rows[..., target], len(target), rows[..., interferer], len(interferer))
+
+
 def izi(M: SystemMatrix, bz_points, dz_points, program_channels) -> MetricValue:
     """Inter-zone isolation of one program.
 
@@ -157,12 +183,9 @@ def izi(M: SystemMatrix, bz_points, dz_points, program_channels) -> MetricValue:
 
     and value = min(corr, uncorr). Point sets must be disjoint.
     """
-    bz, dz = _check_disjoint("bz_points", bz_points, "dz_points", dz_points, M.entries.shape[0])
-    chans = _check_indices("program_channels", program_channels, M.entries.shape[1])
-    corr, uncorr = _isolation(
-        M.entries[np.ix_(bz, chans)], len(bz), M.entries[np.ix_(dz, chans)], len(dz)
+    return MetricValue.from_ratios(
+        M.frequency, *izi_ratios(M.entries, bz_points, dz_points, program_channels)
     )
-    return MetricValue.from_ratios(M.frequency, corr, uncorr)
 
 
 def ipi(M: SystemMatrix, zone_points, target_channels, interferer_channels) -> MetricValue:
@@ -178,16 +201,9 @@ def ipi(M: SystemMatrix, zone_points, target_channels, interferer_channels) -> M
     Note the normalizers count channels, not points; the point sums run
     over the same zone in numerator and denominator.
     """
-    zone = _check_indices("zone_points", zone_points, M.entries.shape[0])
-    target, interferer = _check_disjoint(
-        "target_channels", target_channels, "interferer_channels", interferer_channels,
-        M.entries.shape[1],
+    return MetricValue.from_ratios(
+        M.frequency, *ipi_ratios(M.entries, zone_points, target_channels, interferer_channels)
     )
-    corr, uncorr = _isolation(
-        M.entries[np.ix_(zone, target)], len(target),
-        M.entries[np.ix_(zone, interferer)], len(interferer),
-    )
-    return MetricValue.from_ratios(M.frequency, corr, uncorr)
 
 
 def acoustic_contrast(H_A: np.ndarray, H_B: np.ndarray, q: np.ndarray) -> float:
@@ -205,6 +221,18 @@ def acoustic_contrast(H_A: np.ndarray, H_B: np.ndarray, q: np.ndarray) -> float:
     return float(_ratio(num, den))
 
 
+def smooth_db(frequencies: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """1/3-octave sliding mean of (..., F) dB values over F increasing frequencies.
+
+    Bin i averages the bins whose frequency lies in [f_i * 2^(-1/6),
+    f_i * 2^(1/6)]; on an increasing grid they are one contiguous slice,
+    found by binary search. Every row is smoothed alike.
+    """
+    lo = np.searchsorted(frequencies, frequencies / _THIRD_OCTAVE_HALF_WIDTH, "left")
+    hi = np.searchsorted(frequencies, frequencies * _THIRD_OCTAVE_HALF_WIDTH, "right")
+    return np.stack([np.mean(db[..., a:b], axis=-1) for a, b in zip(lo, hi)], axis=-1)
+
+
 def third_octave_smooth(spectrum: MetricSpectrum) -> MetricSpectrum:
     """Smooth a spectrum with a 1/3-octave sliding window.
 
@@ -218,17 +246,12 @@ def third_octave_smooth(spectrum: MetricSpectrum) -> MetricSpectrum:
     if len(spectrum) == 0:
         raise ValueError("cannot smooth an empty spectrum")
     freqs = spectrum.frequencies()
-    db_vals = spectrum.db()
     smoothed = []
-    for i, f in enumerate(freqs):
-        lo = f / _THIRD_OCTAVE_HALF_WIDTH
-        hi = f * _THIRD_OCTAVE_HALF_WIDTH
-        window = db_vals[(freqs >= lo) & (freqs <= hi)]
-        db = float(np.mean(window))
+    for f, db in zip(freqs.tolist(), smooth_db(freqs, spectrum.db()).tolist()):
         value = 10.0 ** (db / 10.0)  # +-inf dB give inf and 0, NaN stays NaN
         smoothed.append(
             MetricValue(
-                frequency=float(f),
+                frequency=f,
                 corr=value,
                 uncorr=value,
                 value=value,

@@ -4,9 +4,10 @@ Measured transfer functions never match the nominal model exactly. This
 module perturbs a nominal matrix entrywise, drawing the amplitude from
 N(|H_kl|, sigma_amp_sq) and the phase from N(arg H_kl, sigma_phase_sq),
 and averages ``trials`` independent draws the way a repeated measurement
-would (one trial is a single draw); :func:`averaged_perturbed` is its one
-entry point. Separate stream ids keep the set used for filter design
-statistically independent from the set used for evaluation.
+would (one trial is a single draw). :func:`averaged_perturbed_stacks` does
+this for whole (F, K, L) frequency stacks and :func:`averaged_perturbed`
+for one matrix, through it. Separate stream ids keep the set used for
+filter design statistically independent from the set used for evaluation.
 
 All draws come from a counter-based generator keyed by
 (seed, stream_id, frequency), so results are reproducible regardless of
@@ -16,12 +17,15 @@ evaluation order or parallel scheduling.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .acoustics import TransferMatrix
+
+_BLOCK_NORMALS = 2**14  # normals drawn at once; bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -61,19 +65,36 @@ def _generator(seed: int, stream_id: str, frequency: float) -> np.random.Generat
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _draw(H: TransferMatrix, model: UncertaintyModel, stream_id: str, trials: int):
-    """Stack of `trials` independent perturbed copies of H, shape (T, K, L).
+def averaged_perturbed_stacks(stacks, frequencies, model: UncertaintyModel, stream_id: str):
+    """:func:`averaged_perturbed` of (F, K, L) stacks at F frequencies at once.
 
-    The generator is consumed in a fixed order (amplitude block then phase
-    block per trial layout), so the first draw of a longer stack is bit
-    identical to a single draw from the same stream.
+    Every stack in ``stacks`` is perturbed with the same draws: they are
+    keyed by (seed, stream_id, frequency), not by the matrix, so one
+    generator per frequency serves them all. Its normals are consumed in a
+    fixed order (a trials x (amplitude, phase) x K x L block), so the first
+    draw of a longer average is bit identical to a single draw. The grid
+    is worked through in blocks of about ``_BLOCK_NORMALS`` normals, which
+    bounds the temporaries. Zero variance returns the stacks themselves.
     """
-    gen = _generator(model.seed, stream_id, H.frequency)
-    z = gen.standard_normal((trials, 2, *H.entries.shape))
-    amp = np.abs(H.entries) + np.sqrt(model.sigma_amp_sq) * z[:, 0]
-    np.clip(amp, 0.0, None, out=amp)
-    phase = np.angle(H.entries) + np.sqrt(model.sigma_phase_sq) * z[:, 1]
-    return amp * np.exp(1j * phase)
+    stacks = list(stacks)
+    if model.sigma_amp_sq == model.sigma_phase_sq == 0.0:
+        return stacks
+    shape = (model.trials, 2, *stacks[0].shape[-2:])
+    step = max(1, _BLOCK_NORMALS // math.prod(shape))
+    amp_sd, phase_sd = np.sqrt(model.sigma_amp_sq), np.sqrt(model.sigma_phase_sq)
+    averaged = [np.empty_like(h, dtype=complex) for h in stacks]
+    for start in range(0, len(frequencies), step):
+        block = slice(start, start + step)
+        z = np.stack(
+            [_generator(model.seed, stream_id, f).standard_normal(shape) for f in frequencies[block]]
+        )
+        for h, out in zip(stacks, averaged):
+            h = h[block, None]  # the trials axis
+            amp = np.abs(h) + amp_sd * z[:, :, 0]
+            np.clip(amp, 0.0, None, out=amp)
+            phase = np.angle(h) + phase_sd * z[:, :, 1]
+            out[block] = (amp * np.exp(1j * phase)).mean(axis=1)
+    return averaged
 
 
 def averaged_perturbed(
@@ -88,9 +109,9 @@ def averaged_perturbed(
     Use distinct stream ids for the design and evaluation sets so the two
     are statistically independent. Deterministic given (seed, stream_id,
     frequency). trials=1 returns a single draw bit for bit; zero variance
-    returns H exactly for any trial count.
+    returns H itself for any trial count.
     """
-    if model.sigma_amp_sq == 0.0 and model.sigma_phase_sq == 0.0:
-        return TransferMatrix(H.frequency, H.entries.copy())
-    stack = _draw(H, model, stream_id, trials=model.trials)
-    return TransferMatrix(H.frequency, stack.mean(axis=0))
+    if model.sigma_amp_sq == model.sigma_phase_sq == 0.0:
+        return H
+    (stack,) = averaged_perturbed_stacks([H.entries[None]], [H.frequency], model, stream_id)
+    return TransferMatrix(H.frequency, stack[0])

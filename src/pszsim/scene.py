@@ -22,11 +22,18 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    """``values`` as a read-only ``dtype`` array that shares no memory with the caller's."""
+    arr = np.asarray(values, dtype=dtype)
+    arr = arr.copy() if arr is values else arr  # a conversion has copied already
+    arr.setflags(write=False)
+    return arr
+
+
 def _readonly_array(values, dtype, shape_hint: str) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+    arr = _frozen(values, dtype)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError(f"{shape_hint} must be an (n, 3) array, got shape {arr.shape}")
-    arr.setflags(write=False)
     return arr
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .acoustics import response_matrix
 from .filter_design import FilterMatrix
 from .metrics import _check_disjoint, _isolation
-from .scene import Scene
+from .scene import Scene, _frozen
 
 
 @dataclass(frozen=True)
@@ -48,14 +48,12 @@ class IpiMap:
     cap_db: float = 40.0
 
     def __post_init__(self):
-        arr = np.asarray(self.values_db, dtype=float)
+        arr = _frozen(self.values_db, float)
         if arr.shape != (self.ny, self.nx):
             raise ValueError(
                 f"values_db shape {arr.shape} does not match (ny, nx) = "
                 f"({self.ny}, {self.nx})"
             )
-        arr = arr.copy() if arr is self.values_db else arr
-        arr.setflags(write=False)
         object.__setattr__(self, "values_db", arr)
 
     def x_coords(self) -> np.ndarray:
@@ -82,12 +80,9 @@ class ContourSet:
     polylines: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        frozen = []
-        for line in self.polylines:
-            arr = np.asarray(line, dtype=float)
-            arr.setflags(write=False)
-            frozen.append(arr)
-        object.__setattr__(self, "polylines", tuple(frozen))
+        object.__setattr__(
+            self, "polylines", tuple(_frozen(line, float) for line in self.polylines)
+        )
 
 
 def grid_shape(region, resolution: float) -> tuple[int, int]:

@@ -201,3 +201,20 @@ def test_rejects_nonpositive_frequency():
     for frequency in (0.0, -100.0):
         with pytest.raises(ValueError, match="frequency"):
             one_piston([0, 1, 0], frequency)
+
+
+def test_frequency_stack_equals_one_frequency_calls_bit_for_bit():
+    scene = default_scene()
+    points = np.vstack([scene.control_points, scene.speakers[2], [0.3, 0.7, 0.2]])
+    freqs = 50.0 * 2 ** (np.arange(40) / 5)
+    stack = response_matrix(scene, points, freqs, on_coincident="nan")
+    assert stack.shape == (40, len(points), scene.n_speakers)
+    single = np.array([response_matrix(scene, points, f, on_coincident="nan") for f in freqs])
+    assert np.array_equal(stack, single, equal_nan=True)
+    assert np.isnan(stack[:, 4, 2]).all()
+
+
+def test_frequency_stack_rejects_a_nonpositive_entry():
+    scene = default_scene()
+    with pytest.raises(ValueError, match="positive, got -5.0"):
+        response_matrix(scene, scene.control_points, np.array([100.0, -5.0, 200.0]))

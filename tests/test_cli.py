@@ -1,7 +1,12 @@
+import collections
 import json
 
 import numpy as np
 import pytest
+import scipy.linalg
+
+import pszsim.cli
+import pszsim.perturbation
 
 from pszsim import ListenerDisplacement
 from pszsim.cli import (
@@ -56,6 +61,44 @@ def test_template_round_trips_through_validate(capsys):
     assert config.scene.n_speakers == 8
     assert config.model.trials == 10
     assert config.beta_at(1000.0) == pytest.approx(4e-4)
+
+
+@pytest.mark.parametrize(
+    "beta", ["auto", 3e-4, {"frequencies_hz": [200, 900, 4000], "values": [1e-2, 0, 5e-4]}]
+)
+def test_beta_over_an_array_equals_beta_at_each_frequency(beta):
+    raw = default_config_dict()
+    raw["beta"] = beta
+    config = resolve_config(raw)
+    betas = config.beta_at(config.frequencies)
+    assert isinstance(betas, np.ndarray) and betas.shape == config.frequencies.shape
+    assert betas.tolist() == [config.beta_at(f) for f in config.frequencies.tolist()]
+    assert all(type(config.beta_at(f)) is float for f in (100.0, 950.5))
+
+
+def test_spectra_computes_each_transfer_draw_and_design_once(tmp_path, monkeypatch):
+    # template: 2 scenes, 2 streams x 319 frequencies of keyed draws, and
+    # 3 modes x 2 design scenes x 319 frequencies of designs
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name, label in (
+        (pszsim.cli, "response_matrix", "transfers"),
+        (pszsim.perturbation, "_generator", "draws"),
+        (scipy.linalg, "cho_factor", "factors"),
+    ):
+        monkeypatch.setattr(module, name, counting(label, getattr(module, name)))
+    cfg = default_config_dict()
+    cfg["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["spectra", str(path)]) == 0
+    assert counts == {"transfers": 2, "draws": 2 * 319, "factors": 3 * 2 * 319}
 
 
 def test_validate_command(tmp_path, capsys):

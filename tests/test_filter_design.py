@@ -12,6 +12,7 @@ from pszsim.filter_design import (
     default_beta,
     pressure_matching,
     program_channels,
+    solve_stack,
     system_matrix,
 )
 from pszsim.scene import default_scene
@@ -103,6 +104,30 @@ def test_singular_normal_matrix_names_frequency():
     m_t = TargetMatrix(432.1, np.eye(2))
     with pytest.raises(IllConditionedError, match="432.1"):
         pressure_matching(h, m_t, 0.0)
+
+
+def test_solve_stack_skips_exactly_the_frequencies_that_fail():
+    # 300 frequencies span two blocks; beta 0 with a silent speaker fails
+    rng = np.random.default_rng(8)
+    n = 300
+    h = rng.normal(size=(n, 2, 3)) + 1j * rng.normal(size=(n, 2, 3))
+    m_t = rng.normal(size=(n, 2, 2)) + 0j
+    betas = np.where(np.arange(n) % 7 == 3, 0.0, 1e-3)
+    h[betas == 0, :, 2] = 0.0
+    freqs = 100.0 + np.arange(n)
+    filters, kept, failures = solve_stack(h, m_t, betas, freqs)
+    assert np.array_equal(kept, betas > 0)
+    assert filters.shape == (kept.sum(), 3, 2)
+    expected_failures, expected_filters = [], []
+    for f, hf, mf, beta in zip(freqs, h, m_t, betas):
+        try:
+            c = pressure_matching(TransferMatrix(f, hf), TargetMatrix(f, mf), beta)
+        except IllConditionedError as exc:
+            expected_failures.append((f, str(exc)))
+        else:
+            expected_filters.append(c.entries)
+    assert failures == expected_failures
+    assert np.array_equal(filters, np.array(expected_filters))
 
 
 def test_beta_validation_and_frequency_mismatch():

@@ -16,7 +16,14 @@ solve) may flip a last digit. Changing beta by one part in a million
 already moves many values by more than the tolerance, as the second test
 shows.
 
-Regenerate the reference only for an intended change of numbers, and
+A third test pins a run in which only part of the grid can be designed:
+with beta 0 below 1 kHz and no perturbation, the normal matrix of the
+4-point, 8-speaker design is singular there, so ``spectra`` and ``map``
+skip those frequencies and go on with the rest. Its warnings and the
+manifests' skipped frequencies must match ``tests/golden/partial_skip.json``
+exactly, and its spectra and area values within the tolerance above.
+
+Regenerate the references only for an intended change of numbers, and
 record that change in CHANGES.md::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -24,6 +31,8 @@ record that change in CHANGES.md::
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -35,6 +44,7 @@ from pszsim.cli import main as cli_main
 from pszsim.config import default_config_dict
 
 REFERENCE = Path(__file__).resolve().parent / "golden" / "reference.json"
+PARTIAL_SKIP = REFERENCE.with_name("partial_skip.json")
 REL_TOL = 2e-8
 ABS_TOL = 1e-12
 
@@ -55,6 +65,32 @@ def parse_file(path: Path):
         return json.loads(text)
     header, *rows = (line.split(",") for line in text.splitlines())
     return {"header": header, "columns": [[float(r[j]) for r in rows] for j in range(len(header))]}
+
+
+def partial_skip_config() -> dict:
+    cfg = default_config_dict()
+    cfg["beta"] = {"frequencies_hz": [1000, 1001], "values": [0, 4e-4]}
+    cfg["uncertainty"] = {"sigma_sq": 0, "trials": 1, "seed": 0}
+    cfg["modes"] = ["mono"]
+    cfg["filter_positions"] = ["matched"]
+    cfg["frequency_grid"]["points_per_octave"] = 6
+    cfg["output_dir"] = "out"
+    return cfg
+
+
+def run_partial_skip() -> dict:
+    """Warnings, manifest skips and spectra and area values of the partial-skip run."""
+    Path("config.json").write_text(json.dumps(partial_skip_config()), encoding="utf-8")
+    out = {}
+    for command in ("spectra", "map"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main([command, "config.json"]) == 0
+        manifest = json.loads(Path("out", f"manifest_{command}.json").read_text(encoding="utf-8"))
+        out[command] = {"stderr": err.getvalue(), "skipped": manifest["skipped_frequencies"]}
+    out["files"] = {p.name: parse_file(p) for p in sorted(Path("out").glob("*.csv"))
+                    if not p.name.startswith("map_")}
+    return out
 
 
 def run(cfg: dict, commands=("spectra", "map")) -> dict:
@@ -121,15 +157,27 @@ def test_beta_changed_by_one_part_in_a_million_fails_the_comparison(tmp_path, mo
     assert counts[0] == 0 and counts[1] > 100, counts
 
 
+def test_partial_skip_inside_one_batch_matches_the_pinned_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    reference = json.loads(PARTIAL_SKIP.read_text(encoding="utf-8"))
+    out = run_partial_skip()
+    for command in ("spectra", "map"):
+        assert out[command] == reference[command]
+    assert len(reference["spectra"]["skipped"]["mono_centered_matched"]) == 20
+    assert mismatches(reference["files"], out["files"]) == []
+
+
 if __name__ == "__main__":
     home = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)
-        parsed = run(golden_config())
-        os.chdir(home)
-    REFERENCE.parent.mkdir(exist_ok=True)
-    REFERENCE.write_text(
-        json.dumps(_round9(parsed), sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
-    print(f"wrote {REFERENCE} ({REFERENCE.stat().st_size} bytes)", file=sys.stderr)
+    for path, make in ((REFERENCE, lambda: _round9(run(golden_config()))),
+                       (PARTIAL_SKIP, run_partial_skip)):
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            parsed = make()
+            os.chdir(home)
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(
+            json.dumps(parsed, sort_keys=True, separators=(",", ":")) + "\n",
+            encoding="utf-8",
+        )
+        print(f"wrote {path} ({path.stat().st_size} bytes)", file=sys.stderr)

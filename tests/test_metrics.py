@@ -9,7 +9,11 @@ from pszsim.metrics import (
     MetricValue,
     acoustic_contrast,
     ipi,
+    ipi_ratios,
     izi,
+    izi_ratios,
+    min_db,
+    smooth_db,
     third_octave_smooth,
 )
 
@@ -264,3 +268,58 @@ def test_smoothing_nan_window_stays_nan():
         else:
             assert v.db == pytest.approx(10.0, abs=1e-12)
             assert v.value == pytest.approx(10.0, rel=1e-12)
+
+
+def test_smoothing_equals_literal_mask_oracle_bit_for_bit():
+    # a random increasing grid, with bins exactly on some window edges and a
+    # dense stretch whose windows hold hundreds of bins, and rows holding
+    # +-inf and NaN among finite dB
+    rng = np.random.default_rng(5)
+    half = 2.0 ** (1.0 / 6.0)
+    centers = rng.uniform(100.0, 10000.0, size=20)
+    freqs = np.unique(np.concatenate([
+        rng.uniform(50.0, 20000.0, size=260), rng.uniform(2000.0, 2600.0, size=900),
+        centers, centers / half, centers * half,
+    ]))
+    n = len(freqs)
+    dbs = rng.uniform(-20.0, 60.0, size=(3, n))
+    for row, special in zip(dbs, (math.inf, -math.inf, math.nan)):
+        row[rng.choice(n, size=4, replace=False)] = special
+
+    def oracle(db_vals):
+        return np.array([np.mean(db_vals[(freqs >= f / half) & (freqs <= f * half)]) for f in freqs])
+
+    out = smooth_db(freqs, dbs)
+    for row, smoothed in zip(dbs, out):
+        expected = oracle(row)
+        assert np.array_equal(smoothed, expected, equal_nan=True)
+        assert np.isinf(expected).any() or np.isnan(expected).any()
+    spectrum = MetricSpectrum("IZI_A", tuple(
+        MetricValue(f, 1.0, 1.0, 1.0, db) for f, db in zip(freqs.tolist(), dbs[2].tolist())
+    ))
+    assert np.array_equal(third_octave_smooth(spectrum).db(), oracle(dbs[2]), equal_nan=True)
+
+
+def test_min_db_uses_math_log10_for_every_value():
+    # numpy's vectorized log10 may differ in the last bit; the printed
+    # spectra must not depend on it
+    rng = np.random.default_rng(3)
+    corr = np.exp(rng.uniform(-30.0, 30.0, size=2000))
+    uncorr = np.exp(rng.uniform(-30.0, 30.0, size=2000))
+    corr[:4] = [0.0, math.inf, math.nan, 7.0]
+    uncorr[:4] = [3.0, math.inf, 1.0, math.nan]
+    value, db = min_db(corr, uncorr)
+    assert db[0] == -math.inf and db[1] == math.inf
+    assert math.isnan(value[2]) and math.isnan(db[2]) and math.isnan(db[3])
+    expected = [10.0 * math.log10(min(a, b)) for a, b in zip(corr[4:], uncorr[4:])]
+    assert db[4:].tolist() == expected
+
+
+def test_ratios_of_a_stack_equal_those_of_each_matrix():
+    rng = np.random.default_rng(4)
+    stack = rng.normal(size=(30, 4, 4)) + 1j * rng.normal(size=(30, 4, 4))
+    for fn, args in ((izi_ratios, ((0, 1), (2, 3), (0, 1))), (ipi_ratios, ((2, 3), (2, 3), (0,)))):
+        corr, uncorr = fn(stack, *args)
+        assert corr.shape == uncorr.shape == (30,)
+        single = np.array([fn(m, *args) for m in stack])
+        assert np.array_equal(np.stack([corr, uncorr], axis=1), single)

@@ -3,9 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pszsim.acoustics import TransferMatrix, transfer_matrix
-from pszsim.perturbation import UncertaintyModel, _generator, averaged_perturbed
-from pszsim.scene import default_scene
+from pszsim.acoustics import TransferMatrix, response_matrix, transfer_matrix
+from pszsim.perturbation import (
+    UncertaintyModel,
+    _generator,
+    averaged_perturbed,
+    averaged_perturbed_stacks,
+)
+from pszsim.scene import ListenerDisplacement, default_scene, move_listener
 
 
 @pytest.fixture
@@ -18,6 +23,29 @@ def test_zero_variance_returns_input_unchanged(nominal):
     model = UncertaintyModel(0.0, 0.0, trials=1, seed=7)
     out = averaged_perturbed(nominal, model, "design")
     assert np.array_equal(out.entries, nominal.entries)
+
+
+def test_zero_variance_returns_the_matrix_itself(nominal):
+    model = UncertaintyModel(0.0, 0.0, trials=3, seed=7)
+    assert averaged_perturbed(nominal, model, "design") is nominal
+    stack = nominal.entries[None]
+    assert averaged_perturbed_stacks([stack], [1000.0], model, "design")[0] is stack
+
+
+def test_stacks_equal_one_frequency_calls_across_blocks():
+    # 60 frequencies of 10 trials span three blocks of draws; two scenes share them
+    scene = default_scene()
+    moved = move_listener(scene, ListenerDisplacement("A", -0.3, -0.2))
+    freqs = 100.0 * 2 ** (np.arange(60) / 12)
+    model = UncertaintyModel(1e-4, 2e-4, trials=10, seed=4)
+    stacks = [response_matrix(s, s.control_points, freqs) for s in (scene, moved)]
+    out = averaged_perturbed_stacks(stacks, freqs, model, "eval")
+    for stack, averaged in zip(stacks, out):
+        single = [
+            averaged_perturbed(TransferMatrix(f, h), model, "eval").entries
+            for f, h in zip(freqs, stack)
+        ]
+        assert np.array_equal(averaged, np.array(single))
 
 
 def test_zero_variance_averaging_is_exact(nominal):

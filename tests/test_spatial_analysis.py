@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pszsim.filter_design import RenderingMode, build_target_matrix, pressure_matching, program_channels
-from pszsim.acoustics import response_matrix, transfer_matrix
-from pszsim.scene import default_scene
+from pszsim.acoustics import TransferMatrix, response_matrix, transfer_matrix
+from pszsim.scene import Scene, default_scene
 from pszsim.spatial_analysis import (
     ContourSet,
     IpiMap,
@@ -255,3 +255,30 @@ def test_contour_vertices_lie_on_cell_edges():
             on_x = abs((x - m.x0) / m.spacing - round((x - m.x0) / m.spacing)) < 1e-9
             on_y = abs((y - m.y0) / m.spacing - round((y - m.y0) / m.spacing)) < 1e-9
             assert on_x or on_y
+
+
+@pytest.mark.parametrize("holder", ["scene", "transfer", "ipi_map", "contours"])
+def test_frozen_arrays_are_read_only_copies(holder):
+    given = np.arange(6.0).reshape(2, 3)
+    if holder == "scene":
+        stored = Scene(given, given + 5.0, (0,), (1,), (0,), (1,), (0, 1)).speakers
+    elif holder == "transfer":
+        given = given.astype(complex)
+        stored = TransferMatrix(1000.0, given).entries
+    elif holder == "ipi_map":
+        stored = IpiMap(1000.0, 0.0, 0.0, 0.1, 3, 2, given).values_db
+    else:
+        (stored,) = ContourSet(20.0, (given,)).polylines
+    assert np.array_equal(stored, given) and not np.shares_memory(stored, given)
+    assert not stored.flags.writeable and given.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        stored[0, 0] = 1.0
+
+
+def test_frozen_holders_keep_their_shape_errors():
+    with pytest.raises(ValueError, match=r"speakers must be an \(n, 3\) array, got shape \(2, 2\)"):
+        Scene(np.zeros((2, 2)), np.ones((1, 3)), (0,), (), (), (), ())
+    with pytest.raises(ValueError, match=r"entries must be 2D, got shape \(3,\)"):
+        TransferMatrix(1000.0, np.zeros(3))
+    with pytest.raises(ValueError, match=r"values_db shape \(2, 3\) does not match \(ny, nx\) = \(3, 2\)"):
+        IpiMap(1000.0, 0.0, 0.0, 0.1, 2, 3, np.zeros((2, 3)))

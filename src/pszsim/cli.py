@@ -181,13 +181,13 @@ def run_spectra(config: ExperimentConfig) -> list[Path]:
 
 
 def _write_map_csv(path: Path, m) -> None:
-    capped = m.capped_values()
-    xs, ys = m.x_coords(), m.y_coords()
-    lines = ["x_m,y_m,ipi_db"]
-    for iy in range(m.ny):
-        for ix in range(m.nx):
-            lines.append(f"{_fmt(xs[ix])},{_fmt(ys[iy])},{_fmt(capped[iy, ix])}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # each axis value is formatted once, not once per grid point
+    xs = [_fmt(x) for x in m.x_coords().tolist()]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("x_m,y_m,ipi_db\n")
+        for y, row in zip(m.y_coords().tolist(), m.capped_values()):
+            y_text = _fmt(y)
+            fh.write("".join(f"{x},{y_text},{v:.9g}\n" for x, v in zip(xs, row.tolist())))
 
 
 def _write_map_json(path: Path, m) -> None:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .filter_design import RenderingMode, default_beta
 from .perturbation import UncertaintyModel
-from .scene import ListenerDisplacement, Scene, default_scene
+from .scene import ListenerDisplacement, Scene, default_scene, move_listener
 from .scene import validate as validate_scene
 from .spatial_analysis import grid_shape
 
@@ -301,11 +301,11 @@ def default_config_dict() -> dict:
     return _template("")
 
 
-def _build_scene(spec, problems: list[str]) -> Scene:
+def _build_scene(spec) -> Scene:
     if spec == "default":
         return default_scene()
     # config files use 1-based indices; convert at this boundary
-    scene = Scene(
+    return Scene(
         speakers=spec["speakers"],
         control_points=spec["control_points"],
         zone_a=tuple(i - 1 for i in spec["zone_a"]),
@@ -316,8 +316,6 @@ def _build_scene(spec, problems: list[str]) -> Scene:
         sound_speed=spec["sound_speed"],
         piston_radius=spec["piston_radius"],
     )
-    problems += [f"scene: {violation}" for violation in validate_scene(scene)]
-    return scene
 
 
 def resolve_config(raw: dict, seed_override: int | None = None,
@@ -362,7 +360,16 @@ def resolve_config(raw: dict, seed_override: int | None = None,
         if any(c.name == case["name"] for c in cases):
             problems.append(f"listener_cases[{i}].name: duplicate name {case['name']!r}")
         cases.append(ListenerCase(case["name"], displacement))
-    scene = _build_scene(echo["scene"], problems)
+    scene = _build_scene(echo["scene"])
+    violations = validate_scene(scene)
+    problems += [f"scene: {violation}" for violation in violations]
+    # a moved listener may land an ear on a speaker; a moved copy of an
+    # invalid scene would only repeat its violations
+    if not violations:
+        for i, case in enumerate(cases):
+            if case.displacement is not None:
+                moved = move_listener(scene, case.displacement)
+                problems += [f"listener_cases[{i}]: {v}" for v in validate_scene(moved)]
     map_request = None
     if request is None:
         del echo["map"]

@@ -10,7 +10,9 @@ below the level.
 Contours and area share one table of per-cell polygon walks, so the area
 is exactly the shoelace area of the polygonized superlevel region and the
 two views can never disagree. Cells with any non-finite corner (grid
-point on a speaker, or an unbounded ratio) are excluded from both.
+point on a speaker, or an unbounded ratio) are excluded from both. Both
+classify the cells of a level in one numpy pass; only the chaining of
+contour chords into polylines runs in Python.
 """
 
 from __future__ import annotations
@@ -200,61 +202,65 @@ _SADDLE = {
     (10, False): [("e0", "c1", "e1"), ("e2", "c3", "e3")],
 }
 
-# Edge endpoints as corner indices (low, high) and the global key template.
+# Edge endpoints as corner indices (low, high).
 _EDGE_CORNERS = {"e0": (0, 1), "e1": (1, 2), "e2": (3, 2), "e3": (0, 3)}
+# Edge token -> (kind, dx, dy): edge e of cell (ix, iy) has the global key
+# (kind, ix + dx, iy + dy), the key its neighbor gives the same edge.
+_EDGE_KEYS = {"e0": ("h", 0, 0), "e1": ("v", 1, 0), "e2": ("h", 0, 1), "e3": ("v", 0, 0)}
+
+# The walk table by cell code: the corner mask, plus 16 for a saddle cell
+# whose center mean lies below the level.
+_CODE_WALKS = {
+    **_WALKS,
+    **{mask + (0 if inside else 16): walks for (mask, inside), walks in _SADDLE.items()},
+}
+# The contour chords of each code: cyclically consecutive crossing vertices
+# of its walks, in walk order.
+_CODE_CHORDS = {
+    code: [
+        (a, b)
+        for walk in walks
+        for a, b in zip(walk, walk[1:] + walk[:1])
+        if a[0] == "e" and b[0] == "e"
+    ]
+    for code, walks in _CODE_WALKS.items()
+}
 
 
-def _edge_key(token: str, ix: int, iy: int):
-    if token == "e0":
-        return ("h", ix, iy)
-    if token == "e2":
-        return ("h", ix, iy + 1)
-    if token == "e3":
-        return ("v", ix, iy)
-    return ("v", ix + 1, iy)  # e1
+def _classify(m: IpiMap, level: float):
+    """(codes, vertex) of the grid cells at ``level``.
 
-
-def _cell_geometry(m: IpiMap, level: float):
-    """Yield (ix, iy, corner values, walks) for every contributing cell."""
+    ``codes`` holds the ``_CODE_WALKS`` key of every cell in row-major
+    order, 0 for a cell with a non-finite corner. ``vertex(token, cells)``
+    gives the (x, y) arrays of one walk vertex of the cells at those flat
+    indices. It evaluates one floating-point expression per token, so the
+    two cells that share an edge vertex may differ in its last bit.
+    """
     v = m.values_db
-    for iy in range(m.ny - 1):
-        for ix in range(m.nx - 1):
-            corners = (
-                v[iy, ix],
-                v[iy, ix + 1],
-                v[iy + 1, ix + 1],
-                v[iy + 1, ix],
-            )
-            if not all(math.isfinite(c) for c in corners):
-                continue
-            mask = 0
-            for bit, val in enumerate(corners):
-                if val >= level:
-                    mask |= 1 << bit
-            if mask == 0:
-                continue
-            if mask in (5, 10):
-                center_inside = sum(corners) / 4.0 >= level
-                walks = _SADDLE[(mask, center_inside)]
-            else:
-                walks = _WALKS[mask]
-            yield ix, iy, corners, walks
-
-
-def _vertex_xy(token: str, ix: int, iy: int, corners, level: float, m: IpiMap):
+    corners = [c.ravel() for c in (v[:-1, :-1], v[:-1, 1:], v[1:, 1:], v[1:, :-1])]
+    c0, c1, c2, c3 = corners
+    finite = np.isfinite(c0) & np.isfinite(c1) & np.isfinite(c2) & np.isfinite(c3)
+    mask = sum((c >= level).astype(np.int64) << bit for bit, c in enumerate(corners))
+    with np.errstate(invalid="ignore", over="ignore"):
+        center_inside = (((c0 + c1) + c2) + c3) / 4.0 >= level
+    split_saddle = ((mask == 5) | (mask == 10)) & ~center_inside
+    codes = np.where(finite, mask + 16 * split_saddle, 0)
     s = m.spacing
-    cx = m.x0 + ix * s
-    cy = m.y0 + iy * s
-    if token[0] == "c":
-        corner = int(token[1])
-        dx = s if corner in (1, 2) else 0.0
-        dy = s if corner in (2, 3) else 0.0
-        return (cx + dx, cy + dy)
-    lo, hi = _EDGE_CORNERS[token]
-    t = (level - corners[lo]) / (corners[hi] - corners[lo])
-    if token in ("e0", "e2"):
-        return (cx + t * s, cy + (s if token == "e2" else 0.0))
-    return (cx + (s if token == "e1" else 0.0), cy + t * s)
+
+    def vertex(token: str, cells: np.ndarray):
+        iy, ix = np.divmod(cells, m.nx - 1)
+        cx = m.x0 + ix * s
+        cy = m.y0 + iy * s
+        if token[0] == "c":
+            corner = int(token[1])
+            return cx + (s if corner in (1, 2) else 0.0), cy + (s if corner in (2, 3) else 0.0)
+        lo, hi = (corners[k][cells] for k in _EDGE_CORNERS[token])
+        ts = (level - lo) / (hi - lo) * s
+        if token in ("e0", "e2"):
+            return cx + ts, cy + (s if token == "e2" else 0.0)
+        return cx + (s if token == "e1" else 0.0), cy + ts
+
+    return codes, vertex
 
 
 def extract_contours(m: IpiMap, level_db: float) -> ContourSet:
@@ -267,23 +273,23 @@ def extract_contours(m: IpiMap, level_db: float) -> ContourSet:
     at the end). An empty set is returned when the level is never crossed.
     """
     level = float(level_db)
+    codes, vertex = _classify(m, level)
+    cells = np.flatnonzero((codes != 0) & (codes != 15))  # row-major
+    # every edge of every crossed cell; a cell reads only its crossed edges
+    with np.errstate(divide="ignore", invalid="ignore"):
+        edge_xy = {t: [a.tolist() for a in vertex(t, cells)] for t in _EDGE_KEYS}
     coords: dict = {}
     adjacency = defaultdict(list)
-    segments = []
 
-    for ix, iy, corners, walks in _cell_geometry(m, level):
-        for walk in walks:
-            n = len(walk)
-            for i in range(n):
-                a, b = walk[i], walk[(i + 1) % n]
-                if a[0] == "e" and b[0] == "e":
-                    ka = _edge_key(a, ix, iy)
-                    kb = _edge_key(b, ix, iy)
-                    coords.setdefault(ka, _vertex_xy(a, ix, iy, corners, level, m))
-                    coords.setdefault(kb, _vertex_xy(b, ix, iy, corners, level, m))
-                    segments.append((ka, kb))
-                    adjacency[ka].append(kb)
-                    adjacency[kb].append(ka)
+    for n, (cell, code) in enumerate(zip(cells.tolist(), codes[cells].tolist())):
+        iy, ix = divmod(cell, m.nx - 1)
+        for a, b in _CODE_CHORDS[code]:
+            ka, kb = [(kind, ix + dx, iy + dy) for kind, dx, dy in (_EDGE_KEYS[a], _EDGE_KEYS[b])]
+            # the first cell to reach a shared edge vertex sets its coordinate
+            coords.setdefault(ka, (edge_xy[a][0][n], edge_xy[a][1][n]))
+            coords.setdefault(kb, (edge_xy[b][0][n], edge_xy[b][1][n]))
+            adjacency[ka].append(kb)
+            adjacency[kb].append(ka)
 
     used: set = set()
 
@@ -305,14 +311,8 @@ def extract_contours(m: IpiMap, level_db: float) -> ContourSet:
 
     polylines = []
     endpoints = sorted(k for k, nbrs in adjacency.items() if len(nbrs) == 1)
-    for start in endpoints:
-        if any(
-            ((start, n) if start <= n else (n, start)) not in used
-            for n in adjacency[start]
-        ):
-            path = _walk_from(start)
-            polylines.append(np.array([coords[k] for k in path]))
-    for start in sorted(adjacency):  # remaining segments form loops
+    # open polylines first; the segments left after them form loops
+    for start in endpoints + sorted(adjacency):
         if any(
             ((start, n) if start <= n else (n, start)) not in used
             for n in adjacency[start]
@@ -332,16 +332,17 @@ def enclosed_area(contours: ContourSet, m: IpiMap) -> float:
     the region stays clear of the map border. Cells with non-finite
     corners contribute nothing.
     """
-    level = float(contours.level_db)
-    total = 0.0
-    for ix, iy, corners, walks in _cell_geometry(m, level):
-        for walk in walks:
-            pts = [_vertex_xy(t, ix, iy, corners, level, m) for t in walk]
+    codes, vertex = _classify(m, float(contours.level_db))
+    # one shoelace term per (cell, walk); a cell has at most two walks
+    terms = np.zeros((codes.size, 2))
+    for code in np.unique(codes).tolist():
+        cells = np.flatnonzero(codes == code)
+        for w, walk in enumerate(_CODE_WALKS[code]):
+            pts = [vertex(t, cells) for t in walk]
             acc = 0.0
-            n = len(pts)
-            for i in range(n):
-                x1, y1 = pts[i]
-                x2, y2 = pts[(i + 1) % n]
-                acc += x1 * y2 - x2 * y1
-            total += abs(acc) / 2.0
-    return total
+            for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
+                acc = acc + (x1 * y2 - x2 * y1)
+            terms[cells, w] = np.abs(acc) / 2.0
+    # cumsum adds in order (np.sum pairs): row-major cells, then walks;
+    # the leading 0.0 is the empty sum
+    return float(np.cumsum(np.append(0.0, terms))[-1])

@@ -1,0 +1,54 @@
+"""The benchmark's ``map_fine`` workload, run once per test session.
+
+The config is built exactly as the benchmark builds it, from
+``perfbench/workloads.json`` with ``perfbench/outputs.workload_config``, and
+the run writes into ``out`` under a temporary working directory, the output
+directory name of the committed references. The IPI maps the run computes
+are kept for the tests that check contours and area on them.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import importlib.util
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+import pszsim.cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_outputs():
+    """``perfbench/outputs.py`` as a module (``perfbench`` is not a package)."""
+    spec = importlib.util.spec_from_file_location("perfbench_outputs", PERFBENCH / "outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def map_fine_run(tmp_path_factory):
+    """(output directory, IPI maps in computed order) of ``map_fine`` at seed 0."""
+    spec = json.loads((PERFBENCH / "workloads.json").read_text(encoding="utf-8"))
+    config = perfbench_outputs().workload_config(
+        spec["template"], spec["workloads"]["map_fine"]["delta"]
+    )
+    work = tmp_path_factory.mktemp("map_fine")
+    (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    maps = []
+    ipi_map = pszsim.cli.ipi_map
+
+    def recording_ipi_map(*args, **kwargs):
+        maps.append(ipi_map(*args, **kwargs))
+        return maps[-1]
+
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
+        mp.chdir(work)
+        mp.setattr(pszsim.cli, "ipi_map", recording_ipi_map)
+        code = pszsim.cli.main(["map", "config.json", "--seed", "0", "-o", "out"])
+    assert code == 0
+    return work / "out", maps

@@ -327,6 +327,25 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["validate", "spectra"])
+def test_listener_moved_onto_a_speaker_is_a_config_error(tmp_path, capsys, command):
+    # ears of the default scene sit at x = -0.584, -0.416, 0.416, 0.584 and
+    # y = 1; speakers at y = 0, x = -0.875 + 0.25 k; the sums are exact
+    cases = [
+        {"name": "centered"},
+        {"name": "a_on_speaker", "listener": "A", "dx": 0.209, "dy": -1.0},
+        {"name": "b_on_speakers", "listener": "B", "dx": -0.041, "dy": -1.0},
+        {"name": "b_clear", "listener": "B", "dx": -0.041, "dy": -0.5},
+    ]
+    path = small_config(tmp_path, listener_cases=cases)
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: listener_cases[1]: control point 0 coincides with speaker 2",
+        "config error: listener_cases[2]: control point 2 coincides with speaker 5",
+    ]
+    assert not (tmp_path / "out").exists()
+
+
 def test_numerical_failure_exits_2(tmp_path, capsys):
     # beta 0 with fewer points than speakers leaves the normal matrix
     # rank deficient, so every solve fails and the run aborts

@@ -23,6 +23,9 @@ skip those frequencies and go on with the rest. Its warnings and the
 manifests' skipped frequencies must match ``tests/golden/partial_skip.json``
 exactly, and its spectra and area values within the tolerance above.
 
+A fourth test checks the benchmark's ``map_fine`` run at seed 0 against the
+benchmark's own committed reference, with the benchmark's own checker.
+
 Regenerate the references only for an intended change of numbers, and
 record that change in CHANGES.md::
 
@@ -40,6 +43,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from conftest import PERFBENCH, perfbench_outputs
 from pszsim.cli import main as cli_main
 from pszsim.config import default_config_dict
 
@@ -165,6 +169,15 @@ def test_partial_skip_inside_one_batch_matches_the_pinned_run(tmp_path, monkeypa
         assert out[command] == reference[command]
     assert len(reference["spectra"]["skipped"]["mono_centered_matched"]) == 20
     assert mismatches(reference["files"], out["files"]) == []
+
+
+def test_map_fine_matches_the_benchmark_reference(map_fine_run):
+    out, _ = map_fine_run
+    outputs = perfbench_outputs()
+    status, problems = outputs.check_reference(
+        outputs.parse_dir(out), PERFBENCH / "reference" / "map_fine-seed0.json.xz"
+    )
+    assert (status, problems) == ("checked", [])
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -282,3 +283,234 @@ def test_frozen_holders_keep_their_shape_errors():
         TransferMatrix(1000.0, np.zeros(3))
     with pytest.raises(ValueError, match=r"values_db shape \(2, 3\) does not match \(ny, nx\) = \(3, 2\)"):
         IpiMap(1000.0, 0.0, 0.0, 0.1, 2, 3, np.zeros((2, 3)))
+
+
+# The per-cell marching squares walk that the numpy classification replaced,
+# copied as it stood, kept as the reference that contours and area must match
+# bit for bit: the same polylines in the same order and direction, and the
+# same area.
+ORACLE_WALKS = {
+    0: [],
+    1: [("c0", "e0", "e3")],
+    2: [("e0", "c1", "e1")],
+    3: [("c0", "c1", "e1", "e3")],
+    4: [("e1", "c2", "e2")],
+    6: [("e0", "c1", "c2", "e2")],
+    7: [("c0", "c1", "c2", "e2", "e3")],
+    8: [("e2", "c3", "e3")],
+    9: [("c0", "e0", "e2", "c3")],
+    11: [("c0", "c1", "e1", "e2", "c3")],
+    12: [("e1", "c2", "c3", "e3")],
+    13: [("c0", "e0", "e1", "c2", "c3")],
+    14: [("e0", "c1", "c2", "c3", "e3")],
+    15: [("c0", "c1", "c2", "c3")],
+}
+ORACLE_SADDLE = {
+    (5, True): [("c0", "e0", "e1", "c2", "e2", "e3")],
+    (5, False): [("c0", "e0", "e3"), ("e1", "c2", "e2")],
+    (10, True): [("e0", "c1", "e1", "e2", "c3", "e3")],
+    (10, False): [("e0", "c1", "e1"), ("e2", "c3", "e3")],
+}
+ORACLE_EDGE_CORNERS = {"e0": (0, 1), "e1": (1, 2), "e2": (3, 2), "e3": (0, 3)}
+
+
+def oracle_edge_key(token, ix, iy):
+    if token == "e0":
+        return ("h", ix, iy)
+    if token == "e2":
+        return ("h", ix, iy + 1)
+    if token == "e3":
+        return ("v", ix, iy)
+    return ("v", ix + 1, iy)  # e1
+
+
+def oracle_cell_geometry(m, level, saddles=None):
+    """Yield (ix, iy, corner values, walks) for every contributing cell;
+    count each saddle resolution met in ``saddles``."""
+    v = m.values_db
+    for iy in range(m.ny - 1):
+        for ix in range(m.nx - 1):
+            corners = (
+                v[iy, ix],
+                v[iy, ix + 1],
+                v[iy + 1, ix + 1],
+                v[iy + 1, ix],
+            )
+            if not all(math.isfinite(c) for c in corners):
+                continue
+            mask = 0
+            for bit, val in enumerate(corners):
+                if val >= level:
+                    mask |= 1 << bit
+            if mask == 0:
+                continue
+            if mask in (5, 10):
+                center_inside = sum(corners) / 4.0 >= level
+                walks = ORACLE_SADDLE[(mask, center_inside)]
+                if saddles is not None:
+                    saddles[mask, center_inside] += 1
+            else:
+                walks = ORACLE_WALKS[mask]
+            yield ix, iy, corners, walks
+
+
+def oracle_vertex_xy(token, ix, iy, corners, level, m):
+    s = m.spacing
+    cx = m.x0 + ix * s
+    cy = m.y0 + iy * s
+    if token[0] == "c":
+        corner = int(token[1])
+        dx = s if corner in (1, 2) else 0.0
+        dy = s if corner in (2, 3) else 0.0
+        return (cx + dx, cy + dy)
+    lo, hi = ORACLE_EDGE_CORNERS[token]
+    t = (level - corners[lo]) / (corners[hi] - corners[lo])
+    if token in ("e0", "e2"):
+        return (cx + t * s, cy + (s if token == "e2" else 0.0))
+    return (cx + (s if token == "e1" else 0.0), cy + t * s)
+
+
+def oracle_contours(m, level_db, saddles=None):
+    level = float(level_db)
+    coords = {}
+    adjacency = collections.defaultdict(list)
+    for ix, iy, corners, walks in oracle_cell_geometry(m, level, saddles):
+        for walk in walks:
+            n = len(walk)
+            for i in range(n):
+                a, b = walk[i], walk[(i + 1) % n]
+                if a[0] == "e" and b[0] == "e":
+                    ka = oracle_edge_key(a, ix, iy)
+                    kb = oracle_edge_key(b, ix, iy)
+                    coords.setdefault(ka, oracle_vertex_xy(a, ix, iy, corners, level, m))
+                    coords.setdefault(kb, oracle_vertex_xy(b, ix, iy, corners, level, m))
+                    adjacency[ka].append(kb)
+                    adjacency[kb].append(ka)
+
+    used = set()
+
+    def walk_from(start):
+        path = [start]
+        current = start
+        while True:
+            step = None
+            for neighbor in adjacency[current]:
+                seg = (current, neighbor) if current <= neighbor else (neighbor, current)
+                if seg not in used:
+                    used.add(seg)
+                    step = neighbor
+                    break
+            if step is None:
+                return path
+            path.append(step)
+            current = step
+
+    polylines = []
+    endpoints = sorted(k for k, nbrs in adjacency.items() if len(nbrs) == 1)
+    for start in endpoints:
+        if any(
+            ((start, n) if start <= n else (n, start)) not in used
+            for n in adjacency[start]
+        ):
+            path = walk_from(start)
+            polylines.append(np.array([coords[k] for k in path]))
+    for start in sorted(adjacency):  # remaining segments form loops
+        if any(
+            ((start, n) if start <= n else (n, start)) not in used
+            for n in adjacency[start]
+        ):
+            path = walk_from(start)
+            polylines.append(np.array([coords[k] for k in path]))
+    return polylines
+
+
+def oracle_area(m, level_db):
+    level = float(level_db)
+    total = 0.0
+    for ix, iy, corners, walks in oracle_cell_geometry(m, level):
+        for walk in walks:
+            pts = [oracle_vertex_xy(t, ix, iy, corners, level, m) for t in walk]
+            acc = 0.0
+            n = len(pts)
+            for i in range(n):
+                x1, y1 = pts[i]
+                x2, y2 = pts[(i + 1) % n]
+                acc += x1 * y2 - x2 * y1
+            total += abs(acc) / 2.0
+    return total
+
+
+def assert_matches_oracle(m, level, saddles=None):
+    """Contours and area of ``m`` at ``level`` equal the oracle's bit for bit."""
+    cs = extract_contours(m, level)
+    want = oracle_contours(m, level, saddles)
+    assert len(cs.polylines) == len(want)
+    for got, line in zip(cs.polylines, want):
+        # bytes, so the sign of a zero coordinate counts too
+        assert got.shape == line.shape and got.tobytes() == line.tobytes()
+    area = enclosed_area(cs, m)
+    assert type(area) is float
+    assert area == oracle_area(m, level)
+    return cs
+
+
+def grid_map(values, x0=-0.3, y0=-0.7, spacing=0.1):
+    ny, nx = values.shape
+    return IpiMap(1000.0, x0, y0, spacing, nx, ny, values)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_maps_with_nonfinite_corners_match_the_cell_walk(seed):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(20.0, 8.0, size=(23, 31))
+    values[rng.random(values.shape) < 0.05] = np.nan
+    values[rng.random(values.shape) < 0.01] = np.inf
+    values[rng.random(values.shape) < 0.01] = -np.inf
+    m = grid_map(values)
+    for level in (12.5, 20.0, 27.0):
+        assert_matches_oracle(m, level)
+
+
+def test_values_equal_to_the_level_match_the_cell_walk():
+    # integers around the level: many corners, and some saddle center means,
+    # sit exactly on it
+    values = np.random.default_rng(7).integers(18, 23, size=(19, 27)).astype(float)
+    m = grid_map(values)
+    assert np.count_nonzero(values == 20.0) > 50
+    saddles = collections.Counter()
+    for level in (19.0, 20.0, 21.0):
+        assert_matches_oracle(m, level, saddles)
+    assert saddles[5, True] and saddles[10, True]
+
+
+def test_both_saddle_resolutions_match_the_cell_walk():
+    # a checkerboard: every cell is a saddle, its center mean falls on
+    # either side of the level as the noise has it
+    iy, ix = np.indices((15, 21))
+    noise = np.random.default_rng(3).uniform(-4.0, 4.0, size=iy.shape)
+    values = 20.0 + 10.0 * (-1.0) ** (ix + iy) + noise
+    m = grid_map(values)
+    saddles = collections.Counter()
+    for level in (19.0, 20.0, 21.0):
+        assert_matches_oracle(m, level, saddles)
+    assert sorted(saddles) == [(5, False), (5, True), (10, False), (10, True)]
+
+
+def test_region_touching_the_border_matches_the_cell_walk():
+    # a cone centered near the right edge: its superlevel set runs off the
+    # map, so the contours are open polylines that end on the border
+    xs = -0.3 + np.arange(31) * 0.1
+    ys = -0.7 + np.arange(23) * 0.1
+    gx, gy = np.meshgrid(xs, ys)
+    m = grid_map(40.0 - 25.0 * np.hypot(gx - 2.6, gy - 0.4))
+    for level in (10.0, 20.0, 30.0):
+        cs = assert_matches_oracle(m, level)
+        assert cs.polylines and not any(polyline_is_closed(line) for line in cs.polylines)
+
+
+def test_map_fine_maps_match_the_cell_walk(map_fine_run):
+    _, maps = map_fine_run
+    assert [m.frequency for m in maps] == [500.0, 1000.0, 2000.0]
+    for m in maps:
+        for level in (10.0, 20.0, 30.0):
+            assert_matches_oracle(m, level)

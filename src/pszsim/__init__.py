@@ -7,35 +7,16 @@ each other's audio, in frequency spectra and in space.
 
 __version__ = "0.1.0"
 
-from .acoustics import (
-    CoincidentPointError,
-    TransferMatrix,
-    directivity,
-    response_matrix,
-    transfer_matrix,
-)
+from .acoustics import CoincidentPointError, directivity, response_matrix
 from .filter_design import (
-    FilterMatrix,
-    IllConditionedError,
     RenderingMode,
-    SystemMatrix,
-    TargetMatrix,
-    build_target_matrix,
-    cost,
     default_beta,
-    pressure_matching,
     program_channels,
-    system_matrix,
+    solve_stack,
+    target_stack,
 )
-from .metrics import (
-    MetricSpectrum,
-    MetricValue,
-    acoustic_contrast,
-    ipi,
-    izi,
-    third_octave_smooth,
-)
-from .perturbation import UncertaintyModel, averaged_perturbed
+from .metrics import ipi_ratios, izi_ratios, min_db, smooth_db
+from .perturbation import UncertaintyModel, averaged_perturbed_stacks
 from .scene import (
     ListenerDisplacement,
     Scene,
@@ -54,35 +35,25 @@ __all__ = [
     "__version__",
     "CoincidentPointError",
     "ContourSet",
-    "FilterMatrix",
-    "IllConditionedError",
     "IpiMap",
     "ListenerDisplacement",
-    "MetricSpectrum",
-    "MetricValue",
     "RenderingMode",
     "Scene",
-    "SystemMatrix",
-    "TargetMatrix",
-    "TransferMatrix",
     "UncertaintyModel",
-    "acoustic_contrast",
-    "averaged_perturbed",
-    "build_target_matrix",
-    "cost",
+    "averaged_perturbed_stacks",
     "default_beta",
     "default_scene",
     "directivity",
     "enclosed_area",
     "extract_contours",
-    "ipi",
     "ipi_map",
-    "izi",
+    "ipi_ratios",
+    "izi_ratios",
+    "min_db",
     "move_listener",
-    "pressure_matching",
     "program_channels",
     "response_matrix",
-    "system_matrix",
-    "third_octave_smooth",
-    "transfer_matrix",
+    "smooth_db",
+    "solve_stack",
+    "target_stack",
 ]

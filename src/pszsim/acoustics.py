@@ -18,12 +18,10 @@ magnitude on axis at 1 m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import j1
 
-from .scene import Scene, _frozen
+from .scene import Scene
 
 # Below this argument the directivity is evaluated by its Taylor series to
 # sidestep the 0/0 form; the two branches agree to ~1e-16 at the seam.
@@ -40,39 +38,6 @@ class CoincidentPointError(ValueError):
         self.pairs = pairs
         listed = ", ".join(f"(point {k}, speaker {l})" for k, l in pairs)
         super().__init__(f"field point coincides with source: {listed}")
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """A read-only complex matrix at one frequency.
-
-    As built by :func:`transfer_matrix`, ``entries[k, l]`` is the
-    normalized pressure at point k per unit input to speaker l. Rows
-    follow the order of the point list the matrix was built from; columns
-    follow the scene's speaker order.
-
-    The matrices of the filter design are subclasses that differ only in
-    what their axes mean: :class:`~pszsim.filter_design.TargetMatrix` and
-    :class:`~pszsim.filter_design.SystemMatrix` are (points, channels),
-    :class:`~pszsim.filter_design.FilterMatrix` is (speakers, channels).
-    Construction copies ``entries`` to a read-only complex array and
-    ``frequency`` to a float; instances of different subclasses never
-    compare equal.
-    """
-
-    frequency: float
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = _frozen(self.entries, complex)
-        if arr.ndim != 2:
-            raise ValueError(f"entries must be 2D, got shape {arr.shape}")
-        object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "frequency", float(self.frequency))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
 
 
 def directivity(x):
@@ -100,7 +65,9 @@ def response_matrix(
 
     Returns a complex (n_points, n_speakers) array for one frequency, or an
     (F, n_points, n_speakers) stack for a 1-D array of F frequencies; each
-    matrix of the stack is bit for bit the one-frequency result. All
+    matrix of the stack is bit for bit the one-frequency result. Entry
+    (k, l) is the normalized pressure at point k per unit input to speaker
+    l: rows follow the input point order, columns the scene's. All
     speakers share the scene's +y axis. ``on_coincident`` selects what
     happens when a point sits exactly on a speaker: "raise" throws
     CoincidentPointError with the offending index pairs, "nan" fills that
@@ -130,13 +97,3 @@ def response_matrix(
         d_gain = directivity(k * scene.piston_radius * (lateral / r))
         return d_gain * np.exp(-1j * k * r) / r
 
-
-def transfer_matrix(scene: Scene, points, frequency: float) -> TransferMatrix:
-    """Transfer matrix from the scene's speakers to the given points.
-
-    Entry (k, l) is the piston response from speaker l to point k. Rows
-    are ordered as the input point list. Raises CoincidentPointError when
-    a point lies exactly on a speaker.
-    """
-    entries = response_matrix(scene, points, frequency, on_coincident="raise")
-    return TransferMatrix(frequency=frequency, entries=entries)

@@ -45,7 +45,7 @@ from .config import (  # noqa: F401
     map_tag,
     resolve_config,
 )
-from .filter_design import FilterMatrix, RenderingMode, program_channels, solve_stack, target_stack
+from .filter_design import RenderingMode, program_channels, solve_stack, target_stack
 from .metrics import ipi_ratios, izi_ratios, min_db, smooth_db
 from .perturbation import averaged_perturbed_stacks
 from .scene import Scene, move_listener
@@ -253,16 +253,8 @@ def run_map(config: ExperimentConfig) -> list[Path]:
     area_rows = []
     kept_freqs = [f for f, ok in zip(request.frequencies, kept) if ok]
     for frequency, c in zip(kept_freqs, filters):
-        m = ipi_map(
-            scene,
-            FilterMatrix(frequency, c),
-            request.region,
-            request.resolution,
-            frequency,
-            target,
-            interferer,
-            cap_db=request.cap_db,
-        )
+        m = ipi_map(scene, c, request.region, request.resolution, frequency, target, interferer,
+                    cap_db=request.cap_db)
         tag = map_tag(request.mode.value, frequency)
         csv_path = config.output_dir / f"map_{tag}.csv"
         _write_map_csv(csv_path, m)

@@ -5,9 +5,9 @@ module perturbs a nominal matrix entrywise, drawing the amplitude from
 N(|H_kl|, sigma_amp_sq) and the phase from N(arg H_kl, sigma_phase_sq),
 and averages ``trials`` independent draws the way a repeated measurement
 would (one trial is a single draw). :func:`averaged_perturbed_stacks` does
-this for whole (F, K, L) frequency stacks and :func:`averaged_perturbed`
-for one matrix, through it. Separate stream ids keep the set used for
-filter design statistically independent from the set used for evaluation.
+this for whole (F, K, L) frequency stacks; a one-element stack perturbs
+one matrix. Separate stream ids keep the set used for filter design
+statistically independent from the set used for evaluation.
 
 All draws come from a counter-based generator keyed by
 (seed, stream_id, frequency), so results are reproducible regardless of
@@ -23,8 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acoustics import TransferMatrix
-
 _BLOCK_NORMALS = 2**14  # normals drawn at once; bounds the temporaries
 
 
@@ -35,7 +33,7 @@ class UncertaintyModel:
     ``sigma_amp_sq`` is the amplitude variance in linear units squared,
     ``sigma_phase_sq`` the phase variance in radians squared. ``trials``
     is the number of independent draws averaged by
-    :func:`averaged_perturbed`. ``seed`` anchors all randomness.
+    :func:`averaged_perturbed_stacks`. ``seed`` anchors all randomness.
     """
 
     sigma_amp_sq: float
@@ -66,15 +64,24 @@ def _generator(seed: int, stream_id: str, frequency: float) -> np.random.Generat
 
 
 def averaged_perturbed_stacks(stacks, frequencies, model: UncertaintyModel, stream_id: str):
-    """:func:`averaged_perturbed` of (F, K, L) stacks at F frequencies at once.
+    """Complex means of ``model.trials`` entrywise perturbations of (F, K, L) stacks.
+
+    Each draw resamples every entry as A * exp(1j*phi), with A drawn around
+    the nominal magnitude and phi around the nominal phase; negative
+    amplitude samples are clamped to zero (vanishingly rare at realistic
+    variances). Mimics averaging repeated measurements of the same setup.
+    Use distinct stream ids for the design and evaluation sets so the two
+    are statistically independent.
 
     Every stack in ``stacks`` is perturbed with the same draws: they are
-    keyed by (seed, stream_id, frequency), not by the matrix, so one
-    generator per frequency serves them all. Its normals are consumed in a
-    fixed order (a trials x (amplitude, phase) x K x L block), so the first
-    draw of a longer average is bit identical to a single draw. The grid
-    is worked through in blocks of about ``_BLOCK_NORMALS`` normals, which
-    bounds the temporaries. Zero variance returns the stacks themselves.
+    keyed by (seed, stream_id, frequency), not by the matrix or its place
+    in the grid, so one generator per frequency serves them all. Its
+    normals are consumed in a fixed order (a trials x (amplitude, phase) x
+    K x L block), so trials=1 returns a single draw bit for bit and the
+    first draw of a longer average is that same draw. The grid is worked
+    through in blocks of about ``_BLOCK_NORMALS`` normals, which bounds the
+    temporaries. Zero variance returns the stacks themselves, for any
+    trial count.
     """
     stacks = list(stacks)
     if model.sigma_amp_sq == model.sigma_phase_sq == 0.0:
@@ -96,22 +103,3 @@ def averaged_perturbed_stacks(stacks, frequencies, model: UncertaintyModel, stre
             out[block] = (amp * np.exp(1j * phase)).mean(axis=1)
     return averaged
 
-
-def averaged_perturbed(
-    H: TransferMatrix, model: UncertaintyModel, stream_id: str
-) -> TransferMatrix:
-    """Complex entrywise mean of ``model.trials`` independent perturbations.
-
-    Each draw resamples every entry as A * exp(1j*phi), with A drawn around
-    the nominal magnitude and phi around the nominal phase; negative
-    amplitude samples are clamped to zero (vanishingly rare at realistic
-    variances). Mimics averaging repeated measurements of the same setup.
-    Use distinct stream ids for the design and evaluation sets so the two
-    are statistically independent. Deterministic given (seed, stream_id,
-    frequency). trials=1 returns a single draw bit for bit; zero variance
-    returns H itself for any trial count.
-    """
-    if model.sigma_amp_sq == model.sigma_phase_sq == 0.0:
-        return H
-    (stack,) = averaged_perturbed_stacks([H.entries[None]], [H.frequency], model, stream_id)
-    return TransferMatrix(H.frequency, stack[0])

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acoustics import response_matrix
-from .filter_design import FilterMatrix
 from .metrics import _check_disjoint, _isolation
 from .scene import Scene, _frozen
 
@@ -110,7 +109,7 @@ def grid_shape(region, resolution: float) -> tuple[int, int]:
 
 def ipi_map(
     scene: Scene,
-    C: FilterMatrix,
+    C: np.ndarray,
     region,
     resolution: float,
     frequency: float,
@@ -125,25 +124,21 @@ def ipi_map(
     region : (x_min, x_max, y_min, y_max)
         Rectangle in meters. Both extents must be integer multiples of
         ``resolution`` so the grid covers the region exactly.
-    C : FilterMatrix
-        Filters designed at ``frequency`` (mismatch raises).
+    C : (speakers, channels) array
+        Filters designed at ``frequency``.
     target_channels, interferer_channels
         Disjoint channel index sets of the designed system.
 
     At each grid point the 1 x L transfer row is formed and multiplied by
     C; the resulting channel row is a one-point zone whose IPI comes from
-    the same kernel as :func:`~pszsim.metrics.ipi`, with the same channel
-    checks. A grid point exactly on a speaker yields NaN for that cell
+    the same kernel as :func:`~pszsim.metrics.ipi_ratios`, with the same
+    channel checks. A grid point exactly on a speaker yields NaN for that cell
     instead of failing the whole map.
     """
     nx, ny = grid_shape(region, resolution)
-    if C.frequency != frequency:
-        raise ValueError(
-            f"filters designed at {C.frequency} Hz, map requested at {frequency} Hz"
-        )
     target, interferer = _check_disjoint(
         "target_channels", target_channels, "interferer_channels", interferer_channels,
-        C.entries.shape[1],
+        C.shape[1],
     )
     x_min, _, y_min, _ = (float(v) for v in region)
 
@@ -154,7 +149,7 @@ def ipi_map(
 
     rows = response_matrix(scene, points, frequency, on_coincident="nan")
     # one single-point zone per grid point: (n_points, 1, n_channels)
-    m = (rows @ C.entries)[:, None, :]  # NaN rows propagate
+    m = (rows @ C)[:, None, :]  # NaN rows propagate
     corr, uncorr = _isolation(
         m[..., target], len(target), m[..., interferer], len(interferer)
     )

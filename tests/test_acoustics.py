@@ -6,7 +6,6 @@ from pszsim.acoustics import (
     CoincidentPointError,
     directivity,
     response_matrix,
-    transfer_matrix,
 )
 from pszsim.scene import Scene, default_scene
 
@@ -125,10 +124,10 @@ def test_frozen_response_spot_value():
 
 def test_transfer_matrix_shape_and_frequency():
     scene = default_scene()
-    H = transfer_matrix(scene, scene.control_points, 1000.0)
-    assert H.shape == (4, 8)
-    assert H.frequency == 1000.0
-    assert np.all(np.isfinite(H.entries))
+    H = response_matrix(scene, scene.control_points, 1000.0)
+    assert H.shape == (4, 8) and H.dtype == complex
+    assert np.all(np.isfinite(H))
+    assert response_matrix(scene, scene.control_points, [1000.0]).shape == (1, 4, 8)
 
 
 def test_transfer_matrix_mirror_symmetry_is_exact():
@@ -136,7 +135,7 @@ def test_transfer_matrix_mirror_symmetry_is_exact():
     # the speaker order flipped; the default scene is built so this holds
     # bit for bit
     scene = default_scene()
-    H = transfer_matrix(scene, scene.control_points, 3000.0).entries
+    H = response_matrix(scene, scene.control_points, 3000.0)
     h_a = H[list(scene.zone_a)]
     h_b = H[list(scene.zone_b)]
     assert np.array_equal(h_b, h_a[::-1, ::-1])
@@ -151,7 +150,7 @@ def test_unit_wavenumber_closed_form():
 def test_phase_is_minus_kr_where_directivity_positive():
     scene = default_scene()
     frequency = 4000.0
-    H = transfer_matrix(scene, scene.control_points, frequency)
+    H = response_matrix(scene, scene.control_points, frequency)
     k = 2 * np.pi * frequency / scene.sound_speed
     diff = scene.control_points[:, None, :] - scene.speakers[None, :, :]
     r = np.linalg.norm(diff, axis=-1)
@@ -159,7 +158,7 @@ def test_phase_is_minus_kr_where_directivity_positive():
     d = directivity(k * scene.piston_radius * sin_t)
     positive = d > 1e-6
     # strip propagation and spreading; what remains must be real positive
-    residual = H.entries * r * np.exp(1j * k * r)
+    residual = H * r * np.exp(1j * k * r)
     assert np.allclose(residual.imag[positive], 0.0, atol=1e-9)
     assert np.all(residual.real[positive] > 0)
 
@@ -184,7 +183,7 @@ def test_coincident_point_raises_with_indices():
     points = scene.control_points.copy()
     points[1] = scene.speakers[5]
     with pytest.raises(CoincidentPointError) as excinfo:
-        transfer_matrix(scene, points, 1000.0)
+        response_matrix(scene, points, 1000.0)
     assert excinfo.value.pairs == [(1, 5)]
     assert "point 1" in str(excinfo.value) and "speaker 5" in str(excinfo.value)
 

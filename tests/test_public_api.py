@@ -1,0 +1,49 @@
+"""The public API: the README's examples run, and every exported name has a caller.
+
+The package exports what its own pipeline calls. A helper whose only
+caller is a test does not belong in ``pszsim.__all__``: the second test
+finds such a name by parsing the package source.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import pszsim
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = Path(pszsim.__file__).resolve().parent
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i + 1}", "exec"), {})
+    assert capsys.readouterr().out
+
+
+def _uses(tree: ast.AST, name: str) -> int:
+    """Number of ``name`` identifiers in ``tree`` outside a def or class of that name."""
+    own = {
+        id(node)
+        for d in ast.walk(tree)
+        if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and d.name == name
+        for node in ast.walk(d)
+    }
+    return sum(
+        isinstance(node, ast.Name) and node.id == name and id(node) not in own
+        for node in ast.walk(tree)
+    )
+
+
+def test_every_exported_name_is_used_inside_the_package():
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    exported = [name for name in pszsim.__all__ if name != "__version__"]
+    unused = [name for name in exported if not any(_uses(tree, name) for tree in trees)]
+    assert unused == []

@@ -19,7 +19,8 @@ map <config>
 The config format is defined in :mod:`pszsim.config`. All randomness
 flows from the seed in the config (overridable with --seed), and outputs
 never embed timestamps, so identical inputs give byte-identical files.
-Exit codes: 0 success, 1 config error, 2 runtime numerical failure.
+Exit codes: 0 success, 1 config or usage error, 2 runtime numerical
+failure.
 """
 
 from __future__ import annotations
@@ -34,16 +35,13 @@ import numpy as np
 
 from . import __version__
 from .acoustics import response_matrix
-# log_frequency_grid and resolve_config stay importable from pszsim.cli
-from .config import (  # noqa: F401
+from .config import (
     ConfigError,
     ExperimentConfig,
     ListenerCase,
     default_config_dict,
     load_config,
-    log_frequency_grid,
     map_tag,
-    resolve_config,
 )
 from .filter_design import RenderingMode, program_channels, solve_stack, target_stack
 from .metrics import ipi_ratios, izi_ratios, min_db, smooth_db
@@ -66,14 +64,13 @@ def _design_filters(config: ExperimentConfig, scene: Scene, h_design, mode: Rend
     return solve_stack(h_design, target, config.beta_at(frequencies), frequencies)
 
 
-def _perturbed_transfers(config: ExperimentConfig, scenes: dict, streams: dict) -> dict:
-    """(scene key, stream) -> averaged perturbed (F, K, L) transfer stack.
+def _perturbed_transfers(config: ExperimentConfig, scenes: dict, streams: dict, freqs) -> dict:
+    """(scene key, stream) -> averaged perturbed (F, K, L) transfer stack at ``freqs``.
 
     ``streams`` maps each stream to the keys of the scenes it perturbs. Each
-    scene's nominal stack is computed once over the whole grid, and each
+    scene's nominal stack is computed once over all frequencies, and each
     stream's draws once for all of its scenes.
     """
-    freqs = config.frequencies
     nominal = {
         key: response_matrix(scenes[key], scenes[key].control_points, freqs)
         for key in dict.fromkeys(key for keys in streams.values() for key in keys)
@@ -98,32 +95,51 @@ def _spectra_db(scene: Scene, mode: RenderingMode, m):
     return np.array([min_db(corr, uncorr)[1] for corr, uncorr in ratios])
 
 
-def _write_spectra_csv(path: Path, freqs, raw, smoothed):
-    columns = ["izi_a", "izi_b", "ipi_a", "ipi_b"]
-    header = (
-        ["frequency_hz"]
-        + [f"{c}_db" for c in columns]
-        + [f"{c}_smooth_db" for c in columns]
-    )
+_SPECTRA_HEADER = ["frequency_hz"] + [
+    f"{c}_{kind}db" for kind in ("", "smooth_") for c in ("izi_a", "izi_b", "ipi_a", "ipi_b")
+]
+
+
+def _write_csv(path: Path, header, rows) -> Path:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in np.column_stack([freqs, raw.T, smoothed.T]):
-            fh.write(",".join(_fmt(x) for x in row.tolist()) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(x) for x in row) + "\n")
+    return path
 
 
-def _write_manifest(config: ExperimentConfig, command: str, outputs, skipped):
-    manifest = {
+def _write_json(path: Path, payload) -> Path:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
+
+
+def _write_manifest(config: ExperimentConfig, command: str, outputs, skipped) -> Path:
+    return _write_json(config.output_dir / f"manifest_{command}.json", {
         "command": command,
         "config": config.echo,
         "outputs": sorted(str(p.name) for p in outputs),
         "skipped_frequencies": skipped,
         "version": __version__,
-    }
-    path = config.output_dir / f"manifest_{command}.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    })
+
+
+def _make_output_dir(config: ExperimentConfig) -> None:
+    try:
+        config.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([f"output_dir: cannot create {config.output_dir}: {exc.strerror}"])
+
+
+def _report_skips(key: str, kept, failures, skipped_log: dict) -> None:
+    """Warn about and log each skipped frequency of ``key``; RuntimeError if none is kept."""
+    if failures:
+        skipped_log[key] = [{"frequency_hz": f, "reason": reason} for f, reason in failures]
+    for f, reason in failures:
+        print(f"warning: {key}: skipped {f:.6g} Hz: {reason}", file=sys.stderr)
+    if not kept.any():
+        raise RuntimeError(f"{key}: every frequency failed to solve")
 
 
 def run_spectra(config: ExperimentConfig) -> list[Path]:
@@ -133,7 +149,7 @@ def run_spectra(config: ExperimentConfig) -> list[Path]:
     draw and design is computed once per run and shared by the
     combinations that use it.
     """
-    config.output_dir.mkdir(parents=True, exist_ok=True)
+    _make_output_dir(config)
     base, freqs = config.scene, config.frequencies
     # scenes are keyed by the displacement that makes them; None is the base scene
     scenes = {None: base}
@@ -153,7 +169,7 @@ def run_spectra(config: ExperimentConfig) -> list[Path]:
     h = _perturbed_transfers(config, scenes, {
         _DESIGN_STREAM: list(dict.fromkeys(design_key(c, s) for _, c, s in combos)),
         _EVAL_STREAM: list(dict.fromkeys(c.displacement for c in config.cases)),
-    })
+    }, freqs)
     designs = {}
     outputs: list[Path] = []
     skipped_log: dict[str, list] = {}
@@ -163,24 +179,18 @@ def run_spectra(config: ExperimentConfig) -> list[Path]:
             designs[mode, scene_key] = _design_filters(
                 config, scenes[scene_key], h[scene_key, _DESIGN_STREAM], mode, freqs
             )
-        filters, kept, skipped = designs[mode, scene_key]
+        filters, kept, failures = designs[mode, scene_key]
         key = f"{mode.value}_{case.name}_{strategy}"
-        if skipped:
-            skipped_log[key] = [{"frequency_hz": f, "reason": reason} for f, reason in skipped]
-            for f, reason in skipped:
-                print(f"warning: {key}: skipped {f:.6g} Hz: {reason}", file=sys.stderr)
-        if not kept.any():
-            raise RuntimeError(f"{key}: every frequency failed to solve")
+        _report_skips(key, kept, failures, skipped_log)
         m = h[case.displacement, _EVAL_STREAM][kept] @ filters
         raw = _spectra_db(base, mode, m)
-        path = config.output_dir / f"spectra_{key}.csv"
-        _write_spectra_csv(path, freqs[kept], raw, smooth_db(freqs[kept], raw))
-        outputs.append(path)
+        rows = np.column_stack([freqs[kept], raw.T, smooth_db(freqs[kept], raw).T]).tolist()
+        outputs.append(_write_csv(config.output_dir / f"spectra_{key}.csv", _SPECTRA_HEADER, rows))
     outputs.append(_write_manifest(config, "spectra", outputs, skipped_log))
     return outputs
 
 
-def _write_map_csv(path: Path, m) -> None:
+def _write_map_csv(path: Path, m) -> Path:
     # each axis value is formatted once, not once per grid point
     xs = [_fmt(x) for x in m.x_coords().tolist()]
     with open(path, "w", encoding="utf-8") as fh:
@@ -188,14 +198,11 @@ def _write_map_csv(path: Path, m) -> None:
         for y, row in zip(m.y_coords().tolist(), m.capped_values()):
             y_text = _fmt(y)
             fh.write("".join(f"{x},{y_text},{v:.9g}\n" for x, v in zip(xs, row.tolist())))
+    return path
 
 
-def _write_map_json(path: Path, m) -> None:
-    capped = m.capped_values()
-    values = [
-        [None if math.isnan(v) else v for v in row] for row in capped.tolist()
-    ]
-    payload = {
+def _map_payload(m) -> dict:
+    return {
         "frequency_hz": m.frequency,
         "x0_m": m.x0,
         "y0_m": m.y0,
@@ -203,78 +210,54 @@ def _write_map_json(path: Path, m) -> None:
         "nx": m.nx,
         "ny": m.ny,
         "cap_db": m.cap_db,
-        "values_db": values,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_contours_json(path: Path, frequency: float, contour_sets) -> None:
-    payload = {
-        "frequency_hz": frequency,
-        "contours": [
-            {
-                "level_db": cs.level_db,
-                "polylines": [line.tolist() for line in cs.polylines],
-            }
-            for cs in contour_sets
+        "values_db": [
+            [None if math.isnan(v) else v for v in row] for row in m.capped_values().tolist()
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def run_map(config: ExperimentConfig) -> list[Path]:
-    """Evaluate the configured IPI maps, contours and area summary."""
+    """Evaluate the configured IPI maps, contours and area summary.
+
+    The filters come from the same perturbed design stack, design and skip
+    reporting as ``run_spectra``'s, at the map frequencies.
+    """
     request = config.map_request
     if request is None:
         raise ConfigError(["map: section required for the map command"])
-    config.output_dir.mkdir(parents=True, exist_ok=True)
+    _make_output_dir(config)
     scene = config.scene
     prog_a, prog_b = program_channels(scene, request.mode)
-    if request.bright_zone == "A":
-        target, interferer = prog_a, prog_b
-    else:
-        target, interferer = prog_b, prog_a
+    target, interferer = (prog_a, prog_b) if request.bright_zone == "A" else (prog_b, prog_a)
 
     freqs = np.array(request.frequencies)
-    (h_design,) = averaged_perturbed_stacks(
-        [response_matrix(scene, scene.control_points, freqs)], freqs, config.model, _DESIGN_STREAM
+    h = _perturbed_transfers(config, {None: scene}, {_DESIGN_STREAM: [None]}, freqs)
+    filters, kept, failures = _design_filters(
+        config, scene, h[None, _DESIGN_STREAM], request.mode, freqs
     )
-    filters, kept, failures = _design_filters(config, scene, h_design, request.mode, freqs)
     skipped: dict[str, list] = {}
-    for frequency, reason in failures:
-        skipped.setdefault("map", []).append({"frequency_hz": frequency, "reason": reason})
-        print(f"warning: map: skipped {frequency:.6g} Hz: {reason}", file=sys.stderr)
+    _report_skips("map", kept, failures, skipped)
 
     outputs: list[Path] = []
     area_rows = []
-    kept_freqs = [f for f, ok in zip(request.frequencies, kept) if ok]
-    for frequency, c in zip(kept_freqs, filters):
+    for frequency, c in zip(freqs[kept].tolist(), filters):
         m = ipi_map(scene, c, request.region, request.resolution, frequency, target, interferer,
                     cap_db=request.cap_db)
         tag = map_tag(request.mode.value, frequency)
-        csv_path = config.output_dir / f"map_{tag}.csv"
-        _write_map_csv(csv_path, m)
-        json_path = config.output_dir / f"map_{tag}.json"
-        _write_map_json(json_path, m)
+        outputs.append(_write_map_csv(config.output_dir / f"map_{tag}.csv", m))
+        outputs.append(_write_json(config.output_dir / f"map_{tag}.json", _map_payload(m)))
         contour_sets = [extract_contours(m, level) for level in request.levels_db]
-        contour_path = config.output_dir / f"contours_{tag}.json"
-        _write_contours_json(contour_path, frequency, contour_sets)
-        outputs += [csv_path, json_path, contour_path]
-        for cs in contour_sets:
-            area_rows.append((frequency, cs.level_db, enclosed_area(cs, m)))
+        outputs.append(_write_json(config.output_dir / f"contours_{tag}.json", {
+            "frequency_hz": frequency,
+            "contours": [
+                {"level_db": cs.level_db, "polylines": [line.tolist() for line in cs.polylines]}
+                for cs in contour_sets
+            ],
+        }))
+        area_rows += [(frequency, cs.level_db, enclosed_area(cs, m)) for cs in contour_sets]
 
-    if not area_rows:
-        raise RuntimeError("map: every requested frequency failed to solve")
-    area_path = config.output_dir / "area_summary.csv"
-    lines = ["frequency_hz,level_db,area_m2"]
-    for frequency, level, area in area_rows:
-        lines.append(f"{_fmt(frequency)},{_fmt(level)},{_fmt(area)}")
-    area_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    outputs.append(area_path)
+    header = ["frequency_hz", "level_db", "area_m2"]
+    outputs.append(_write_csv(config.output_dir / "area_summary.csv", header, area_rows))
     outputs.append(_write_manifest(config, "map", outputs, skipped))
     return outputs
 
@@ -301,7 +284,10 @@ def main(argv=None) -> int:
                 "-o", "--output-dir", default=None, help="override the output directory"
             )
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help exits 0; a usage error exits 1, not argparse's 2
+        return 1 if exc.code else 0
 
     if args.command == "template":
         print(json.dumps(default_config_dict(), indent=2))

@@ -38,13 +38,6 @@ def program_channels(scene: Scene, mode: RenderingMode):
     return tuple(scene.program_a), tuple(scene.program_b)
 
 
-def _zone_layout(scene: Scene):
-    return (
-        (tuple(scene.zone_a), tuple(scene.program_a)),
-        (tuple(scene.zone_b), tuple(scene.program_b)),
-    )
-
-
 def target_stack(scene: Scene, H: np.ndarray, mode: RenderingMode) -> np.ndarray:
     """Target pressures for a rendering mode from a (..., points, speakers) stack.
 
@@ -76,7 +69,7 @@ def target_stack(scene: Scene, H: np.ndarray, mode: RenderingMode) -> np.ndarray
         raise ValueError(f"unknown rendering mode: {mode!r}")
 
     blocks = []
-    for zone, channels in _zone_layout(scene):
+    for zone, channels in ((scene.zone_a, scene.program_a), (scene.zone_b, scene.program_b)):
         zone = list(zone)
         sources = [scene.virtual_source_map[c] for c in channels]
         if mode is RenderingMode.XTC and len(channels) != len(zone):

@@ -12,7 +12,9 @@ is exactly the shoelace area of the polygonized superlevel region and the
 two views can never disagree. Cells with any non-finite corner (grid
 point on a speaker, or an unbounded ratio) are excluded from both. Both
 classify the cells of a level in one numpy pass; only the chaining of
-contour chords into polylines runs in Python.
+contour chords into polylines runs in Python. An edge vertex belongs to at
+most two finite cells, each giving it one chord, so the chords form
+disjoint paths and cycles, and chaining walks each of them once.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acoustics import response_matrix
-from .metrics import _check_disjoint, _isolation
+from .metrics import ipi_ratios
 from .scene import Scene, _frozen
 
 
@@ -130,16 +132,12 @@ def ipi_map(
         Disjoint channel index sets of the designed system.
 
     At each grid point the 1 x L transfer row is formed and multiplied by
-    C; the resulting channel row is a one-point zone whose IPI comes from
-    the same kernel as :func:`~pszsim.metrics.ipi_ratios`, with the same
-    channel checks. A grid point exactly on a speaker yields NaN for that cell
-    instead of failing the whole map.
+    C; the resulting channel row is a one-point zone whose IPI is
+    :func:`~pszsim.metrics.ipi_ratios`, with its channel checks. A grid
+    point exactly on a speaker yields NaN for that cell instead of failing
+    the whole map.
     """
     nx, ny = grid_shape(region, resolution)
-    target, interferer = _check_disjoint(
-        "target_channels", target_channels, "interferer_channels", interferer_channels,
-        C.shape[1],
-    )
     x_min, _, y_min, _ = (float(v) for v in region)
 
     xs = x_min + np.arange(nx) * resolution
@@ -150,9 +148,7 @@ def ipi_map(
     rows = response_matrix(scene, points, frequency, on_coincident="nan")
     # one single-point zone per grid point: (n_points, 1, n_channels)
     m = (rows @ C)[:, None, :]  # NaN rows propagate
-    corr, uncorr = _isolation(
-        m[..., target], len(target), m[..., interferer], len(interferer)
-    )
+    corr, uncorr = ipi_ratios(m, (0,), target_channels, interferer_channels)
     with np.errstate(divide="ignore"):
         values_db = 10.0 * np.log10(np.minimum(corr, uncorr))
 
@@ -264,8 +260,10 @@ def extract_contours(m: IpiMap, level_db: float) -> ContourSet:
     Marching squares with linear interpolation along cell edges; saddle
     cells are resolved by the side of the cell-center mean, so the result
     is deterministic. Chord segments from neighboring cells are chained
-    into maximal polylines; loops come back closed (first vertex repeated
-    at the end). An empty set is returned when the level is never crossed.
+    into maximal polylines: open paths first, each from its smaller end
+    key and in the order of those keys, then loops, each from its smallest
+    key, which come back closed (first vertex repeated at the end). An
+    empty set is returned when the level is never crossed.
     """
     level = float(level_db)
     codes, vertex = _classify(m, level)
@@ -286,33 +284,22 @@ def extract_contours(m: IpiMap, level_db: float) -> ContourSet:
             adjacency[ka].append(kb)
             adjacency[kb].append(ka)
 
-    used: set = set()
-
-    def _walk_from(start):
-        path = [start]
-        current = start
-        while True:
-            step = None
-            for neighbor in adjacency[current]:
-                seg = (current, neighbor) if current <= neighbor else (neighbor, current)
-                if seg not in used:
-                    used.add(seg)
-                    step = neighbor
-                    break
-            if step is None:
-                return path
-            path.append(step)
-            current = step
+    def chain(start):
+        """The path from the end ``start``, or the cycle from ``start`` back to it."""
+        path = [start, adjacency[start][0]]
+        while path[-1] != start and len(adjacency[path[-1]]) == 2:
+            a, b = adjacency[path[-1]]
+            path.append(b if a == path[-2] else a)
+        return path
 
     polylines = []
-    endpoints = sorted(k for k, nbrs in adjacency.items() if len(nbrs) == 1)
-    # open polylines first; the segments left after them form loops
-    for start in endpoints + sorted(adjacency):
-        if any(
-            ((start, n) if start <= n else (n, start)) not in used
-            for n in adjacency[start]
-        ):
-            path = _walk_from(start)
+    chained: set = set()
+    ends = sorted(k for k, nbrs in adjacency.items() if len(nbrs) == 1)
+    # open paths first; the vertices left after them lie on cycles
+    for start in ends + sorted(adjacency):
+        if start not in chained:
+            path = chain(start)
+            chained.update(path)
             polylines.append(np.array([coords[k] for k in path]))
 
     return ContourSet(level_db=level, polylines=tuple(polylines))

@@ -19,7 +19,8 @@ import time
 import numpy as np
 
 from pszsim.acoustics import response_matrix
-from pszsim.cli import default_config_dict, log_frequency_grid
+from pszsim.cli import default_config_dict
+from pszsim.config import log_frequency_grid
 from pszsim.cli import main as cli_main
 from pszsim.filter_design import RenderingMode, program_channels, solve_stack, target_stack
 from pszsim.metrics import ipi_ratios, izi_ratios, min_db, smooth_db

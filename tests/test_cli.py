@@ -13,12 +13,11 @@ from pszsim.cli import (
     ConfigError,
     default_config_dict,
     load_config,
-    log_frequency_grid,
     main,
-    resolve_config,
     run_map,
     run_spectra,
 )
+from pszsim.config import log_frequency_grid, resolve_config
 
 
 def small_config(tmp_path, **overrides):
@@ -354,6 +353,51 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "runtime error" in err
     assert "skipped" in err
+
+
+def test_map_numerical_failure_exits_2(tmp_path, capsys):
+    # as above: no map frequency can be designed, so no map file is written
+    path = small_config(tmp_path, beta=0.0, uncertainty={"sigma_sq": 0.0, "trials": 1},
+                        map={"frequencies_hz": [500.0, 1000.0]})
+    assert main(["map", str(path)]) == 2
+    *warnings, error = capsys.readouterr().err.splitlines()
+    assert [line.split(" Hz: ")[0] for line in warnings] == [
+        "warning: map: skipped 500", "warning: map: skipped 1000"
+    ]
+    assert error == "runtime error: map: every frequency failed to solve"
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["spectra", "map"])
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_uncreatable_output_dir_is_a_config_error(tmp_path, capsys, command, sub):
+    blocker = tmp_path / "afile"
+    blocker.write_text("keep")
+    out = blocker / sub if sub else blocker
+    assert main([command, str(small_config(tmp_path)), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [f"config error: output_dir: cannot create {out}: "
+                                + ("Not a directory" if sub else "File exists")]
+    assert blocker.read_text() == "keep"
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectra", "CONFIG", "--seed", "abc"],
+    ["spectra"],
+    ["map", "CONFIG", "--bogus"],
+])
+def test_usage_errors_exit_1(tmp_path, capsys, argv):
+    path = str(small_config(tmp_path))
+    assert main([path if a == "CONFIG" else a for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pszsim") and "error:" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: pszsim")
 
 
 # Resolved echoes that `validate` printed before the config format became a

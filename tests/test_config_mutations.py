@@ -19,7 +19,8 @@ import random
 
 import pytest
 
-from pszsim.cli import ConfigError, default_config_dict, main, resolve_config
+from pszsim.cli import ConfigError, default_config_dict, main
+from pszsim.config import resolve_config
 
 SEED = 2022
 N_MUTANTS = 300

@@ -2,7 +2,8 @@
 
 The package exports what its own pipeline calls. A helper whose only
 caller is a test does not belong in ``pszsim.__all__``: the second test
-finds such a name by parsing the package source.
+finds such a name by parsing the package source. The third keeps modules
+free of re-export shims: every name a module imports is used in it.
 """
 
 import ast
@@ -46,4 +47,22 @@ def test_every_exported_name_is_used_inside_the_package():
     ]
     exported = [name for name in pszsim.__all__ if name != "__version__"]
     unused = [name for name in exported if not any(_uses(tree, name) for tree in trees)]
+    assert unused == []
+
+
+def test_every_imported_name_is_used_in_its_module():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        imported = [
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        ]
+        unused += [f"{path.stem}.{name}" for name in imported if name not in used]
     assert unused == []

@@ -101,10 +101,11 @@ _SPECTRA_HEADER = ["frequency_hz"] + [
 
 
 def _write_csv(path: Path, header, rows) -> Path:
+    # "%.9g" formats a number as _fmt does; one template formats a whole row
+    line = ",".join(["%.9g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
     return path
 
 

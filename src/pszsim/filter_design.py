@@ -102,19 +102,22 @@ def solve_stack(H: np.ndarray, M_T: np.ndarray, betas, frequencies):
 
     for any speaker/point count relation; the closed form is
     C = (H^H H + beta I)^(-1) H^H M_T. The normal matrices and right hand
-    sides are formed for blocks of frequencies at once; each frequency is
-    then factorized and solved by LAPACK's Cholesky routines, shared by all
-    right hand side columns, with no explicit inverse. So every filter is
-    bit for bit what a one-frequency solve gives. With beta = 0 the normal
-    matrix must be invertible; a frequency where it does not factorize is
-    reported, not raised.
+    sides are formed for blocks of frequencies at once and checked for
+    infs and NaNs once per block; each frequency is then factorized and
+    solved by LAPACK's Cholesky routines ``potrf`` and ``potrs``, called
+    directly and shared by all right hand side columns, with no explicit
+    inverse. So every filter is bit for bit what a one-frequency
+    ``scipy.linalg.cho_factor``/``cho_solve`` gives. With beta = 0 the
+    normal matrix must be invertible; a frequency where it does not
+    factorize is reported, not raised.
     Returns ``(filters, kept, failures)``: the (F_kept, speakers, channels)
     filters of the frequencies whose normal matrix factorized, the (F,)
     boolean mask of those frequencies, and a ``(frequency, message)`` pair
     naming every other one, in grid order.
 
     Raises ``ValueError`` for a negative beta, for H and M_T of different
-    point counts, and for inputs that disagree on the frequency count.
+    point counts, for inputs that disagree on the frequency count, and for
+    a normal matrix or right hand side that holds an inf or a NaN.
     """
     betas = np.asarray(betas, dtype=float)
     if np.any(betas < 0):
@@ -136,17 +139,22 @@ def solve_stack(H: np.ndarray, M_T: np.ndarray, betas, frequencies):
         normal = h_herm @ H[block]
         normal[..., diag, diag] += betas[block, None]
         rhs = h_herm @ M_T[block]
+        if not (np.isfinite(normal).all() and np.isfinite(rhs).all()):
+            raise ValueError("array must not contain infs or NaNs")
+        potrf, potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (normal, rhs))
         for i, n, b in zip(range(start, len(betas)), normal, rhs):
-            try:
-                factor = scipy.linalg.cho_factor(n)
-            except np.linalg.LinAlgError:
+            factor, info = potrf(n, lower=False, clean=False)
+            if info > 0:  # a leading minor is not positive definite
                 frequency, beta = float(frequencies[i]), float(betas[i])
                 failures.append(
                     (frequency, f"normal matrix is singular at {frequency} Hz (beta = {beta})")
                 )
                 kept[i] = False
                 continue
-            filters[i] = scipy.linalg.cho_solve(factor, b)
+            if info == 0:
+                filters[i], info = potrs(factor, b, lower=False)
+            if info != 0:  # a negative info from either routine names a bad argument
+                raise ValueError(f"LAPACK: illegal argument {-info} at {frequencies[i]} Hz")
     return (filters if kept.all() else filters[kept]), kept, failures
 
 

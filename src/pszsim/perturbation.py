@@ -11,7 +11,11 @@ statistically independent from the set used for evaluation.
 
 All draws come from a counter-based generator keyed by
 (seed, stream_id, frequency), so results are reproducible regardless of
-evaluation order or parallel scheduling.
+evaluation order or parallel scheduling. One Philox generator per call is
+re-keyed for each frequency: its state is reset to counter 0, the key and
+an empty buffer, which is exactly the state a Philox built with that key
+starts in, without the cost of building one (and the entropy it seeds
+itself with before the key replaces it) per frequency.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _BLOCK_NORMALS = 2**14  # normals drawn at once; bounds the temporaries
+_WORD = 2**64 - 1  # a Philox key is two little-endian 64-bit words
 
 
 @dataclass(frozen=True)
@@ -50,7 +55,7 @@ class UncertaintyModel:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
 
 
-def _generator(seed: int, stream_id: str, frequency: float) -> np.random.Generator:
+def _key(seed: int, stream_id: str, frequency: float) -> int:
     # Hash (seed, stream, frequency value) into a 128-bit Philox key. Keying
     # by the frequency's bit pattern makes a draw independent of where the
     # frequency sits in a sweep grid.
@@ -59,8 +64,7 @@ def _generator(seed: int, stream_id: str, frequency: float) -> np.random.Generat
     h.update(stream_id.encode("utf-8"))
     h.update(b"\x00")
     h.update(struct.pack(">d", float(frequency)))
-    key = int.from_bytes(h.digest(), "big")
-    return np.random.Generator(np.random.Philox(key=key))
+    return int.from_bytes(h.digest(), "big")
 
 
 def averaged_perturbed_stacks(stacks, frequencies, model: UncertaintyModel, stream_id: str):
@@ -75,7 +79,7 @@ def averaged_perturbed_stacks(stacks, frequencies, model: UncertaintyModel, stre
 
     Every stack in ``stacks`` is perturbed with the same draws: they are
     keyed by (seed, stream_id, frequency), not by the matrix or its place
-    in the grid, so one generator per frequency serves them all. Its
+    in the grid, so one keyed state per frequency serves them all. Its
     normals are consumed in a fixed order (a trials x (amplitude, phase) x
     K x L block), so trials=1 returns a single draw bit for bit and the
     first draw of a longer average is that same draw. The grid is worked
@@ -90,11 +94,19 @@ def averaged_perturbed_stacks(stacks, frequencies, model: UncertaintyModel, stre
     step = max(1, _BLOCK_NORMALS // math.prod(shape))
     amp_sd, phase_sd = np.sqrt(model.sigma_amp_sq), np.sqrt(model.sigma_phase_sq)
     averaged = [np.empty_like(h, dtype=complex) for h in stacks]
+    bits = np.random.Philox(key=0)
+    rng = np.random.Generator(bits)
+    state = bits.state  # counter 0 and an empty buffer; only the key changes
+
+    def draw(frequency):
+        key = _key(model.seed, stream_id, frequency)
+        state["state"]["key"] = np.array([key & _WORD, key >> 64], dtype=np.uint64)
+        bits.state = state
+        return rng.standard_normal(shape)
+
     for start in range(0, len(frequencies), step):
         block = slice(start, start + step)
-        z = np.stack(
-            [_generator(model.seed, stream_id, f).standard_normal(shape) for f in frequencies[block]]
-        )
+        z = np.stack([draw(f) for f in frequencies[block]])
         for h, out in zip(stacks, averaged):
             h = h[block, None]  # the trials axis
             amp = np.abs(h) + amp_sd * z[:, :, 0]

@@ -1,10 +1,11 @@
-"""The benchmark's ``map_fine`` workload, run once per test session.
+"""The benchmark's workloads, run as the benchmark runs them.
 
-The config is built exactly as the benchmark builds it, from
+Each config is built exactly as the benchmark builds it, from
 ``perfbench/workloads.json`` with ``perfbench/outputs.workload_config``, and
 the run writes into ``out`` under a temporary working directory, the output
-directory name of the committed references. The IPI maps the run computes
-are kept for the tests that check contours and area on them.
+directory name of the committed references. ``map_fine`` runs once per test
+session, and the IPI maps it computes are kept for the tests that check
+contours and area on them.
 """
 
 from __future__ import annotations
@@ -30,15 +31,22 @@ def perfbench_outputs():
     return module
 
 
+def run_workload(name: str, work: Path) -> Path:
+    """Run the benchmark workload ``name`` at seed 0 in ``work``; its output directory."""
+    spec = json.loads((PERFBENCH / "workloads.json").read_text(encoding="utf-8"))
+    workload = spec["workloads"][name]
+    config = perfbench_outputs().workload_config(spec["template"], workload["delta"])
+    (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    argv = [workload["command"], "config.json", "--seed", "0", "-o", "out"]
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
+        mp.chdir(work)
+        assert pszsim.cli.main(argv) == 0
+    return work / "out"
+
+
 @pytest.fixture(scope="session")
 def map_fine_run(tmp_path_factory):
     """(output directory, IPI maps in computed order) of ``map_fine`` at seed 0."""
-    spec = json.loads((PERFBENCH / "workloads.json").read_text(encoding="utf-8"))
-    config = perfbench_outputs().workload_config(
-        spec["template"], spec["workloads"]["map_fine"]["delta"]
-    )
-    work = tmp_path_factory.mktemp("map_fine")
-    (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
     maps = []
     ipi_map = pszsim.cli.ipi_map
 
@@ -46,9 +54,7 @@ def map_fine_run(tmp_path_factory):
         maps.append(ipi_map(*args, **kwargs))
         return maps[-1]
 
-    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
-        mp.chdir(work)
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pszsim.cli, "ipi_map", recording_ipi_map)
-        code = pszsim.cli.main(["map", "config.json", "--seed", "0", "-o", "out"])
-    assert code == 0
-    return work / "out", maps
+        out = run_workload("map_fine", tmp_path_factory.mktemp("map_fine"))
+    return out, maps

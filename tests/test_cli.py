@@ -77,7 +77,8 @@ def test_beta_over_an_array_equals_beta_at_each_frequency(beta):
 
 def test_spectra_computes_each_transfer_draw_and_design_once(tmp_path, monkeypatch):
     # template: 2 scenes, 2 streams x 319 frequencies of keyed draws, and
-    # 3 modes x 2 design scenes x 319 frequencies of designs
+    # 3 modes x 2 design scenes x 319 frequencies of designs; a draw is
+    # counted by its key and a design by its LAPACK Cholesky factorization
     counts = collections.Counter()
 
     def counting(name, fn):
@@ -86,18 +87,43 @@ def test_spectra_computes_each_transfer_draw_and_design_once(tmp_path, monkeypat
             return fn(*args, **kwargs)
         return wrapper
 
+    get_lapack_funcs = scipy.linalg.get_lapack_funcs
+
+    def counting_lapack_funcs(names, *args, **kwargs):
+        funcs = get_lapack_funcs(names, *args, **kwargs)
+        return tuple(counting("factors", f) if name == "potrf" else f
+                     for name, f in zip(names, funcs))
+
     for module, name, label in (
         (pszsim.cli, "response_matrix", "transfers"),
-        (pszsim.perturbation, "_generator", "draws"),
-        (scipy.linalg, "cho_factor", "factors"),
+        (pszsim.perturbation, "_key", "draws"),
     ):
         monkeypatch.setattr(module, name, counting(label, getattr(module, name)))
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting_lapack_funcs)
     cfg = default_config_dict()
     cfg["output_dir"] = str(tmp_path / "out")
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     assert main(["spectra", str(path)]) == 0
     assert counts == {"transfers": 2, "draws": 2 * 319, "factors": 3 * 2 * 319}
+
+
+def test_csv_writer_prints_nine_significant_digits(tmp_path):
+    # the edge values are pinned as written; random bit patterns (NaN
+    # payloads, subnormals and extremes included) match f"{x:.9g}" per value
+    edge = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324,
+            2.2250738585072014e-308, 1e16, 123456789.5, 1 / 3, -2.5e-7, 7, -3, 10**20]
+    bits = np.random.default_rng(1).integers(0, 2**64, size=(2000, 5), dtype=np.uint64)
+    rows = bits.view(np.float64).tolist()
+    path = pszsim.cli._write_csv(tmp_path / "edge.csv", [f"c{i}" for i in range(len(edge))], [edge])
+    assert path.read_bytes() == (
+        b"c0,c1,c2,c3,c4,c5,c6,c7,c8,c9,c10,c11,c12,c13\n"
+        b"nan,inf,-inf,-0,0,4.94065646e-324,2.22507386e-308,1e+16,123456790,0.333333333,"
+        b"-2.5e-07,7,-3,1e+20\n"
+    )
+    path = pszsim.cli._write_csv(tmp_path / "bits.csv", list("abcde"), rows)
+    expected = ["a,b,c,d,e"] + [",".join(f"{x:.9g}" for x in row) for row in rows]
+    assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
 
 
 def test_validate_command(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pszsim.acoustics import response_matrix
 from pszsim.filter_design import (
@@ -129,6 +130,37 @@ def test_solve_stack_skips_exactly_the_frequencies_that_fail():
     # the blocks change nothing: each frequency solved alone gives the same bits
     alone = [solve(hf, mf, beta) for hf, mf, beta in zip(h[kept], m_t[kept], betas[kept])]
     assert np.array_equal(filters, np.array(alone))
+
+
+def test_solve_stack_equals_scipy_cholesky_bit_for_bit():
+    # 300 frequencies span two blocks; each filter is what scipy's
+    # one-matrix Cholesky factorization and solve give, to the last bit
+    rng = np.random.default_rng(5)
+    h = rng.normal(size=(300, 4, 8)) + 1j * rng.normal(size=(300, 4, 8))
+    m_t = rng.normal(size=(300, 4, 4)) + 1j * rng.normal(size=(300, 4, 4))
+    betas = 10.0 ** rng.uniform(-6, 0, size=300)
+    filters, kept, _ = solve_stack(h, m_t, betas, 100.0 + np.arange(300))
+    assert kept.all()
+    for c, hf, mf, beta in zip(filters, h, m_t, betas):
+        normal = hf.conj().T @ hf
+        normal[np.diag_indices(8)] += beta
+        factor = scipy.linalg.cho_factor(normal)
+        assert np.array_equal(c, scipy.linalg.cho_solve(factor, hf.conj().T @ mf))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["H", "M_T"])
+def test_solve_stack_rejects_non_finite_input(where, value):
+    # the bad entry sits at the 260th of 300 frequencies, in the second block
+    rng = np.random.default_rng(2)
+    h = rng.normal(size=(300, 4, 8)) + 1j * rng.normal(size=(300, 4, 8))
+    m_t = rng.normal(size=(300, 4, 4)) + 0j
+    (h if where == "H" else m_t)[259, 1, 2] = value
+    # inf times 0 in the normal matrix or right hand side is NaN; numpy warns
+    with np.errstate(invalid="ignore"), pytest.raises(
+        ValueError, match="^array must not contain infs or NaNs$"
+    ):
+        solve_stack(h, m_t, np.full(300, 1e-3), 100.0 + np.arange(300))
 
 
 @pytest.mark.parametrize("h_shape, m_t_shape, betas, match", [

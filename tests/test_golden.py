@@ -23,8 +23,9 @@ skip those frequencies and go on with the rest. Its warnings and the
 manifests' skipped frequencies must match ``tests/golden/partial_skip.json``
 exactly, and its spectra and area values within the tolerance above.
 
-A fourth test checks the benchmark's ``map_fine`` run at seed 0 against the
-benchmark's own committed reference, with the benchmark's own checker.
+Three more tests check the benchmark's ``map_fine``, ``spectra_default`` and
+``spectra_unshared`` runs at seed 0 against the benchmark's own committed
+references, with the benchmark's own checker.
 
 Regenerate the references only for an intended change of numbers, and
 record that change in CHANGES.md::
@@ -43,7 +44,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from conftest import PERFBENCH, perfbench_outputs
+from conftest import PERFBENCH, perfbench_outputs, run_workload
 from pszsim.cli import main as cli_main
 from pszsim.config import default_config_dict
 
@@ -171,13 +172,27 @@ def test_partial_skip_inside_one_batch_matches_the_pinned_run(tmp_path, monkeypa
     assert mismatches(reference["files"], out["files"]) == []
 
 
+def check_benchmark_reference(name: str, out: Path) -> tuple[str, list[str]]:
+    """The benchmark checker's verdict on ``out`` against workload ``name`` at seed 0."""
+    outputs = perfbench_outputs()
+    return outputs.check_reference(
+        outputs.parse_dir(out), PERFBENCH / "reference" / f"{name}-seed0.json.xz"
+    )
+
+
 def test_map_fine_matches_the_benchmark_reference(map_fine_run):
     out, _ = map_fine_run
-    outputs = perfbench_outputs()
-    status, problems = outputs.check_reference(
-        outputs.parse_dir(out), PERFBENCH / "reference" / "map_fine-seed0.json.xz"
-    )
-    assert (status, problems) == ("checked", [])
+    assert check_benchmark_reference("map_fine", out) == ("checked", [])
+
+
+def test_spectra_default_matches_the_benchmark_reference(tmp_path):
+    out = run_workload("spectra_default", tmp_path)
+    assert check_benchmark_reference("spectra_default", out) == ("checked", [])
+
+
+def test_spectra_unshared_matches_the_benchmark_reference(tmp_path):
+    out = run_workload("spectra_unshared", tmp_path)
+    assert check_benchmark_reference("spectra_unshared", out) == ("checked", [])
 
 
 if __name__ == "__main__":

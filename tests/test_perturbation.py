@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from pszsim.acoustics import response_matrix
-from pszsim.perturbation import UncertaintyModel, _generator, averaged_perturbed_stacks
+from pszsim.perturbation import (
+    _BLOCK_NORMALS,
+    UncertaintyModel,
+    _key,
+    averaged_perturbed_stacks,
+)
 from pszsim.scene import ListenerDisplacement, default_scene, move_listener
 
 
@@ -14,9 +19,15 @@ def perturbed(h, frequency, model, stream_id):
     return stack[0]
 
 
+def fresh_generator(seed, stream_id, frequency):
+    """A generator built new for the (seed, stream, frequency) key, as documented."""
+    return np.random.Generator(np.random.Philox(key=_key(seed, stream_id, frequency)))
+
+
 def literal_average(h, frequency, model, stream_id):
     """The documented average of ``model.trials`` draws of one matrix, written out."""
-    z = _generator(model.seed, stream_id, frequency).standard_normal((model.trials, 2, *h.shape))
+    rng = fresh_generator(model.seed, stream_id, frequency)
+    z = rng.standard_normal((model.trials, 2, *h.shape))
     amp = np.maximum(np.abs(h) + np.sqrt(model.sigma_amp_sq) * z[:, 0], 0.0)
     phase = np.angle(h) + np.sqrt(model.sigma_phase_sq) * z[:, 1]
     return (amp * np.exp(1j * phase)).mean(axis=0)
@@ -52,6 +63,25 @@ def test_stacks_equal_one_frequency_calls_across_blocks():
     for stack, averaged in zip(stacks, out):
         single = [literal_average(h, f, model, "eval") for f, h in zip(freqs, stack)]
         assert np.array_equal(averaged, np.array(single))
+
+
+@pytest.mark.parametrize("trials", [1, 10])
+def test_rekeyed_draws_equal_fresh_generators(trials):
+    # 300 frequencies are more than one block of draws even at one trial,
+    # the last revisits the first after all the others, and the two streams'
+    # calls interleave: every average is still built from the draws of a
+    # generator constructed fresh for its own key, so no state carries over
+    rng = np.random.default_rng(3)
+    freqs = np.append(1000.0 * 2 ** (np.arange(299) / 48), 1000.0)
+    stack = rng.normal(size=(300, 4, 8)) + 1j * rng.normal(size=(300, 4, 8))
+    stack[-1] = stack[0]
+    assert len(freqs) > _BLOCK_NORMALS // (2 * 4 * 8)
+    model = UncertaintyModel(1e-4, 2e-4, trials=trials, seed=6)
+    for stream in ("design", "eval", "design"):
+        (out,) = averaged_perturbed_stacks([stack], freqs, model, stream)
+        expected = [literal_average(h, f, model, stream) for h, f in zip(stack, freqs)]
+        assert np.array_equal(out, np.array(expected))
+        assert np.array_equal(out[-1], out[0])
 
 
 def test_zero_variance_averaging_is_exact(nominal):
@@ -97,7 +127,7 @@ def test_single_trial_is_one_literal_draw(nominal):
     # one trial is the documented draw itself, A * exp(1j*phi) from the
     # (seed, stream, frequency) generator, with no averaging arithmetic
     model = UncertaintyModel(1e-4, 4e-4, trials=1, seed=11)
-    z = _generator(11, "design", 1000.0).standard_normal((2, *nominal.shape))
+    z = fresh_generator(11, "design", 1000.0).standard_normal((2, *nominal.shape))
     amp = np.abs(nominal) + 1e-2 * z[0]
     phase = np.angle(nominal) + 2e-2 * z[1]
     assert (amp > 0).all()  # no amplitude is clamped at this variance

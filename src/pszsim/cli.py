@@ -46,7 +46,7 @@ from .config import (
 from .filter_design import RenderingMode, program_channels, solve_stack, target_stack
 from .metrics import ipi_ratios, izi_ratios, min_db, smooth_db
 from .perturbation import averaged_perturbed_stacks
-from .scene import Scene, move_listener
+from .scene import Scene
 from .spatial_analysis import enclosed_area, extract_contours, ipi_map
 
 _DESIGN_STREAM = "design"
@@ -151,12 +151,7 @@ def run_spectra(config: ExperimentConfig) -> list[Path]:
     combinations that use it.
     """
     _make_output_dir(config)
-    base, freqs = config.scene, config.frequencies
-    # scenes are keyed by the displacement that makes them; None is the base scene
-    scenes = {None: base}
-    for case in config.cases:
-        if case.displacement is not None:
-            scenes[case.displacement] = move_listener(base, case.displacement)
+    scenes, freqs = config.scenes, config.frequencies
 
     def design_key(case: ListenerCase, strategy: str):
         return case.displacement if strategy == "matched" else None
@@ -184,25 +179,25 @@ def run_spectra(config: ExperimentConfig) -> list[Path]:
         key = f"{mode.value}_{case.name}_{strategy}"
         _report_skips(key, kept, failures, skipped_log)
         m = h[case.displacement, _EVAL_STREAM][kept] @ filters
-        raw = _spectra_db(base, mode, m)
+        raw = _spectra_db(config.scene, mode, m)
         rows = np.column_stack([freqs[kept], raw.T, smooth_db(freqs[kept], raw).T]).tolist()
         outputs.append(_write_csv(config.output_dir / f"spectra_{key}.csv", _SPECTRA_HEADER, rows))
     outputs.append(_write_manifest(config, "spectra", outputs, skipped_log))
     return outputs
 
 
-def _write_map_csv(path: Path, m) -> Path:
+def _write_map_csv(path: Path, m, values) -> Path:
     # each axis value is formatted once, not once per grid point
     xs = [_fmt(x) for x in m.x_coords().tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x_m,y_m,ipi_db\n")
-        for y, row in zip(m.y_coords().tolist(), m.capped_values()):
+        for y, row in zip(m.y_coords().tolist(), values):
             y_text = _fmt(y)
             fh.write("".join(f"{x},{y_text},{v:.9g}\n" for x, v in zip(xs, row.tolist())))
     return path
 
 
-def _map_payload(m) -> dict:
+def _map_payload(m, values, cap_db: float) -> dict:
     return {
         "frequency_hz": m.frequency,
         "x0_m": m.x0,
@@ -210,10 +205,8 @@ def _map_payload(m) -> dict:
         "spacing_m": m.spacing,
         "nx": m.nx,
         "ny": m.ny,
-        "cap_db": m.cap_db,
-        "values_db": [
-            [None if math.isnan(v) else v for v in row] for row in m.capped_values().tolist()
-        ],
+        "cap_db": cap_db,
+        "values_db": [[None if math.isnan(v) else v for v in row] for row in values.tolist()],
     }
 
 
@@ -242,11 +235,13 @@ def run_map(config: ExperimentConfig) -> list[Path]:
     outputs: list[Path] = []
     area_rows = []
     for frequency, c in zip(freqs[kept].tolist(), filters):
-        m = ipi_map(scene, c, request.region, request.resolution, frequency, target, interferer,
-                    cap_db=request.cap_db)
+        m = ipi_map(scene, c, request.region, request.resolution, frequency, target, interferer)
+        # the files are capped; the contours and area below use the untruncated values
+        capped = np.minimum(m.values_db, request.cap_db)
         tag = map_tag(request.mode.value, frequency)
-        outputs.append(_write_map_csv(config.output_dir / f"map_{tag}.csv", m))
-        outputs.append(_write_json(config.output_dir / f"map_{tag}.json", _map_payload(m)))
+        outputs.append(_write_map_csv(config.output_dir / f"map_{tag}.csv", m, capped))
+        outputs.append(_write_json(config.output_dir / f"map_{tag}.json",
+                                   _map_payload(m, capped, request.cap_db)))
         contour_sets = [extract_contours(m, level) for level in request.levels_db]
         outputs.append(_write_json(config.output_dir / f"contours_{tag}.json", {
             "frequency_hz": frequency,

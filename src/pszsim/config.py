@@ -27,7 +27,7 @@ from .filter_design import RenderingMode, default_beta
 from .perturbation import UncertaintyModel
 from .scene import ListenerDisplacement, Scene, default_scene, move_listener
 from .scene import validate as validate_scene
-from .spatial_analysis import grid_shape
+from .spatial_analysis import MAX_POINTS, grid_shape
 
 
 class ConfigError(Exception):
@@ -70,26 +70,24 @@ class MapRequest:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    scene: Scene
+    scenes: dict  # the scene of each listener displacement; None is the base scene
     frequencies: np.ndarray
     modes: tuple[RenderingMode, ...]
     model: UncertaintyModel
-    beta_spec: object
+    beta_table: tuple[list, list]  # (frequencies, values), interpolated linearly
     cases: tuple[ListenerCase, ...]
     filter_positions: tuple[str, ...]
     map_request: MapRequest | None
     output_dir: Path
     echo: dict  # the resolved config as `validate` prints it and manifests embed it
 
+    @property
+    def scene(self) -> Scene:
+        return self.scenes[None]
+
     def beta_at(self, frequency):
         """beta at one frequency, as a float, or at an array of them, as an array."""
-        if self.beta_spec == "auto":
-            sigma = max(self.model.sigma_amp_sq, self.model.sigma_phase_sq)
-            beta = np.full(np.shape(frequency), default_beta(self.scene.n_points, sigma))
-        elif isinstance(self.beta_spec, dict):
-            beta = np.interp(frequency, self.beta_spec["frequencies_hz"], self.beta_spec["values"])
-        else:
-            beta = np.full(np.shape(frequency), float(self.beta_spec))
+        beta = np.interp(frequency, *self.beta_table)
         return float(beta) if np.ndim(beta) == 0 else beta
 
 
@@ -199,8 +197,8 @@ FIELDS = (
     _Field("scene.program_a", _INDICES),
     _Field("scene.program_b", _INDICES),
     _Field("scene.virtual_sources", _INDICES),
-    _Field("scene.sound_speed", _number(gt=0), 343.0),
-    _Field("scene.piston_radius", _number(gt=0), 0.05),
+    _Field("scene.sound_speed", _number(gt=0), Scene.sound_speed),
+    _Field("scene.piston_radius", _number(gt=0), Scene.piston_radius),
     _Field("frequency_grid", None, {}),
     _Field("frequency_grid.start_hz", _number(gt=0), 100.0),
     _Field("frequency_grid.stop_hz", _number(gt=0), 10000.0),
@@ -211,8 +209,8 @@ FIELDS = (
     _Field("uncertainty.sigma_sq", _number(ge=0), _ABSENT, 1e-4),  # sets both below
     _Field("uncertainty.sigma_amp_sq", _number(ge=0), 0.0, _ABSENT),
     _Field("uncertainty.sigma_phase_sq", _number(ge=0), 0.0, _ABSENT),
-    _Field("uncertainty.trials", _number(ge=1, integer=True), 1, 10),
-    _Field("uncertainty.seed", _number(ge=-(2**63), lt=2**63, integer=True), 0),
+    _Field("uncertainty.trials", _number(ge=1, integer=True), UncertaintyModel.trials, 10),
+    _Field("uncertainty.seed", _number(ge=-(2**63), lt=2**63, integer=True), UncertaintyModel.seed),
     _Field("beta", _number(ge=0), "auto"),
     _Field("beta.frequencies_hz", _list(_number())),
     _Field("beta.values", _list(_number(ge=0))),
@@ -326,26 +324,39 @@ def resolve_config(raw: dict, seed_override: int | None = None,
         raise ConfigError(["config root must be a JSON object"])
     problems: list[str] = []
     echo = _walk("", raw, "", problems)
+    # the walk fills in defaults, so the form a config chose shows only in its raw keys
+    for section, key, others in (("uncertainty", "sigma_sq", ("sigma_amp_sq", "sigma_phase_sq")),
+                                 ("frequency_grid", "step_hz", ("points_per_octave",))):
+        given = raw.get(section)
+        if isinstance(given, dict) and key in given and any(k in given for k in others):
+            problems.append(f"{section}: give {key} or {'/'.join(others)}, not both")
     if problems:
         raise ConfigError(problems)
 
     grid, model, request = echo["frequency_grid"], echo["uncertainty"], echo["map"]
-    if grid["stop_hz"] <= grid["start_hz"]:
+    start, stop, step = grid["start_hz"], grid["stop_hz"], grid.get("step_hz")
+    points = (stop - start) / step if step else grid["points_per_octave"] * math.log2(stop / start)
+    if stop <= start:
         problems.append("frequency_grid: stop_hz must exceed start_hz")
-    elif "step_hz" in grid:
+    elif points >= MAX_POINTS:  # counted before numpy is asked for the points
+        problems.append(f"frequency_grid: {points:.3g} points, too many to index")
+    elif step:
         del grid["points_per_octave"]
-        frequencies = np.arange(grid["start_hz"], grid["stop_hz"] + 1e-9, grid["step_hz"])
+        frequencies = np.arange(start, stop + 1e-9, step)
     else:
-        frequencies = log_frequency_grid(
-            grid["start_hz"], grid["stop_hz"], grid["points_per_octave"]
-        )
+        frequencies = log_frequency_grid(start, stop, grid["points_per_octave"])
     if seed_override is not None:
         seed = _fields("uncertainty")["seed"]
         model["seed"] = _check(seed, seed_override, "--seed", problems)
     if "sigma_sq" in model:
         model["sigma_amp_sq"] = model["sigma_phase_sq"] = model.pop("sigma_sq")
-    if isinstance(echo["beta"], dict):
-        freqs, values = echo["beta"]["frequencies_hz"], echo["beta"]["values"]
+    scene = _build_scene(echo["scene"])
+    beta = echo["beta"]
+    if beta == "auto":
+        beta = default_beta(scene.n_points, max(model["sigma_amp_sq"], model["sigma_phase_sq"]))
+    beta_table = [0.0], [beta]  # a number is a one-point table
+    if isinstance(beta, dict):
+        beta_table = freqs, values = beta["frequencies_hz"], beta["values"]
         if len(freqs) != len(values):
             problems.append("beta: frequencies_hz and values must have the same length")
         if any(b <= a for a, b in pairwise(freqs)):
@@ -360,15 +371,15 @@ def resolve_config(raw: dict, seed_override: int | None = None,
         if any(c.name == case["name"] for c in cases):
             problems.append(f"listener_cases[{i}].name: duplicate name {case['name']!r}")
         cases.append(ListenerCase(case["name"], displacement))
-    scene = _build_scene(echo["scene"])
     violations = validate_scene(scene)
     problems += [f"scene: {violation}" for violation in violations]
     # a moved listener may land an ear on a speaker; a moved copy of an
     # invalid scene would only repeat its violations
+    scenes = {None: scene}
     if not violations:
         for i, case in enumerate(cases):
             if case.displacement is not None:
-                moved = move_listener(scene, case.displacement)
+                moved = scenes[case.displacement] = move_listener(scene, case.displacement)
                 problems += [f"listener_cases[{i}]: {v}" for v in validate_scene(moved)]
     map_request = None
     if request is None:
@@ -394,11 +405,11 @@ def resolve_config(raw: dict, seed_override: int | None = None,
     echo["scene"] = raw.get("scene", "default")  # a custom scene is echoed as written
     echo["output_dir"] = str(Path(output_override or echo["output_dir"]))
     config = ExperimentConfig(
-        scene=scene,
+        scenes=scenes,
         frequencies=frequencies,
         modes=tuple(RenderingMode(mode) for mode in echo["modes"]),
         model=UncertaintyModel(**model),
-        beta_spec=echo["beta"],
+        beta_table=beta_table,
         cases=tuple(cases),
         filter_positions=tuple(echo["filter_positions"]),
         map_request=map_request,

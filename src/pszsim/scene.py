@@ -227,10 +227,14 @@ def validate(scene: Scene) -> list[str]:
 
     if k and l_count:
         diff = scene.control_points[:, None, :] - scene.speakers[None, :, :]
-        dist = np.linalg.norm(diff, axis=-1)
+        with np.errstate(over="ignore"):  # an overflowed distance is a violation
+            dist = np.linalg.norm(diff, axis=-1)
         for ki, li in zip(*np.nonzero(dist == 0.0)):
             violations.append(
                 f"control point {int(ki)} coincides with speaker {int(li)}"
             )
+        far = np.flatnonzero(~np.isfinite(dist).all(axis=1)).tolist()
+        if far:
+            violations.append(f"control point(s) {far}: distance to a speaker overflows")
 
     return violations

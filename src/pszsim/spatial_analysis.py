@@ -35,39 +35,36 @@ class IpiMap:
     """Single-point IPI in dB over a rectangular grid.
 
     ``values_db[iy, ix]`` belongs to the point (x0 + ix*spacing,
-    y0 + iy*spacing) in the z = 0 plane. Values are stored untruncated so
-    contour levels below the cap are unaffected by it;
-    :meth:`capped_values` applies the cap for display and export. Invalid
-    cells (grid point on a speaker) hold NaN.
+    y0 + iy*spacing) in the z = 0 plane. Values are untruncated; the CLI
+    caps them only when it writes the map. Invalid cells (grid point on a
+    speaker) hold NaN.
     """
 
     frequency: float
     x0: float
     y0: float
     spacing: float
-    nx: int
-    ny: int
     values_db: np.ndarray
-    cap_db: float = 40.0
 
     def __post_init__(self):
         arr = _frozen(self.values_db, float)
-        if arr.shape != (self.ny, self.nx):
-            raise ValueError(
-                f"values_db shape {arr.shape} does not match (ny, nx) = "
-                f"({self.ny}, {self.nx})"
-            )
+        if arr.ndim != 2:
+            raise ValueError(f"values_db must be a 2-D array, got shape {arr.shape}")
         object.__setattr__(self, "values_db", arr)
+
+    @property
+    def nx(self) -> int:
+        return self.values_db.shape[1]
+
+    @property
+    def ny(self) -> int:
+        return self.values_db.shape[0]
 
     def x_coords(self) -> np.ndarray:
         return self.x0 + np.arange(self.nx) * self.spacing
 
     def y_coords(self) -> np.ndarray:
         return self.y0 + np.arange(self.ny) * self.spacing
-
-    def capped_values(self) -> np.ndarray:
-        """Values truncated at ``cap_db`` (NaN cells stay NaN)."""
-        return np.minimum(self.values_db, self.cap_db)
 
 
 @dataclass(frozen=True)
@@ -88,10 +85,13 @@ class ContourSet:
         )
 
 
+MAX_POINTS = np.iinfo(np.intp).max  # the most points a numpy array can index
+
+
 def grid_shape(region, resolution: float) -> tuple[int, int]:
     """(nx, ny) of the grid covering ``region`` = (x_min, x_max, y_min, y_max)
-    exactly at ``resolution``; ValueError unless both extents are positive
-    integer multiples of a positive resolution (to 1e-6 of a step)."""
+    at ``resolution``; ValueError unless both extents are positive integer multiples
+    of a positive resolution (to 1e-6 of a step) and numpy can index the points."""
     if resolution <= 0:
         raise ValueError(f"resolution must be positive, got {resolution}")
     x_min, x_max, y_min, y_max = (float(v) for v in region)
@@ -106,6 +106,8 @@ def grid_shape(region, resolution: float) -> tuple[int, int]:
                 f"region {name} extent {extent} is not a multiple of resolution {resolution}"
             )
         counts.append(int(round(steps)) + 1)
+    if counts[0] * counts[1] > MAX_POINTS:
+        raise ValueError(f"{float(counts[0]) * counts[1]:.3g} grid points, too many to index")
     return counts[0], counts[1]
 
 
@@ -117,7 +119,6 @@ def ipi_map(
     frequency: float,
     target_channels,
     interferer_channels,
-    cap_db: float = 40.0,
 ) -> IpiMap:
     """Evaluate single-point IPI on a grid in the z = 0 plane.
 
@@ -157,40 +158,35 @@ def ipi_map(
         x0=x_min,
         y0=y_min,
         spacing=float(resolution),
-        nx=nx,
-        ny=ny,
         values_db=values_db.reshape(ny, nx),
-        cap_db=float(cap_db),
     )
 
 
-# Per-cell polygon walks of the superlevel region. Corners c0..c3 run
-# counterclockwise from the bottom-left; e0..e3 are the level crossings on
-# the bottom, right, top and left edges. The region inside a cell is the
-# union of the listed polygons; every cyclically consecutive pair of
-# crossing vertices in a walk is a contour chord. Masks 5 and 10 are the
-# saddle cases, disambiguated by the cell-center mean.
-_WALKS = {
+# Per-cell polygon walks of the superlevel region by cell code: the mask of
+# the corners at or above the level, plus 16 for a saddle cell (5 or 10)
+# whose center mean lies below it. Corners c0..c3 run counterclockwise from
+# the bottom-left; e0..e3 are the level crossings on the bottom, right, top
+# and left edges. A cell's region is the union of its polygons; each
+# cyclically consecutive pair of crossing vertices is a contour chord.
+_CODE_WALKS = {
     0: [],
     1: [("c0", "e0", "e3")],
     2: [("e0", "c1", "e1")],
     3: [("c0", "c1", "e1", "e3")],
     4: [("e1", "c2", "e2")],
+    5: [("c0", "e0", "e1", "c2", "e2", "e3")],
     6: [("e0", "c1", "c2", "e2")],
     7: [("c0", "c1", "c2", "e2", "e3")],
     8: [("e2", "c3", "e3")],
     9: [("c0", "e0", "e2", "c3")],
+    10: [("e0", "c1", "e1", "e2", "c3", "e3")],
     11: [("c0", "c1", "e1", "e2", "c3")],
     12: [("e1", "c2", "c3", "e3")],
     13: [("c0", "e0", "e1", "c2", "c3")],
     14: [("e0", "c1", "c2", "c3", "e3")],
     15: [("c0", "c1", "c2", "c3")],
-}
-_SADDLE = {
-    (5, True): [("c0", "e0", "e1", "c2", "e2", "e3")],
-    (5, False): [("c0", "e0", "e3"), ("e1", "c2", "e2")],
-    (10, True): [("e0", "c1", "e1", "e2", "c3", "e3")],
-    (10, False): [("e0", "c1", "e1"), ("e2", "c3", "e3")],
+    21: [("c0", "e0", "e3"), ("e1", "c2", "e2")],
+    26: [("e0", "c1", "e1"), ("e2", "c3", "e3")],
 }
 
 # Edge endpoints as corner indices (low, high).
@@ -199,12 +195,6 @@ _EDGE_CORNERS = {"e0": (0, 1), "e1": (1, 2), "e2": (3, 2), "e3": (0, 3)}
 # (kind, ix + dx, iy + dy), the key its neighbor gives the same edge.
 _EDGE_KEYS = {"e0": ("h", 0, 0), "e1": ("v", 1, 0), "e2": ("h", 0, 1), "e3": ("v", 0, 0)}
 
-# The walk table by cell code: the corner mask, plus 16 for a saddle cell
-# whose center mean lies below the level.
-_CODE_WALKS = {
-    **_WALKS,
-    **{mask + (0 if inside else 16): walks for (mask, inside), walks in _SADDLE.items()},
-}
 # The contour chords of each code: cyclically consecutive crossing vertices
 # of its walks, in walk order.
 _CODE_CHORDS = {

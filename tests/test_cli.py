@@ -18,6 +18,7 @@ from pszsim.cli import (
     run_spectra,
 )
 from pszsim.config import log_frequency_grid, resolve_config
+from pszsim.spatial_analysis import extract_contours
 
 
 def small_config(tmp_path, **overrides):
@@ -273,6 +274,37 @@ def test_map_outputs(tmp_path):
     area_20 = rows[rows[:, 1] == 20.0][0, 2]
     area_30 = rows[rows[:, 1] == 30.0][0, 2]
     assert area_20 >= area_30 > 0.0
+
+
+def test_map_files_are_capped_and_contours_are_not(tmp_path, monkeypatch):
+    # a cap below the 30 dB level: both map files stop at the cap, while the
+    # contours and the area at 30 dB come from the untruncated map
+    maps = []
+    ipi_map = pszsim.cli.ipi_map
+
+    def recording_ipi_map(*args):
+        maps.append(ipi_map(*args))
+        return maps[-1]
+
+    monkeypatch.setattr(pszsim.cli, "ipi_map", recording_ipi_map)
+    config = load_config(str(small_config(tmp_path, map={"cap_db": 25.0})))
+    run_map(config)
+    (m,) = maps
+    assert np.nanmax(m.values_db) > 30.0
+    capped = np.minimum(m.values_db, 25.0)
+
+    _, rows = read_csv(config.output_dir / "map_mono_500hz.csv")
+    assert np.nanmax(rows[:, 2]) == 25.0
+    assert np.allclose(rows[:, 2], capped.ravel(), rtol=1e-8, atol=0, equal_nan=True)
+    grid = json.loads((config.output_dir / "map_mono_500hz.json").read_text())
+    assert grid["cap_db"] == 25.0
+    assert grid["values_db"] == [[None if np.isnan(v) else v for v in r] for r in capped.tolist()]
+
+    contours = json.loads((config.output_dir / "contours_mono_500hz.json").read_text())
+    at_30 = [c["polylines"] for c in contours["contours"] if c["level_db"] == 30.0][0]
+    assert at_30 and at_30 == [line.tolist() for line in extract_contours(m, 30.0).polylines]
+    _, areas = read_csv(config.output_dir / "area_summary.csv")
+    assert areas[areas[:, 1] == 30.0][0, 2] > 0.0
 
 
 def test_map_runs_are_byte_identical(tmp_path):

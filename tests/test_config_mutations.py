@@ -38,6 +38,17 @@ BOUND_PAIRS = [
 ]
 
 
+CUSTOM_SCENE = {
+    "speakers": [[-0.3, 0.0, 0.0], [-0.1, 0.0, 0.0], [0.1, 0.0, 0.0], [0.3, 0.0, 0.0]],
+    "control_points": [[-0.2, 1.0, 0.0], [0.2, 1.0, 0.0]],
+    "zone_a": [1],
+    "zone_b": [2],
+    "program_a": [1],
+    "program_b": [2],
+    "virtual_sources": [1, 4],
+}
+
+
 def variants():
     """The template and variants that reach the fields it leaves out."""
     template = default_config_dict()
@@ -47,16 +58,7 @@ def variants():
     table = copy.deepcopy(template)
     table["beta"] = {"frequencies_hz": [100.0, 1000.0], "values": [1e-3, 1e-4]}
     custom = copy.deepcopy(template)
-    custom["scene"] = {
-        "speakers": [[-0.3, 0.0, 0.0], [-0.1, 0.0, 0.0], [0.1, 0.0, 0.0], [0.3, 0.0, 0.0]],
-        "control_points": [[-0.2, 1.0, 0.0], [0.2, 1.0, 0.0]],
-        "zone_a": [1],
-        "zone_b": [2],
-        "program_a": [1],
-        "program_b": [2],
-        "virtual_sources": [1, 4],
-        "sound_speed": 343.0,
-    }
+    custom["scene"] = dict(copy.deepcopy(CUSTOM_SCENE), sound_speed=343.0)
     return [template, split, table, custom]
 
 
@@ -211,9 +213,53 @@ FIXED = {
     "map file tag collision": (
         set_path("map.frequencies_hz", [1000, 1000.0000001]), "map.frequencies_hz",
     ),
+    "sigma_sq with sigma_amp_sq": (
+        set_path("uncertainty.sigma_amp_sq", 0.01),
+        "uncertainty: give sigma_sq or sigma_amp_sq/sigma_phase_sq, not both",
+    ),
+    "step_hz with points_per_octave": (
+        set_path("frequency_grid.step_hz", 5.0),
+        "frequency_grid: give step_hz or points_per_octave, not both",
+    ),
+    "listener moved 1e200 m": (
+        set_path("listener_cases", [{"name": "far", "listener": "A", "dx": 1e200}]),
+        "listener_cases[0]: control point(s) [0, 1]: distance to a speaker overflows",
+    ),
+    "speaker at 1e200 m": (
+        set_path("scene", dict(CUSTOM_SCENE, speakers=[[-0.3, 0.0, 0.0], [-0.1, 0.0, 0.0],
+                                                        [0.1, 0.0, 0.0], [1e200, 0.0, 0.0]])),
+        "scene: control point(s) [0, 1]: distance to a speaker overflows",
+    ),
+    "step_hz 1e-300": (
+        set_path("frequency_grid", {"start_hz": 100.0, "stop_hz": 10000.0, "step_hz": 1e-300}),
+        "frequency_grid: 9.9e+303 points",
+    ),
+    "points_per_octave 1e30": (
+        set_path("frequency_grid.points_per_octave", 1e30), "frequency_grid: 6.64e+30 points",
+    ),
+    "map region 1e300 m wide": (
+        set_path("map.region", {"x_min": 0.0, "x_max": 1e300, "y_min": 0.0, "y_max": 2.0}),
+        "map: 5.05e+303 grid points",
+    ),
+    "point not a triple": (
+        set_path("scene", dict(CUSTOM_SCENE, control_points=[[-0.2, 1.0, 0.0], [0.2, 1.0]])),
+        "scene.control_points[1]: must have 3 entries",
+    ),
+    "duplicate filter_positions": (
+        set_path("filter_positions", ["matched", "matched"]), "filter_positions: duplicate",
+    ),
+    "duplicate listener case names": (
+        set_path("listener_cases", [{"name": "c"}, {"name": "c"}]),
+        "listener_cases[1].name: duplicate name 'c'",
+    ),
+    "beta table lengths differ": (
+        set_path("beta", {"frequencies_hz": [100.0, 1000.0], "values": [1e-3]}),
+        "beta: frequencies_hz and values must have the same length",
+    ),
 }
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning would print more than the errors
 @pytest.mark.parametrize("name", FIXED)
 def test_fixed_malformed_config_exits_1_naming_the_field(tmp_path, capsys, name):
     edit, field = FIXED[name]
@@ -225,3 +271,11 @@ def test_fixed_malformed_config_exits_1_naming_the_field(tmp_path, capsys, name)
     err = capsys.readouterr().err
     assert f"config error: {field}" in err
     assert all(line.startswith("config error: ") for line in err.splitlines())
+
+
+@pytest.mark.parametrize("root", [[], [{"scene": "default"}], "config", 5, None])
+def test_config_root_that_is_not_an_object_exits_1(tmp_path, capsys, root):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(root))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == "config error: config root must be a JSON object\n"

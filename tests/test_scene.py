@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,29 @@ def test_validate_reports_bad_virtual_source():
         virtual_source_map=(0, 3, 4, 99),
     )
     assert any("virtual source" in m for m in validate(broken))
+
+
+FAR = [[-0.584, 1.0, 0.0], [-0.416, 1.0, 0.0], [0.416, 1.0, 0.0], [1e200, 1.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "changes, violation",
+    [
+        ({"zone_a": ()}, "zone A has no control points"),
+        ({"zone_b": ()}, "zone B has no control points"),
+        ({"program_a": ()}, "program A has no channels"),
+        ({"program_b": ()}, "program B has no channels"),
+        ({"zone_b": (2, 3, 4)}, "zone indices out of range: [4]"),
+        ({"program_b": (1, 2, 3)}, "programs A and B share channel(s) [1]"),
+        ({"program_b": (2, 3, 4)}, "program channel indices out of range: [4]"),
+        ({"control_points": FAR}, "control point(s) [3]: distance to a speaker overflows"),
+    ],
+    ids=["empty zone A", "empty zone B", "empty program A", "empty program B",
+         "zone index out of range", "shared channel", "channel out of range", "far point"],
+)
+@pytest.mark.filterwarnings("error")  # an overflowing distance is reported, not warned about
+def test_validate_reports_each_violation(changes, violation):
+    assert violation in validate(dataclasses.replace(default_scene(), **changes))
 
 
 def test_scene_arrays_are_read_only():

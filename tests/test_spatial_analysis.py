@@ -27,10 +27,7 @@ def radial_map(resolution=0.02, half=1.0, peak=40.0, slope=25.0):
         x0=-half,
         y0=-half,
         spacing=resolution,
-        nx=n,
-        ny=n,
         values_db=values,
-        cap_db=peak,
     )
 
 
@@ -86,7 +83,7 @@ def test_area_converges_with_resolution():
 
 
 def test_constant_map_below_level_has_no_contours():
-    m = IpiMap(1000.0, 0.0, 0.0, 0.1, 5, 5, np.full((5, 5), 3.0), cap_db=40.0)
+    m = IpiMap(1000.0, 0.0, 0.0, 0.1, np.full((5, 5), 3.0))
     cs = extract_contours(m, 20.0)
     assert cs.polylines == ()
     assert enclosed_area(cs, m) == 0.0
@@ -100,7 +97,7 @@ def test_level_above_all_values_is_empty():
 
 
 def test_map_uniformly_above_level_covers_whole_region():
-    m = IpiMap(1000.0, 0.0, 0.0, 0.25, 9, 5, np.full((5, 9), 35.0), cap_db=40.0)
+    m = IpiMap(1000.0, 0.0, 0.0, 0.25, np.full((5, 9), 35.0))
     area = enclosed_area(extract_contours(m, 20.0), m)
     assert area == pytest.approx(2.0 * 1.0, rel=1e-12)
 
@@ -108,7 +105,7 @@ def test_map_uniformly_above_level_covers_whole_region():
 def test_saddle_resolution_follows_cell_center():
     # one cell whose diagonal corners sit above the level
     values = np.array([[30.0, 0.0], [0.0, 30.0]])
-    m = IpiMap(1000.0, 0.0, 0.0, 1.0, 2, 2, values, cap_db=40.0)
+    m = IpiMap(1000.0, 0.0, 0.0, 1.0, values)
     # center mean 15: at level 10 the region is connected (one chord pair
     # forming a band), at level 20 it splits into two corner triangles
     connected = extract_contours(m, 10.0)
@@ -121,20 +118,10 @@ def test_saddle_resolution_follows_cell_center():
 def test_nan_cells_are_excluded():
     values = np.full((3, 3), 30.0)
     values[0, 0] = np.nan
-    m = IpiMap(1000.0, 0.0, 0.0, 0.5, 3, 3, values, cap_db=40.0)
+    m = IpiMap(1000.0, 0.0, 0.0, 0.5, values)
     area = enclosed_area(extract_contours(m, 20.0), m)
     # three of four cells contribute
     assert area == pytest.approx(3 * 0.25, rel=1e-12)
-
-
-def test_capped_values_truncate_only_export():
-    values = np.array([[10.0, 50.0], [39.0, 41.0]])
-    m = IpiMap(1000.0, 0.0, 0.0, 1.0, 2, 2, values, cap_db=40.0)
-    capped = m.capped_values()
-    assert capped.max() == 40.0
-    assert m.values_db[0, 1] == 50.0  # raw data untouched
-    # a contour between cap and raw max still exists
-    assert len(extract_contours(m, 45.0).polylines) == 1
 
 
 def designed_filters(scene, frequency, mode=RenderingMode.MONO, beta=4e-4):
@@ -156,18 +143,6 @@ def test_ipi_map_high_at_design_ear():
     ix = int(round((-0.584 - m.x0) / m.spacing))
     iy = int(round((1.0 - m.y0) / m.spacing))
     assert m.values_db[iy, ix] >= 20.0
-
-
-def test_ipi_map_cap_applies_to_export():
-    scene = default_scene()
-    frequency = 500.0
-    filters = designed_filters(scene, frequency)
-    target, interferer = program_channels(scene, RenderingMode.MONO)
-    m = ipi_map(
-        scene, filters, (-0.75, -0.25, 0.75, 1.25), 0.125, frequency, target,
-        interferer, cap_db=40.0,
-    )
-    assert np.nanmax(m.capped_values()) <= 40.0
 
 
 def test_ipi_map_mirrored_region_with_swapped_programs():
@@ -263,7 +238,7 @@ def test_frozen_arrays_are_read_only_copies(holder):
     if holder == "scene":
         stored = Scene(given, given + 5.0, (0,), (1,), (0,), (1,), (0, 1)).speakers
     elif holder == "ipi_map":
-        stored = IpiMap(1000.0, 0.0, 0.0, 0.1, 3, 2, given).values_db
+        stored = IpiMap(1000.0, 0.0, 0.0, 0.1, given).values_db
     else:
         (stored,) = ContourSet(20.0, (given,)).polylines
     assert np.array_equal(stored, given) and not np.shares_memory(stored, given)
@@ -275,8 +250,8 @@ def test_frozen_arrays_are_read_only_copies(holder):
 def test_frozen_holders_keep_their_shape_errors():
     with pytest.raises(ValueError, match=r"speakers must be an \(n, 3\) array, got shape \(2, 2\)"):
         Scene(np.zeros((2, 2)), np.ones((1, 3)), (0,), (), (), (), ())
-    with pytest.raises(ValueError, match=r"values_db shape \(2, 3\) does not match \(ny, nx\) = \(3, 2\)"):
-        IpiMap(1000.0, 0.0, 0.0, 0.1, 2, 3, np.zeros((2, 3)))
+    with pytest.raises(ValueError, match=r"values_db must be a 2-D array, got shape \(6,\)"):
+        IpiMap(1000.0, 0.0, 0.0, 0.1, np.zeros(6))
 
 
 # The per-cell marching squares walk that the numpy classification replaced,
@@ -449,8 +424,7 @@ def assert_matches_oracle(m, level, saddles=None):
 
 
 def grid_map(values, x0=-0.3, y0=-0.7, spacing=0.1):
-    ny, nx = values.shape
-    return IpiMap(1000.0, x0, y0, spacing, nx, ny, values)
+    return IpiMap(1000.0, x0, y0, spacing, values)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -109,10 +109,43 @@ def _write_csv(path: Path, header, rows) -> Path:
     return path
 
 
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` nested at ``indent``, NaN as null.
+
+    With ``indent`` set, ``json`` encodes in pure Python, one value at a
+    time. Here a list of non-empty lists of numbers (map rows, polyline
+    vertices) is formatted by one C-level ``repr``, whose numbers are
+    ``json``'s text, and re-indented by ``str.replace``.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if not isinstance(value, (list, tuple)):
+        return "null" if value != value else json.dumps(value)  # NaN is the only x != x
+    if not value:
+        return "[]"
+    # exact types: a bool is an int, but repr writes True where json writes true
+    if set(map(type, value)) == {list} and all(value) and {int, float}.issuperset(
+            map(type, chain.from_iterable(value))):
+        # "[[a, b], [c, d]]": rows end at "], [", numbers within a row at ", "
+        deeper = inner + "  "
+        text = repr(value)[2:-2].replace("], [", f"\n{inner}],\n{inner}[\n{deeper}")
+        text = text.replace(", ", ",\n" + deeper)
+        if "n" in text:  # repr writes nan, inf and -inf; json writes Infinity and -Infinity
+            text = text.replace("nan", "null").replace("inf", "Infinity")
+        return f"[\n{inner}[\n{deeper}{text}\n{inner}]\n{indent}]"
+    items = [_json_text(v, inner) for v in value]
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
 def _write_json(path: Path, payload) -> Path:
+    """Exactly the text of ``json.dump(payload, fh, indent=2, sort_keys=True)``
+    and a newline, with NaN written as null."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(payload) + "\n")
     return path
 
 
@@ -187,13 +220,16 @@ def run_spectra(config: ExperimentConfig) -> list[Path]:
 
 
 def _write_map_csv(path: Path, m, values) -> Path:
-    # each axis value is formatted once, not once per grid point
-    xs = [_fmt(x) for x in m.x_coords().tolist()]
+    # one template per map formats each x once; a row fills it with one % as
+    # (y, v0, y, v1, ...), the y text and "%.9g" (_fmt's format) for each value
+    row_text = "".join(f"{_fmt(x)},%s,%.9g\n" for x in m.x_coords().tolist())
+    args = [None] * (2 * m.nx)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x_m,y_m,ipi_db\n")
-        for y, row in zip(m.y_coords().tolist(), values):
-            y_text = _fmt(y)
-            fh.write("".join(f"{x},{y_text},{v:.9g}\n" for x, v in zip(xs, row.tolist())))
+        for y, row in zip(m.y_coords().tolist(), values.tolist()):
+            args[::2] = [_fmt(y)] * m.nx
+            args[1::2] = row
+            fh.write(row_text % tuple(args))
     return path
 
 
@@ -206,7 +242,7 @@ def _map_payload(m, values, cap_db: float) -> dict:
         "nx": m.nx,
         "ny": m.ny,
         "cap_db": cap_db,
-        "values_db": [[None if math.isnan(v) else v for v in row] for row in values.tolist()],
+        "values_db": values.tolist(),
     }
 
 
@@ -235,7 +271,10 @@ def run_map(config: ExperimentConfig) -> list[Path]:
     outputs: list[Path] = []
     area_rows = []
     for frequency, c in zip(freqs[kept].tolist(), filters):
-        m = ipi_map(scene, c, request.region, request.resolution, frequency, target, interferer)
+        try:
+            m = ipi_map(scene, c, request.region, request.resolution, frequency, target, interferer)
+        except MemoryError as exc:  # a grid numpy allows but memory cannot hold
+            raise RuntimeError(f"map: {exc}") from exc
         # the files are capped; the contours and area below use the untruncated values
         capped = np.minimum(m.values_db, request.cap_db)
         tag = map_tag(request.mode.value, frequency)
@@ -251,6 +290,7 @@ def run_map(config: ExperimentConfig) -> list[Path]:
             ],
         }))
         area_rows += [(frequency, cs.level_db, enclosed_area(cs, m)) for cs in contour_sets]
+        del contour_sets  # their classifications hold this map's corners; free them now
 
     header = ["frequency_hz", "level_db", "area_m2"]
     outputs.append(_write_csv(config.output_dir / "area_summary.csv", header, area_rows))

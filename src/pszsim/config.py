@@ -27,7 +27,7 @@ from .filter_design import RenderingMode, default_beta
 from .perturbation import UncertaintyModel
 from .scene import ListenerDisplacement, Scene, default_scene, move_listener
 from .scene import validate as validate_scene
-from .spatial_analysis import MAX_POINTS, grid_shape
+from .spatial_analysis import MAX_BYTES, grid_shape
 
 
 class ConfigError(Exception):
@@ -338,13 +338,16 @@ def resolve_config(raw: dict, seed_override: int | None = None,
     points = (stop - start) / step if step else grid["points_per_octave"] * math.log2(stop / start)
     if stop <= start:
         problems.append("frequency_grid: stop_hz must exceed start_hz")
-    elif points >= MAX_POINTS:  # counted before numpy is asked for the points
-        problems.append(f"frequency_grid: {points:.3g} points, too many to index")
-    elif step:
-        del grid["points_per_octave"]
-        frequencies = np.arange(start, stop + 1e-9, step)
+    elif (points + 1) * 8 > MAX_BYTES:  # counted before numpy is asked for the float64 grid
+        problems.append(f"frequency_grid: {points:.3g} points, too many for one array")
     else:
-        frequencies = log_frequency_grid(start, stop, grid["points_per_octave"])
+        if step:
+            del grid["points_per_octave"]
+        try:
+            frequencies = (np.arange(start, stop + 1e-9, step) if step
+                           else log_frequency_grid(start, stop, grid["points_per_octave"]))
+        except MemoryError as exc:  # a grid numpy allows but memory cannot hold
+            problems.append(f"frequency_grid: {points:.3g} points: {exc}")
     if seed_override is not None:
         seed = _fields("uncertainty")["seed"]
         model["seed"] = _check(seed, seed_override, "--seed", problems)

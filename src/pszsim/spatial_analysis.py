@@ -10,9 +10,10 @@ below the level.
 Contours and area share one table of per-cell polygon walks, so the area
 is exactly the shoelace area of the polygonized superlevel region and the
 two views can never disagree. Cells with any non-finite corner (grid
-point on a speaker, or an unbounded ratio) are excluded from both. Both
-classify the cells of a level in one numpy pass; only the chaining of
-contour chords into polylines runs in Python. An edge vertex belongs to at
+point on a speaker, or an unbounded ratio) are excluded from both. The
+cells of a level are classified in one numpy pass, once for both: the
+contour set carries it to the area. Only the chaining of contour chords
+into polylines runs in Python. An edge vertex belongs to at
 most two finite cells, each giving it one chord, so the chords form
 disjoint paths and cycles, and chaining walks each of them once.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,11 +74,14 @@ class ContourSet:
 
     Each polyline is an (n, 2) array of (x, y) vertices in meters lying
     on grid cell edges. A polyline whose first and last vertices are
-    identical is closed.
+    identical is closed. ``extract_contours`` keeps in ``_classified`` the
+    (map, level, codes, vertex) it classified, which ``enclosed_area``
+    reuses for that same map object and level; it neither compares nor prints.
     """
 
     level_db: float
     polylines: tuple[np.ndarray, ...]
+    _classified: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -85,13 +89,14 @@ class ContourSet:
         )
 
 
-MAX_POINTS = np.iinfo(np.intp).max  # the most points a numpy array can index
+MAX_BYTES = np.iinfo(np.intp).max  # the largest numpy array, in bytes
 
 
 def grid_shape(region, resolution: float) -> tuple[int, int]:
     """(nx, ny) of the grid covering ``region`` = (x_min, x_max, y_min, y_max)
     at ``resolution``; ValueError unless both extents are positive integer multiples
-    of a positive resolution (to 1e-6 of a step) and numpy can index the points."""
+    of a positive resolution (to 1e-6 of a step) and numpy can create the (points, 3)
+    float64 array of their coordinates."""
     if resolution <= 0:
         raise ValueError(f"resolution must be positive, got {resolution}")
     x_min, x_max, y_min, y_max = (float(v) for v in region)
@@ -106,8 +111,8 @@ def grid_shape(region, resolution: float) -> tuple[int, int]:
                 f"region {name} extent {extent} is not a multiple of resolution {resolution}"
             )
         counts.append(int(round(steps)) + 1)
-    if counts[0] * counts[1] > MAX_POINTS:
-        raise ValueError(f"{float(counts[0]) * counts[1]:.3g} grid points, too many to index")
+    if counts[0] * counts[1] * 3 * 8 > MAX_BYTES:
+        raise ValueError(f"{float(counts[0]) * counts[1]:.3g} grid points, too many for one array")
     return counts[0], counts[1]
 
 
@@ -141,12 +146,13 @@ def ipi_map(
     nx, ny = grid_shape(region, resolution)
     x_min, _, y_min, _ = (float(v) for v in region)
 
-    xs = x_min + np.arange(nx) * resolution
-    ys = y_min + np.arange(ny) * resolution
-    gx, gy = np.meshgrid(xs, ys)  # (ny, nx), x varies along axis 1
-    points = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
+    # the (ny, nx, 3) grid comes first, so a grid too large for memory fails
+    # in one allocation before any smaller one is made; x varies along axis 1
+    points = np.zeros((ny, nx, 3))
+    points[..., 0] = x_min + np.arange(nx) * resolution
+    points[..., 1] = (y_min + np.arange(ny) * resolution)[:, None]
 
-    rows = response_matrix(scene, points, frequency, on_coincident="nan")
+    rows = response_matrix(scene, points.reshape(-1, 3), frequency, on_coincident="nan")
     # one single-point zone per grid point: (n_points, 1, n_channels)
     m = (rows @ C)[:, None, :]  # NaN rows propagate
     corr, uncorr = ipi_ratios(m, (0,), target_channels, interferer_channels)
@@ -292,7 +298,7 @@ def extract_contours(m: IpiMap, level_db: float) -> ContourSet:
             chained.update(path)
             polylines.append(np.array([coords[k] for k in path]))
 
-    return ContourSet(level_db=level, polylines=tuple(polylines))
+    return ContourSet(level, tuple(polylines), (m, level, codes, vertex))
 
 
 def enclosed_area(contours: ContourSet, m: IpiMap) -> float:
@@ -302,9 +308,12 @@ def enclosed_area(contours: ContourSet, m: IpiMap) -> float:
     same interpolated polygon walks that produce the contour chords, so
     the total equals the shoelace area of the closed contours whenever
     the region stays clear of the map border. Cells with non-finite
-    corners contribute nothing.
+    corners contribute nothing. The level is classified again unless
+    ``contours`` came from ``extract_contours`` on this same map object.
     """
-    codes, vertex = _classify(m, float(contours.level_db))
+    source, level, codes, vertex = contours._classified or (None, None, None, None)
+    if source is not m or level != contours.level_db:
+        codes, vertex = _classify(m, float(contours.level_db))
     # one shoelace term per (cell, walk); a cell has at most two walks
     terms = np.zeros((codes.size, 2))
     for code in np.unique(codes).tolist():

@@ -1,4 +1,5 @@
 import collections
+import io
 import json
 
 import numpy as np
@@ -18,7 +19,7 @@ from pszsim.cli import (
     run_spectra,
 )
 from pszsim.config import log_frequency_grid, resolve_config
-from pszsim.spatial_analysis import extract_contours
+from pszsim.spatial_analysis import IpiMap, extract_contours
 
 
 def small_config(tmp_path, **overrides):
@@ -125,6 +126,101 @@ def test_csv_writer_prints_nine_significant_digits(tmp_path):
     path = pszsim.cli._write_csv(tmp_path / "bits.csv", list("abcde"), rows)
     expected = ["a,b,c,d,e"] + [",".join(f"{x:.9g}" for x in row) for row in rows]
     assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+
+
+EDGE_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1.0, 40.0, 5e-324,
+               1e300, 1e-07, 0.1, 1 / 3, -12.889413447005644, 2.2250738585072014e-308]
+BIT_FLOATS = np.random.default_rng(2).integers(0, 2**64, size=(300, 7), dtype=np.uint64).view(
+    np.float64
+)
+
+
+def json_dump_text(payload):
+    """What json.dump(indent=2, sort_keys=True) and a newline write, NaN as null."""
+    def nan_as_none(v):
+        if isinstance(v, dict):
+            return {k: nan_as_none(x) for k, x in v.items()}
+        if isinstance(v, list):
+            return [nan_as_none(x) for x in v]
+        return None if isinstance(v, float) and v != v else v
+
+    fh = io.StringIO()
+    json.dump(nan_as_none(payload), fh, indent=2, sort_keys=True)
+    return fh.getvalue() + "\n"
+
+
+def assert_same_lines(text, expected):
+    # lines, not one string: pytest reports the first differing line at once
+    # instead of diffing the whole file
+    assert text.splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+
+def map_payload(values):
+    values = np.asarray(values, dtype=float)
+    return pszsim.cli._map_payload(IpiMap(1000.0, -1.0, 0.0, 0.01, values), values, 40.0)
+
+
+CLOSED = [[-0.5, 0.25], [-0.4, 0.3125], [-0.5, 0.375], [-0.6, 0.3125], [-0.5, 0.25]]
+JSON_PAYLOADS = {
+    "map of edge values": map_payload([EDGE_FLOATS[:7], EDGE_FLOATS[7:]]),
+    "1x2 map": map_payload([[float("nan"), -0.0]]),
+    "map of random bits": map_payload(BIT_FLOATS),
+    "no levels": {"frequency_hz": 500.0, "contours": []},
+    "level without polylines": {"frequency_hz": 500.0,
+                                "contours": [{"level_db": 20.0, "polylines": []}]},
+    "flat and mixed lists": {
+        "flat": EDGE_FLOATS, "ints and bools": [1, 2.5, True, False],
+        "mixed": [1.0, "a", None, float("nan"), [], {}, [[]], [[1.0], [2.0, float("inf")]]],
+    },
+    "open and closed polylines": {"frequency_hz": 2000.0, "contours": [
+        {"level_db": 10.0, "polylines": [[[-1.0, 0.5], [-0.95, 0.5600000000000001]]]},
+        {"level_db": 30.0, "polylines": [CLOSED]},
+    ]},
+}
+
+
+@pytest.mark.parametrize("name", JSON_PAYLOADS)
+def test_json_writer_writes_the_text_of_json_dump(tmp_path, name):
+    path = pszsim.cli._write_json(tmp_path / "payload.json", JSON_PAYLOADS[name])
+    assert_same_lines(path.read_text(encoding="utf-8"), json_dump_text(JSON_PAYLOADS[name]))
+
+
+def test_json_writer_writes_the_text_of_json_dump_for_every_file_of_a_run(tmp_path, monkeypatch):
+    # beta 0 below 1 kHz skips frequencies, so both manifests list skips
+    written = []
+    write_json = pszsim.cli._write_json
+
+    def recording_write_json(path, payload):
+        written.append((path, payload))
+        return write_json(path, payload)
+
+    monkeypatch.setattr(pszsim.cli, "_write_json", recording_write_json)
+    path = small_config(tmp_path, beta={"frequencies_hz": [1000, 1001], "values": [0, 4e-4]},
+                        uncertainty={"sigma_sq": 0, "trials": 1},
+                        map={"frequencies_hz": [500.0, 2000.0]})
+    assert main(["spectra", str(path)]) == 0
+    assert main(["map", str(path)]) == 0
+    assert sorted(p.name for p, _ in written) == [
+        "contours_mono_2000hz.json", "manifest_map.json", "manifest_spectra.json",
+        "map_mono_2000hz.json",
+    ]
+    for p, payload in written:
+        assert_same_lines(p.read_text(encoding="utf-8"), json_dump_text(payload))
+        if p.name.startswith("manifest"):
+            assert payload["skipped_frequencies"]
+
+
+def test_map_csv_writer_formats_each_point_as_nine_significant_digits(tmp_path):
+    for values in (np.array([EDGE_FLOATS[:7], EDGE_FLOATS[7:]]), np.array([[1.0, -0.0]]),
+                   BIT_FLOATS):
+        m = IpiMap(1000.0, -1.0, 0.0, 0.01, values)
+        path = pszsim.cli._write_map_csv(tmp_path / "map.csv", m, values)
+        expected = ["x_m,y_m,ipi_db"] + [
+            f"{x:.9g},{y:.9g},{v:.9g}"
+            for y, row in zip(m.y_coords().tolist(), values.tolist())
+            for x, v in zip(m.x_coords().tolist(), row)
+        ]
+        assert_same_lines(path.read_text(encoding="utf-8"), "\n".join(expected) + "\n")
 
 
 def test_validate_command(tmp_path, capsys):
@@ -424,6 +520,29 @@ def test_map_numerical_failure_exits_2(tmp_path, capsys):
     ]
     assert error == "runtime error: map: every frequency failed to solve"
     assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_map_grid_too_large_for_memory_exits_2(tmp_path, capsys):
+    # 2e16 grid points pass the config's size check: numpy allows the 4.8e17
+    # bytes of their coordinates, but no 64-bit address space holds them, so
+    # the first grid array fails to allocate without touching memory
+    path = small_config(tmp_path, map={"resolution_m": 1e-8})
+    assert main(["map", str(path)]) == 2
+    (error,) = capsys.readouterr().err.splitlines()
+    assert error.startswith("runtime error: map: Unable to allocate ")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_frequency_grid_too_large_for_one_array_exits_1(tmp_path, capsys):
+    # 4.7e18 points fit an index, but not their 8 bytes each in one array
+    cfg = default_config_dict()
+    cfg["frequency_grid"] = {"start_hz": 100.0, "stop_hz": 10000.0, "step_hz": 2.1e-15}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: frequency_grid: 4.71e+18 points, too many for one array\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["spectra", "map"])

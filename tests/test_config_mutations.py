@@ -234,12 +234,24 @@ FIXED = {
         set_path("frequency_grid", {"start_hz": 100.0, "stop_hz": 10000.0, "step_hz": 1e-300}),
         "frequency_grid: 9.9e+303 points",
     ),
+    "step_hz 2.1e-15": (
+        set_path("frequency_grid", {"start_hz": 100.0, "stop_hz": 10000.0, "step_hz": 2.1e-15}),
+        "frequency_grid: 4.71e+18 points",
+    ),
+    "step_hz 1e-13": (  # 7.9e17 bytes: numpy allows them, no 64-bit address space holds them
+        set_path("frequency_grid", {"start_hz": 100.0, "stop_hz": 10000.0, "step_hz": 1e-13}),
+        "frequency_grid: 9.9e+16 points: Unable to allocate",
+    ),
     "points_per_octave 1e30": (
         set_path("frequency_grid.points_per_octave", 1e30), "frequency_grid: 6.64e+30 points",
     ),
     "map region 1e300 m wide": (
         set_path("map.region", {"x_min": 0.0, "x_max": 1e300, "y_min": 0.0, "y_max": 2.0}),
         "map: 5.05e+303 grid points",
+    ),
+    "map region 1e8 m tall": (  # the (points, 3) coordinates need 6e19 bytes
+        set_path("map.region", {"x_min": 0.0, "x_max": 1e7, "y_min": 0.0, "y_max": 1e8}),
+        "map: 2.5e+18 grid points",
     ),
     "point not a triple": (
         set_path("scene", dict(CUSTOM_SCENE, control_points=[[-0.2, 1.0, 0.0], [0.2, 1.0]])),

@@ -1,10 +1,15 @@
 import collections
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
+import pszsim.spatial_analysis
 from pszsim.acoustics import response_matrix
+from pszsim.cli import main
+from pszsim.config import default_config_dict
 from pszsim.filter_design import RenderingMode, program_channels, solve_stack, target_stack
 from pszsim.scene import Scene, default_scene
 from pszsim.spatial_analysis import (
@@ -122,6 +127,44 @@ def test_nan_cells_are_excluded():
     area = enclosed_area(extract_contours(m, 20.0), m)
     # three of four cells contribute
     assert area == pytest.approx(3 * 0.25, rel=1e-12)
+
+
+def test_area_of_contours_from_another_map_classifies_that_map():
+    # the classification a ContourSet carries is trusted only for its own
+    # map object and level
+    m1 = radial_map()
+    m2 = IpiMap(m1.frequency, m1.x0, m1.y0, m1.spacing, m1.values_db - 5.0)
+    fresh = enclosed_area(ContourSet(20.0, ()), m2)
+    assert fresh != enclosed_area(ContourSet(20.0, ()), m1)
+    assert enclosed_area(extract_contours(m1, 20.0), m2) == fresh
+    relabeled = dataclasses.replace(extract_contours(m2, 10.0), level_db=20.0)
+    assert enclosed_area(relabeled, m2) == fresh
+    assert enclosed_area(extract_contours(m2, 20.0), m2) == fresh
+
+
+def test_carried_classification_neither_compares_nor_prints():
+    below = extract_contours(IpiMap(1000.0, 0.0, 0.0, 0.1, np.full((5, 5), 3.0)), 20.0)
+    other = extract_contours(IpiMap(500.0, 1.0, 0.0, 0.2, np.full((4, 6), 5.0)), 20.0)
+    assert below == other == ContourSet(20.0, ())
+    assert repr(below) == repr(other) == "ContourSet(level_db=20.0, polylines=())"
+
+
+def test_a_map_run_classifies_each_level_of_each_map_once(tmp_path, monkeypatch, capsys):
+    calls = collections.Counter()
+    classify = pszsim.spatial_analysis._classify
+
+    def counting_classify(m, level):
+        calls[m.frequency, level] += 1
+        return classify(m, level)
+
+    monkeypatch.setattr(pszsim.spatial_analysis, "_classify", counting_classify)
+    cfg = default_config_dict()
+    cfg["map"]["resolution_m"] = 0.1
+    cfg["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["map", str(path)]) == 0
+    assert calls == {(f, level): 1 for f in (500.0, 1000.0, 2000.0) for level in (20.0, 30.0)}
 
 
 def designed_filters(scene, frequency, mode=RenderingMode.MONO, beta=4e-4):

@@ -7,7 +7,7 @@ each other's audio, in frequency spectra and in space.
 
 __version__ = "0.1.0"
 
-from .acoustics import CoincidentPointError, directivity, response_matrix
+from .acoustics import directivity, response_matrix
 from .filter_design import (
     RenderingMode,
     default_beta,
@@ -26,14 +26,12 @@ from .scene import (
 from .spatial_analysis import (
     ContourSet,
     IpiMap,
-    enclosed_area,
     extract_contours,
     ipi_map,
 )
 
 __all__ = [
     "__version__",
-    "CoincidentPointError",
     "ContourSet",
     "IpiMap",
     "ListenerDisplacement",
@@ -44,7 +42,6 @@ __all__ = [
     "default_beta",
     "default_scene",
     "directivity",
-    "enclosed_area",
     "extract_contours",
     "ipi_map",
     "ipi_ratios",

@@ -13,7 +13,9 @@ axis, and the directivity
 
 which tends to 1 on axis. The time convention is exp(+1j*omega*t), so
 outward propagation carries exp(-1j*k*r). Pressures are normalized: unit
-magnitude on axis at 1 m.
+magnitude on axis at 1 m. The distances and angles of a set of points
+are computed once for all of their frequencies; a point exactly on a
+speaker has a NaN distance, so its responses from that speaker are NaN.
 """
 
 from __future__ import annotations
@@ -26,18 +28,6 @@ from .scene import Scene
 # Below this argument the directivity is evaluated by its Taylor series to
 # sidestep the 0/0 form; the two branches agree to ~1e-16 at the seam.
 _SMALL_ARG = 1e-4
-
-
-class CoincidentPointError(ValueError):
-    """A field point sits exactly on a source position.
-
-    ``pairs`` lists the offending (point_index, speaker_index) tuples.
-    """
-
-    def __init__(self, pairs: list[tuple[int, int]]):
-        self.pairs = pairs
-        listed = ", ".join(f"(point {k}, speaker {l})" for k, l in pairs)
-        super().__init__(f"field point coincides with source: {listed}")
 
 
 def directivity(x):
@@ -58,9 +48,32 @@ def directivity(x):
     return float(out[0]) if scalar else out
 
 
-def response_matrix(
-    scene: Scene, points, frequency, on_coincident: str = "raise"
-) -> np.ndarray:
+def _field(scene: Scene, points: np.ndarray):
+    """``response_matrix`` at the (n, 3) ``points``, as a function of the frequencies.
+
+    r and sin(theta) are computed once, here. r is NaN on a speaker; the
+    squares are summed in ``np.linalg.norm``'s order, so r is its bit for bit.
+    """
+    diff = points[:, None, :] - scene.speakers[None, :, :]
+    dx, dy, dz = diff[..., 0], diff[..., 1], diff[..., 2]
+    r = np.sqrt((dx * dx + dy * dy) + dz * dz)
+    r[r == 0.0] = np.nan
+    # speakers face +y: sin(theta) = sqrt(dx^2 + dz^2) / r
+    sin_theta = np.hypot(dx, dz) / r
+
+    def at(frequency) -> np.ndarray:
+        freqs = np.asarray(frequency, dtype=float)
+        if np.any(freqs <= 0):
+            raise ValueError(f"frequency must be positive, got {freqs[freqs <= 0][0]}")
+        k = (2.0 * np.pi * freqs / scene.sound_speed)[..., None, None]
+        with np.errstate(invalid="ignore"):  # NaN radii are deliberate here
+            d_gain = directivity(k * scene.piston_radius * sin_theta)
+            return d_gain * np.exp(-1j * k * r) / r
+
+    return at
+
+
+def response_matrix(scene: Scene, points, frequency) -> np.ndarray:
     """Vectorized piston responses from all scene speakers to many points.
 
     Returns a complex (n_points, n_speakers) array for one frequency, or an
@@ -68,32 +81,10 @@ def response_matrix(
     matrix of the stack is bit for bit the one-frequency result. Entry
     (k, l) is the normalized pressure at point k per unit input to speaker
     l: rows follow the input point order, columns the scene's. All
-    speakers share the scene's +y axis. ``on_coincident`` selects what
-    happens when a point sits exactly on a speaker: "raise" throws
-    CoincidentPointError with the offending index pairs, "nan" fills that
-    row/column entry with NaN so grid scans can skip the cell.
+    speakers share the scene's +y axis. An entry whose point sits exactly
+    on its speaker is NaN.
     """
-    freqs = np.asarray(frequency, dtype=float)
-    if np.any(freqs <= 0):
-        bad = frequency if freqs.ndim == 0 else freqs[freqs <= 0][0]
-        raise ValueError(f"frequency must be positive, got {bad}")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"points must be (n, 3), got shape {pts.shape}")
-    diff = pts[:, None, :] - scene.speakers[None, :, :]
-    r = np.linalg.norm(diff, axis=-1)
-
-    hit = r == 0.0
-    if np.any(hit):
-        if on_coincident == "raise":
-            pairs = [(int(k), int(l)) for k, l in zip(*np.nonzero(hit))]
-            raise CoincidentPointError(pairs)
-        r = np.where(hit, np.nan, r)
-
-    # speakers face +y: sin(theta) = sqrt(dx^2 + dz^2) / r
-    lateral = np.hypot(diff[..., 0], diff[..., 2])
-    k = (2.0 * np.pi * freqs / scene.sound_speed)[..., None, None]
-    with np.errstate(invalid="ignore"):  # NaN radii are deliberate here
-        d_gain = directivity(k * scene.piston_radius * (lateral / r))
-        return d_gain * np.exp(-1j * k * r) / r
-
+    return _field(scene, pts)(frequency)

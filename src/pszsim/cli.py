@@ -47,7 +47,7 @@ from .filter_design import RenderingMode, program_channels, solve_stack, target_
 from .metrics import ipi_ratios, izi_ratios, min_db, smooth_db
 from .perturbation import averaged_perturbed_stacks
 from .scene import Scene
-from .spatial_analysis import enclosed_area, extract_contours, ipi_map
+from .spatial_analysis import extract_contours, ipi_map
 
 _DESIGN_STREAM = "design"
 _EVAL_STREAM = "eval"
@@ -268,29 +268,30 @@ def run_map(config: ExperimentConfig) -> list[Path]:
     skipped: dict[str, list] = {}
     _report_skips("map", kept, failures, skipped)
 
+    try:
+        maps = ipi_map(scene, filters, request.region, request.resolution, freqs[kept],
+                       target, interferer)
+    except MemoryError as exc:  # a grid numpy allows but memory cannot hold
+        raise RuntimeError(f"map: {exc}") from exc
+
     outputs: list[Path] = []
     area_rows = []
-    for frequency, c in zip(freqs[kept].tolist(), filters):
-        try:
-            m = ipi_map(scene, c, request.region, request.resolution, frequency, target, interferer)
-        except MemoryError as exc:  # a grid numpy allows but memory cannot hold
-            raise RuntimeError(f"map: {exc}") from exc
+    for m in maps:
         # the files are capped; the contours and area below use the untruncated values
         capped = np.minimum(m.values_db, request.cap_db)
-        tag = map_tag(request.mode.value, frequency)
+        tag = map_tag(request.mode.value, m.frequency)
         outputs.append(_write_map_csv(config.output_dir / f"map_{tag}.csv", m, capped))
         outputs.append(_write_json(config.output_dir / f"map_{tag}.json",
                                    _map_payload(m, capped, request.cap_db)))
         contour_sets = [extract_contours(m, level) for level in request.levels_db]
         outputs.append(_write_json(config.output_dir / f"contours_{tag}.json", {
-            "frequency_hz": frequency,
+            "frequency_hz": m.frequency,
             "contours": [
                 {"level_db": cs.level_db, "polylines": [line.tolist() for line in cs.polylines]}
                 for cs in contour_sets
             ],
         }))
-        area_rows += [(frequency, cs.level_db, enclosed_area(cs, m)) for cs in contour_sets]
-        del contour_sets  # their classifications hold this map's corners; free them now
+        area_rows += [(m.frequency, cs.level_db, cs.area_m2) for cs in contour_sets]
 
     header = ["frequency_hz", "level_db", "area_m2"]
     outputs.append(_write_csv(config.output_dir / "area_summary.csv", header, area_rows))
@@ -342,6 +343,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a writer's; load_config and _make_output_dir report their own
+        where = exc.filename or config.output_dir  # a failed write names no file
+        print(f"config error: output_dir: cannot write {where}: {exc.strerror}", file=sys.stderr)
         return 1
     except RuntimeError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)

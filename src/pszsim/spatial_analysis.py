@@ -7,26 +7,28 @@ regions, and the area they enclose is a scalar robustness proxy: the
 larger the area, the more a listener can move before isolation drops
 below the level.
 
-Contours and area share one table of per-cell polygon walks, so the area
-is exactly the shoelace area of the polygonized superlevel region and the
-two views can never disagree. Cells with any non-finite corner (grid
-point on a speaker, or an unbounded ratio) are excluded from both. The
-cells of a level are classified in one numpy pass, once for both: the
-contour set carries it to the area. Only the chaining of contour chords
-into polylines runs in Python. An edge vertex belongs to at
-most two finite cells, each giving it one chord, so the chords form
-disjoint paths and cycles, and chaining walks each of them once.
+The maps of all frequencies share one grid, whose distances and angles to
+the speakers are computed once. Contours and area share one table of
+per-cell polygon walks, so the area is exactly the shoelace area of the
+polygonized superlevel region and the two views can never disagree.
+Cells with any non-finite corner (grid point on a speaker, or an
+unbounded ratio) are excluded from both. The cells of a level are
+classified in one numpy pass, once for both: a contour set comes with
+its area. Only the chaining of contour chords into polylines runs in
+Python. An edge vertex belongs to at most two finite cells, each giving
+it one chord, so the chords form disjoint paths and cycles, and chaining
+walks each of them once.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .acoustics import response_matrix
+from .acoustics import _field
 from .metrics import ipi_ratios
 from .scene import Scene, _frozen
 
@@ -70,18 +72,19 @@ class IpiMap:
 
 @dataclass(frozen=True)
 class ContourSet:
-    """Iso-level polylines of one map at one level.
+    """Iso-level polylines of one map at one level, and the area they enclose.
 
     Each polyline is an (n, 2) array of (x, y) vertices in meters lying
     on grid cell edges. A polyline whose first and last vertices are
-    identical is closed. ``extract_contours`` keeps in ``_classified`` the
-    (map, level, codes, vertex) it classified, which ``enclosed_area``
-    reuses for that same map object and level; it neither compares nor prints.
+    identical is closed. ``area_m2`` is the area in m^2 where the map is at
+    or above the level: the cell walks that give the chords, summed, so it
+    is the shoelace area of the closed contours whenever the region stays
+    clear of the map border. Cells with non-finite corners add nothing.
     """
 
     level_db: float
     polylines: tuple[np.ndarray, ...]
-    _classified: tuple | None = field(default=None, compare=False, repr=False)
+    area_m2: float
 
     def __post_init__(self):
         object.__setattr__(
@@ -118,31 +121,34 @@ def grid_shape(region, resolution: float) -> tuple[int, int]:
 
 def ipi_map(
     scene: Scene,
-    C: np.ndarray,
+    filters: np.ndarray,
     region,
     resolution: float,
-    frequency: float,
+    frequencies,
     target_channels,
     interferer_channels,
-) -> IpiMap:
-    """Evaluate single-point IPI on a grid in the z = 0 plane.
+) -> list[IpiMap]:
+    """Evaluate single-point IPI on a grid in the z = 0 plane, one map per frequency.
 
     Parameters
     ----------
+    filters : (F, speakers, channels) array
+        Filters designed at each of the F ``frequencies``, as
+        ``solve_stack`` returns them for its kept frequencies.
     region : (x_min, x_max, y_min, y_max)
         Rectangle in meters. Both extents must be integer multiples of
         ``resolution`` so the grid covers the region exactly.
-    C : (speakers, channels) array
-        Filters designed at ``frequency``.
     target_channels, interferer_channels
         Disjoint channel index sets of the designed system.
 
     At each grid point the 1 x L transfer row is formed and multiplied by
-    C; the resulting channel row is a one-point zone whose IPI is
-    :func:`~pszsim.metrics.ipi_ratios`, with its channel checks. A grid
+    the filters; the resulting channel row is a one-point zone whose IPI
+    is :func:`~pszsim.metrics.ipi_ratios`, with its channel checks. A grid
     point exactly on a speaker yields NaN for that cell instead of failing
     the whole map.
     """
+    if len(filters) != len(frequencies):
+        raise ValueError(f"{len(filters)} filter sets for {len(frequencies)} frequencies")
     nx, ny = grid_shape(region, resolution)
     x_min, _, y_min, _ = (float(v) for v in region)
 
@@ -151,21 +157,24 @@ def ipi_map(
     points = np.zeros((ny, nx, 3))
     points[..., 0] = x_min + np.arange(nx) * resolution
     points[..., 1] = (y_min + np.arange(ny) * resolution)[:, None]
+    field = _field(scene, points.reshape(-1, 3))
+    del points  # only the field's two (points, speakers) arrays are kept
 
-    rows = response_matrix(scene, points.reshape(-1, 3), frequency, on_coincident="nan")
-    # one single-point zone per grid point: (n_points, 1, n_channels)
-    m = (rows @ C)[:, None, :]  # NaN rows propagate
-    corr, uncorr = ipi_ratios(m, (0,), target_channels, interferer_channels)
-    with np.errstate(divide="ignore"):
-        values_db = 10.0 * np.log10(np.minimum(corr, uncorr))
-
-    return IpiMap(
-        frequency=float(frequency),
-        x0=x_min,
-        y0=y_min,
-        spacing=float(resolution),
-        values_db=values_db.reshape(ny, nx),
-    )
+    maps = []
+    for frequency, c in zip(frequencies, filters):
+        # one single-point zone per grid point: (n_points, 1, n_channels)
+        m = (field(frequency) @ c)[:, None, :]  # NaN rows propagate
+        corr, uncorr = ipi_ratios(m, (0,), target_channels, interferer_channels)
+        with np.errstate(divide="ignore"):
+            values_db = 10.0 * np.log10(np.minimum(corr, uncorr))
+        maps.append(IpiMap(
+            frequency=float(frequency),
+            x0=x_min,
+            y0=y_min,
+            spacing=float(resolution),
+            values_db=values_db.reshape(ny, nx),
+        ))
+    return maps
 
 
 # Per-cell polygon walks of the superlevel region by cell code: the mask of
@@ -251,7 +260,7 @@ def _classify(m: IpiMap, level: float):
 
 
 def extract_contours(m: IpiMap, level_db: float) -> ContourSet:
-    """Iso-level polylines at ``level_db`` from the untruncated values.
+    """Iso-level polylines at ``level_db`` from the untruncated values, and their area.
 
     Marching squares with linear interpolation along cell edges; saddle
     cells are resolved by the side of the cell-center mean, so the result
@@ -298,23 +307,7 @@ def extract_contours(m: IpiMap, level_db: float) -> ContourSet:
             chained.update(path)
             polylines.append(np.array([coords[k] for k in path]))
 
-    return ContourSet(level, tuple(polylines), (m, level, codes, vertex))
-
-
-def enclosed_area(contours: ContourSet, m: IpiMap) -> float:
-    """Area in m^2 of the region where the map is at or above the level.
-
-    Interior cells count fully, boundary cells fractionally through the
-    same interpolated polygon walks that produce the contour chords, so
-    the total equals the shoelace area of the closed contours whenever
-    the region stays clear of the map border. Cells with non-finite
-    corners contribute nothing. The level is classified again unless
-    ``contours`` came from ``extract_contours`` on this same map object.
-    """
-    source, level, codes, vertex = contours._classified or (None, None, None, None)
-    if source is not m or level != contours.level_db:
-        codes, vertex = _classify(m, float(contours.level_db))
-    # one shoelace term per (cell, walk); a cell has at most two walks
+    # the area: one shoelace term per (cell, walk); a cell has at most two walks
     terms = np.zeros((codes.size, 2))
     for code in np.unique(codes).tolist():
         cells = np.flatnonzero(codes == code)
@@ -326,4 +319,4 @@ def enclosed_area(contours: ContourSet, m: IpiMap) -> float:
             terms[cells, w] = np.abs(acc) / 2.0
     # cumsum adds in order (np.sum pairs): row-major cells, then walks;
     # the leading 0.0 is the empty sum
-    return float(np.cumsum(np.append(0.0, terms))[-1])
+    return ContourSet(level, tuple(polylines), float(np.cumsum(np.append(0.0, terms))[-1]))

@@ -51,8 +51,9 @@ def map_fine_run(tmp_path_factory):
     ipi_map = pszsim.cli.ipi_map
 
     def recording_ipi_map(*args, **kwargs):
-        maps.append(ipi_map(*args, **kwargs))
-        return maps[-1]
+        computed = ipi_map(*args, **kwargs)
+        maps.extend(computed)
+        return computed
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pszsim.cli, "ipi_map", recording_ipi_map)

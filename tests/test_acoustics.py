@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from pszsim.acoustics import (
-    CoincidentPointError,
     directivity,
     response_matrix,
 )
@@ -178,20 +177,10 @@ def test_swap_source_and_field_keeps_magnitude_on_axis():
     assert abs(a) == pytest.approx(abs(b), rel=1e-12)
 
 
-def test_coincident_point_raises_with_indices():
-    scene = default_scene()
-    points = scene.control_points.copy()
-    points[1] = scene.speakers[5]
-    with pytest.raises(CoincidentPointError) as excinfo:
-        response_matrix(scene, points, 1000.0)
-    assert excinfo.value.pairs == [(1, 5)]
-    assert "point 1" in str(excinfo.value) and "speaker 5" in str(excinfo.value)
-
-
 def test_response_matrix_nan_mode_flags_instead_of_raising():
     scene = default_scene()
     points = np.vstack([scene.speakers[3], [0.0, 1.0, 0.0]])
-    rows = response_matrix(scene, points, 1000.0, on_coincident="nan")
+    rows = response_matrix(scene, points, 1000.0)
     assert np.isnan(rows[0, 3])
     assert np.all(np.isfinite(rows[1]))
 
@@ -206,9 +195,9 @@ def test_frequency_stack_equals_one_frequency_calls_bit_for_bit():
     scene = default_scene()
     points = np.vstack([scene.control_points, scene.speakers[2], [0.3, 0.7, 0.2]])
     freqs = 50.0 * 2 ** (np.arange(40) / 5)
-    stack = response_matrix(scene, points, freqs, on_coincident="nan")
+    stack = response_matrix(scene, points, freqs)
     assert stack.shape == (40, len(points), scene.n_speakers)
-    single = np.array([response_matrix(scene, points, f, on_coincident="nan") for f in freqs])
+    single = np.array([response_matrix(scene, points, f) for f in freqs])
     assert np.array_equal(stack, single, equal_nan=True)
     assert np.isnan(stack[:, 4, 2]).all()
 

@@ -1,6 +1,7 @@
 import collections
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -379,8 +380,9 @@ def test_map_files_are_capped_and_contours_are_not(tmp_path, monkeypatch):
     ipi_map = pszsim.cli.ipi_map
 
     def recording_ipi_map(*args):
-        maps.append(ipi_map(*args))
-        return maps[-1]
+        computed = ipi_map(*args)
+        maps.extend(computed)
+        return computed
 
     monkeypatch.setattr(pszsim.cli, "ipi_map", recording_ipi_map)
     config = load_config(str(small_config(tmp_path, map={"cap_db": 25.0})))
@@ -557,6 +559,34 @@ def test_uncreatable_output_dir_is_a_config_error(tmp_path, capsys, command, sub
     assert err.splitlines() == [f"config error: output_dir: cannot create {out}: "
                                 + ("Not a directory" if sub else "File exists")]
     assert blocker.read_text() == "keep"
+
+
+@pytest.mark.parametrize("command, name", [
+    ("spectra", "spectra_mono_centered_matched.csv"),
+    ("map", "map_mono_500hz.json"),
+    ("map", "manifest_map.json"),
+])
+def test_unwritable_output_file_is_a_config_error(tmp_path, capsys, command, name):
+    # a directory sits on the name of one output file
+    blocker = tmp_path / "out" / name
+    blocker.mkdir(parents=True)
+    assert main([command, str(small_config(tmp_path))]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [f"config error: output_dir: cannot write {blocker}: Is a directory"]
+    assert blocker.is_dir() and not any(blocker.iterdir())
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_failed_write_names_the_output_dir(tmp_path, capsys):
+    # the file opens, but its data cannot be flushed: the error names no file
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "spectra_mono_centered_matched.csv").symlink_to("/dev/full")
+    assert main(["spectra", str(small_config(tmp_path))]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"config error: output_dir: cannot write {tmp_path / 'out'}: No space left on device"
+    ]
 
 
 @pytest.mark.parametrize("argv", [

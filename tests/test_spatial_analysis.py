@@ -15,7 +15,6 @@ from pszsim.scene import Scene, default_scene
 from pszsim.spatial_analysis import (
     ContourSet,
     IpiMap,
-    enclosed_area,
     extract_contours,
     ipi_map,
 )
@@ -60,7 +59,7 @@ def test_contour_of_radial_field_is_a_circle():
 def test_enclosed_area_approximates_circle_area():
     m = radial_map()
     cs = extract_contours(m, 20.0)
-    area = enclosed_area(cs, m)
+    area = cs.area_m2
     exact = np.pi * 0.8**2
     assert abs(area - exact) / exact < 0.05
 
@@ -68,12 +67,12 @@ def test_enclosed_area_approximates_circle_area():
 def test_enclosed_area_equals_contour_shoelace_away_from_border():
     m = radial_map()
     cs = extract_contours(m, 20.0)
-    assert enclosed_area(cs, m) == pytest.approx(shoelace(cs.polylines[0]), rel=1e-9)
+    assert cs.area_m2 == pytest.approx(shoelace(cs.polylines[0]), rel=1e-9)
 
 
 def test_area_non_increasing_in_level():
     m = radial_map()
-    areas = [enclosed_area(extract_contours(m, lv), m) for lv in (10.0, 15.0, 20.0, 25.0, 30.0)]
+    areas = [extract_contours(m, lv).area_m2 for lv in (10.0, 15.0, 20.0, 25.0, 30.0)]
     assert all(a >= b for a, b in zip(areas, areas[1:]))
 
 
@@ -81,7 +80,7 @@ def test_area_converges_with_resolution():
     areas = {}
     for res in (0.08, 0.04, 0.02):
         m = radial_map(resolution=res)
-        areas[res] = enclosed_area(extract_contours(m, 20.0), m)
+        areas[res] = extract_contours(m, 20.0).area_m2
     step1 = abs(areas[0.04] - areas[0.08])
     step2 = abs(areas[0.02] - areas[0.04])
     assert step2 < step1
@@ -91,19 +90,19 @@ def test_constant_map_below_level_has_no_contours():
     m = IpiMap(1000.0, 0.0, 0.0, 0.1, np.full((5, 5), 3.0))
     cs = extract_contours(m, 20.0)
     assert cs.polylines == ()
-    assert enclosed_area(cs, m) == 0.0
+    assert cs.area_m2 == 0.0
 
 
 def test_level_above_all_values_is_empty():
     m = radial_map()  # peak value 40
     cs = extract_contours(m, 45.0)
     assert cs.polylines == ()
-    assert enclosed_area(cs, m) == 0.0
+    assert cs.area_m2 == 0.0
 
 
 def test_map_uniformly_above_level_covers_whole_region():
     m = IpiMap(1000.0, 0.0, 0.0, 0.25, np.full((5, 9), 35.0))
-    area = enclosed_area(extract_contours(m, 20.0), m)
+    area = extract_contours(m, 20.0).area_m2
     assert area == pytest.approx(2.0 * 1.0, rel=1e-12)
 
 
@@ -117,36 +116,26 @@ def test_saddle_resolution_follows_cell_center():
     split = extract_contours(m, 20.0)
     assert len(connected.polylines) == 2
     assert len(split.polylines) == 2
-    assert enclosed_area(connected, m) > enclosed_area(split, m)
+    assert connected.area_m2 > split.area_m2
 
 
 def test_nan_cells_are_excluded():
     values = np.full((3, 3), 30.0)
     values[0, 0] = np.nan
     m = IpiMap(1000.0, 0.0, 0.0, 0.5, values)
-    area = enclosed_area(extract_contours(m, 20.0), m)
+    area = extract_contours(m, 20.0).area_m2
     # three of four cells contribute
     assert area == pytest.approx(3 * 0.25, rel=1e-12)
 
 
-def test_area_of_contours_from_another_map_classifies_that_map():
-    # the classification a ContourSet carries is trusted only for its own
-    # map object and level
-    m1 = radial_map()
-    m2 = IpiMap(m1.frequency, m1.x0, m1.y0, m1.spacing, m1.values_db - 5.0)
-    fresh = enclosed_area(ContourSet(20.0, ()), m2)
-    assert fresh != enclosed_area(ContourSet(20.0, ()), m1)
-    assert enclosed_area(extract_contours(m1, 20.0), m2) == fresh
-    relabeled = dataclasses.replace(extract_contours(m2, 10.0), level_db=20.0)
-    assert enclosed_area(relabeled, m2) == fresh
-    assert enclosed_area(extract_contours(m2, 20.0), m2) == fresh
-
-
-def test_carried_classification_neither_compares_nor_prints():
+def test_contour_set_holds_its_level_polylines_and_area_only():
+    # nothing of the map it came from: sets from two maps with no crossing
+    # compare and print alike
+    assert [f.name for f in dataclasses.fields(ContourSet)] == ["level_db", "polylines", "area_m2"]
     below = extract_contours(IpiMap(1000.0, 0.0, 0.0, 0.1, np.full((5, 5), 3.0)), 20.0)
     other = extract_contours(IpiMap(500.0, 1.0, 0.0, 0.2, np.full((4, 6), 5.0)), 20.0)
-    assert below == other == ContourSet(20.0, ())
-    assert repr(below) == repr(other) == "ContourSet(level_db=20.0, polylines=())"
+    assert below == other == ContourSet(20.0, (), 0.0)
+    assert repr(below) == repr(other) == "ContourSet(level_db=20.0, polylines=(), area_m2=0.0)"
 
 
 def test_a_map_run_classifies_each_level_of_each_map_once(tmp_path, monkeypatch, capsys):
@@ -167,11 +156,32 @@ def test_a_map_run_classifies_each_level_of_each_map_once(tmp_path, monkeypatch,
     assert calls == {(f, level): 1 for f in (500.0, 1000.0, 2000.0) for level in (20.0, 30.0)}
 
 
+def test_a_map_run_computes_the_grid_geometry_once(tmp_path, monkeypatch, capsys):
+    # three map frequencies, one set of grid distances and angles
+    points = []
+    field = pszsim.spatial_analysis._field
+
+    def counting_field(scene, grid):
+        points.append(len(grid))
+        return field(scene, grid)
+
+    monkeypatch.setattr(pszsim.spatial_analysis, "_field", counting_field)
+    cfg = default_config_dict()
+    cfg["map"]["resolution_m"] = 0.1
+    cfg["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert cfg["map"]["frequencies_hz"] == [500.0, 1000.0, 2000.0]
+    assert main(["map", str(path)]) == 0
+    assert points == [11 * 21]
+    assert len(list((tmp_path / "out").glob("map_*.csv"))) == 3
+
+
 def designed_filters(scene, frequency, mode=RenderingMode.MONO, beta=4e-4):
-    """The (speakers, channels) filters of the nominal scene at one frequency."""
+    """The (1, speakers, channels) filter stack of the nominal scene at one frequency."""
     h = response_matrix(scene, scene.control_points, [frequency])
     filters, _, _ = solve_stack(h, target_stack(scene, h, mode), [beta], [frequency])
-    return filters[0]
+    return filters
 
 
 def test_ipi_map_high_at_design_ear():
@@ -180,8 +190,8 @@ def test_ipi_map_high_at_design_ear():
     filters = designed_filters(scene, frequency)
     target, interferer = program_channels(scene, RenderingMode.MONO)
     # small patch centered on the zone A left ear (x=-0.584, y=1)
-    m = ipi_map(
-        scene, filters, (-0.684, -0.484, 0.9, 1.1), 0.05, frequency, target, interferer
+    (m,) = ipi_map(
+        scene, filters, (-0.684, -0.484, 0.9, 1.1), 0.05, [frequency], target, interferer
     )
     ix = int(round((-0.584 - m.x0) / m.spacing))
     iy = int(round((1.0 - m.y0) / m.spacing))
@@ -196,11 +206,11 @@ def test_ipi_map_mirrored_region_with_swapped_programs():
     frequency = 1000.0
     filters = designed_filters(scene, frequency)
     target, interferer = program_channels(scene, RenderingMode.MONO)
-    left = ipi_map(
-        scene, filters, (-0.75, -0.25, 0.5, 1.5), 0.125, frequency, target, interferer
+    (left,) = ipi_map(
+        scene, filters, (-0.75, -0.25, 0.5, 1.5), 0.125, [frequency], target, interferer
     )
-    right = ipi_map(
-        scene, filters, (0.25, 0.75, 0.5, 1.5), 0.125, frequency, interferer, target
+    (right,) = ipi_map(
+        scene, filters, (0.25, 0.75, 0.5, 1.5), 0.125, [frequency], interferer, target
     )
     assert np.allclose(left.values_db, right.values_db[:, ::-1], rtol=0, atol=1e-9)
 
@@ -230,13 +240,13 @@ def test_ipi_map_matches_literal_nested_sums(mode):
     frequency = 1000.0
     filters = designed_filters(scene, frequency, mode=mode)
     target, interferer = program_channels(scene, mode)
-    m = ipi_map(
-        scene, filters, (-0.75, -0.25, 0.75, 1.25), 0.125, frequency, target, interferer
+    (m,) = ipi_map(
+        scene, filters, (-0.75, -0.25, 0.75, 1.25), 0.125, [frequency], target, interferer
     )
     assert m.values_db.shape == (5, 5) and np.isfinite(m.values_db).all()
     for iy, y in enumerate(m.y_coords()):
         for ix, x in enumerate(m.x_coords()):
-            row = (response_matrix(scene, [[x, y, 0.0]], frequency) @ filters)[0]
+            row = (response_matrix(scene, [[x, y, 0.0]], frequency) @ filters[0])[0]
             want = _brute_point_ipi_db(row.tolist(), target, interferer)
             assert m.values_db[iy, ix] == pytest.approx(want, rel=1e-12)
 
@@ -247,8 +257,8 @@ def test_ipi_map_speaker_coincidence_marks_cell_invalid():
     filters = designed_filters(scene, frequency)
     target, interferer = program_channels(scene, RenderingMode.MONO)
     # speaker 0 sits at (-0.875, 0, 0), a node of this dyadic grid
-    m = ipi_map(
-        scene, filters, (-1.0, -0.75, 0.0, 0.25), 0.125, frequency, target, interferer
+    (m,) = ipi_map(
+        scene, filters, (-1.0, -0.75, 0.0, 0.25), 0.125, [frequency], target, interferer
     )
     ix = int(round((-0.875 - m.x0) / m.spacing))
     assert np.isnan(m.values_db[0, ix])
@@ -260,9 +270,14 @@ def test_ipi_map_validates_inputs():
     filters = designed_filters(scene, 500.0)
     target, interferer = program_channels(scene, RenderingMode.MONO)
     with pytest.raises(ValueError, match="multiple of resolution"):
-        ipi_map(scene, filters, (-1.0, 0.0, 0.0, 0.95), 0.1, 500.0, target, interferer)
+        ipi_map(scene, filters, (-1.0, 0.0, 0.0, 0.95), 0.1, [500.0], target, interferer)
     with pytest.raises(ValueError, match="overlap"):
-        ipi_map(scene, filters, (-1.0, 0.0, 0.0, 1.0), 0.1, 500.0, (0,), (0, 1))
+        ipi_map(scene, filters, (-1.0, 0.0, 0.0, 1.0), 0.1, [500.0], (0,), (0, 1))
+    # a zip of the two would drop the maps of the unmatched frequencies
+    with pytest.raises(ValueError, match="1 filter sets for 2 frequencies"):
+        ipi_map(scene, filters, (-1.0, 0.0, 0.0, 1.0), 0.1, [500.0, 1000.0], target, interferer)
+    with pytest.raises(ValueError, match="positive, got 0.0"):
+        ipi_map(scene, filters, (-1.0, 0.0, 0.0, 1.0), 0.1, [0.0], target, interferer)
 
 
 def test_contour_vertices_lie_on_cell_edges():
@@ -283,7 +298,7 @@ def test_frozen_arrays_are_read_only_copies(holder):
     elif holder == "ipi_map":
         stored = IpiMap(1000.0, 0.0, 0.0, 0.1, given).values_db
     else:
-        (stored,) = ContourSet(20.0, (given,)).polylines
+        (stored,) = ContourSet(20.0, (given,), 0.0).polylines
     assert np.array_equal(stored, given) and not np.shares_memory(stored, given)
     assert not stored.flags.writeable and given.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
@@ -460,7 +475,7 @@ def assert_matches_oracle(m, level, saddles=None):
     for got, line in zip(cs.polylines, want):
         # bytes, so the sign of a zero coordinate counts too
         assert got.shape == line.shape and got.tobytes() == line.tobytes()
-    area = enclosed_area(cs, m)
+    area = cs.area_m2
     assert type(area) is float
     assert area == oracle_area(m, level)
     return cs

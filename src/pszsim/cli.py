@@ -103,7 +103,7 @@ _SPECTRA_HEADER = ["frequency_hz"] + [
 def _write_csv(path: Path, header, rows) -> Path:
     # "%.9g" formats a number as _fmt does; one template formats a whole row
     line = ",".join(["%.9g"] * len(header)) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "x", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(line % tuple(row) for row in rows)
     return path
@@ -144,7 +144,7 @@ def _json_text(value, indent: str = "") -> str:
 def _write_json(path: Path, payload) -> Path:
     """Exactly the text of ``json.dump(payload, fh, indent=2, sort_keys=True)``
     and a newline, with NaN written as null."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "x", encoding="utf-8") as fh:
         fh.write(_json_text(payload) + "\n")
     return path
 
@@ -224,7 +224,7 @@ def _write_map_csv(path: Path, m, values) -> Path:
     # (y, v0, y, v1, ...), the y text and "%.9g" (_fmt's format) for each value
     row_text = "".join(f"{_fmt(x)},%s,%.9g\n" for x in m.x_coords().tolist())
     args = [None] * (2 * m.nx)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "x", encoding="utf-8") as fh:
         fh.write("x_m,y_m,ipi_db\n")
         for y, row in zip(m.y_coords().tolist(), values.tolist()):
             args[::2] = [_fmt(y)] * m.nx

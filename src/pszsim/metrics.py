@@ -21,15 +21,14 @@ reduce to the classic acoustic contrast ratio. Both are one kernel over
 blocks of M, for one matrix or a stack of them, which also gives
 :func:`~pszsim.spatial_analysis.ipi_map` its one-point zones.
 
-Ratios are linear power ratios; the dB form is 10*log10(value). A zero
-denominator (perfect cancellation) yields an infinite ratio rather than
-an error, so frequency sweeps stay total. A NaN entry makes the ratio,
-the value and the dB form NaN.
+Ratios are linear power ratios; the dB form is 10*log10(value), taken by
+:func:`min_db` alone, for spectra and maps alike. A zero denominator
+(perfect cancellation) yields an infinite ratio rather than an error, so
+frequency sweeps stay total. A NaN entry makes the ratio, the value and
+the dB form NaN.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -41,15 +40,13 @@ def min_db(corr: np.ndarray, uncorr: np.ndarray):
 
     A NaN ratio propagates to both. A zero denominator, an unbounded
     ratio, gives +inf dB; a zero numerator gives value 0 and -inf dB, a
-    bounded, if extreme, outcome. Arrays of any shape, 0-d included. The
-    logarithm is ``math.log10`` per value, because numpy's vectorized
-    log10 differs from it in the last bit for some inputs.
+    bounded, if extreme, outcome. Arrays of any shape, 0-d included. This
+    is the one dB kernel: spectra and maps both take their dB values from
+    it, through numpy's vectorized ``log10``.
     """
     value = np.minimum(corr, uncorr)
-    db = np.where(value <= 0.0, -math.inf, value)  # +inf and NaN stay
-    finite = np.isfinite(value) & (value > 0.0)
-    db[finite] = [10.0 * math.log10(v) for v in value[finite].tolist()]
-    return value, db
+    with np.errstate(divide="ignore"):
+        return value, 10.0 * np.log10(value)
 
 
 def _ratio(num, den):

@@ -12,24 +12,24 @@ the speakers are computed once. Contours and area share one table of
 per-cell polygon walks, so the area is exactly the shoelace area of the
 polygonized superlevel region and the two views can never disagree.
 Cells with any non-finite corner (grid point on a speaker, or an
-unbounded ratio) are excluded from both. The cells of a level are
-classified in one numpy pass, once for both: a contour set comes with
-its area. Only the chaining of contour chords into polylines runs in
-Python. An edge vertex belongs to at most two finite cells, each giving
-it one chord, so the chords form disjoint paths and cycles, and chaining
-walks each of them once.
+unbounded ratio) are excluded from both. Each level is one pass: one
+numpy classification of its cells, then one loop over the walk table that
+computes each walk's vertices once, for its shoelace term and its contour
+chords. Only the chaining of chords into polylines runs in Python, on
+integer edge ids. An edge vertex belongs to at most two finite cells,
+each giving it one chord, so the chords form disjoint paths and cycles,
+and chaining walks each of them once.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .acoustics import _field
-from .metrics import ipi_ratios
+from .metrics import ipi_ratios, min_db
 from .scene import Scene, _frozen
 
 
@@ -164,9 +164,7 @@ def ipi_map(
     for frequency, c in zip(frequencies, filters):
         # one single-point zone per grid point: (n_points, 1, n_channels)
         m = (field(frequency) @ c)[:, None, :]  # NaN rows propagate
-        corr, uncorr = ipi_ratios(m, (0,), target_channels, interferer_channels)
-        with np.errstate(divide="ignore"):
-            values_db = 10.0 * np.log10(np.minimum(corr, uncorr))
+        _, values_db = min_db(*ipi_ratios(m, (0,), target_channels, interferer_channels))
         maps.append(IpiMap(
             frequency=float(frequency),
             x0=x_min,
@@ -204,22 +202,14 @@ _CODE_WALKS = {
     26: [("e0", "c1", "e1"), ("e2", "c3", "e3")],
 }
 
-# Edge endpoints as corner indices (low, high).
-_EDGE_CORNERS = {"e0": (0, 1), "e1": (1, 2), "e2": (3, 2), "e3": (0, 3)}
-# Edge token -> (kind, dx, dy): edge e of cell (ix, iy) has the global key
-# (kind, ix + dx, iy + dy), the key its neighbor gives the same edge.
-_EDGE_KEYS = {"e0": ("h", 0, 0), "e1": ("v", 1, 0), "e2": ("h", 0, 1), "e3": ("v", 0, 0)}
-
-# The contour chords of each code: cyclically consecutive crossing vertices
-# of its walks, in walk order.
-_CODE_CHORDS = {
-    code: [
-        (a, b)
-        for walk in walks
-        for a, b in zip(walk, walk[1:] + walk[:1])
-        if a[0] == "e" and b[0] == "e"
-    ]
-    for code, walks in _CODE_WALKS.items()
+# Edge token -> (low corner, high corner, vertical, dx, dy): the crossing
+# lies between the two corners, and edge e of cell (ix, iy) is the grid edge
+# (vertical, ix + dx, iy + dy), the one its neighbor shares.
+_EDGES = {
+    "e0": (0, 1, 0, 0, 0),
+    "e1": (1, 2, 1, 1, 0),
+    "e2": (3, 2, 0, 0, 1),
+    "e3": (0, 3, 1, 0, 0),
 }
 
 
@@ -250,7 +240,7 @@ def _classify(m: IpiMap, level: float):
         if token[0] == "c":
             corner = int(token[1])
             return cx + (s if corner in (1, 2) else 0.0), cy + (s if corner in (2, 3) else 0.0)
-        lo, hi = (corners[k][cells] for k in _EDGE_CORNERS[token])
+        lo, hi = (corners[k][cells] for k in _EDGES[token][:2])
         ts = (level - lo) / (hi - lo) * s
         if token in ("e0", "e2"):
             return cx + ts, cy + (s if token == "e2" else 0.0)
@@ -272,51 +262,62 @@ def extract_contours(m: IpiMap, level_db: float) -> ContourSet:
     """
     level = float(level_db)
     codes, vertex = _classify(m, level)
-    cells = np.flatnonzero((codes != 0) & (codes != 15))  # row-major
-    # every edge of every crossed cell; a cell reads only its crossed edges
-    with np.errstate(divide="ignore", invalid="ignore"):
-        edge_xy = {t: [a.tolist() for a in vertex(t, cells)] for t in _EDGE_KEYS}
-    coords: dict = {}
-    adjacency = defaultdict(list)
-
-    for n, (cell, code) in enumerate(zip(cells.tolist(), codes[cells].tolist())):
-        iy, ix = divmod(cell, m.nx - 1)
-        for a, b in _CODE_CHORDS[code]:
-            ka, kb = [(kind, ix + dx, iy + dy) for kind, dx, dy in (_EDGE_KEYS[a], _EDGE_KEYS[b])]
-            # the first cell to reach a shared edge vertex sets its coordinate
-            coords.setdefault(ka, (edge_xy[a][0][n], edge_xy[a][1][n]))
-            coords.setdefault(kb, (edge_xy[b][0][n], edge_xy[b][1][n]))
-            adjacency[ka].append(kb)
-            adjacency[kb].append(ka)
-
-    def chain(start):
-        """The path from the end ``start``, or the cycle from ``start`` back to it."""
-        path = [start, adjacency[start][0]]
-        while path[-1] != start and len(adjacency[path[-1]]) == 2:
-            a, b = adjacency[path[-1]]
-            path.append(b if a == path[-2] else a)
-        return path
-
-    polylines = []
-    chained: set = set()
-    ends = sorted(k for k, nbrs in adjacency.items() if len(nbrs) == 1)
-    # open paths first; the vertices left after them lie on cycles
-    for start in ends + sorted(adjacency):
-        if start not in chained:
-            path = chain(start)
-            chained.update(path)
-            polylines.append(np.array([coords[k] for k in path]))
-
-    # the area: one shoelace term per (cell, walk); a cell has at most two walks
-    terms = np.zeros((codes.size, 2))
+    nx, ny = m.nx, m.ny
+    terms = np.zeros((codes.size, 2))  # one shoelace term per (cell, walk)
+    chord_ends = []  # (processing order, edge id, x, y) arrays
     for code in np.unique(codes).tolist():
         cells = np.flatnonzero(codes == code)
+        iy, ix = np.divmod(cells, nx - 1)
         for w, walk in enumerate(_CODE_WALKS[code]):
             pts = [vertex(t, cells) for t in walk]
             acc = 0.0
             for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
                 acc = acc + (x1 * y2 - x2 * y1)
             terms[cells, w] = np.abs(acc) / 2.0
+            # a chord joins two cyclically consecutive edge vertices of a walk
+            for i in range(len(walk)):
+                chord = (i, (i + 1) % len(walk))
+                if all(walk[k][0] == "e" for k in chord):
+                    for end, k in enumerate(chord):
+                        *_, vertical, dx, dy = _EDGES[walk[k]]
+                        # integer order is that of (vertical, ix + dx, iy + dy)
+                        edge = vertical * (nx - 1) * ny + (ix + dx) * (ny - vertical) + iy + dy
+                        # order by cell, walk (< 2), position (< 6), end (< 2)
+                        order = cells * 24 + w * 12 + i * 2 + end
+                        chord_ends.append((order, edge, *pts[k]))
     # cumsum adds in order (np.sum pairs): row-major cells, then walks;
     # the leading 0.0 is the empty sum
-    return ContourSet(level, tuple(polylines), float(np.cumsum(np.append(0.0, terms))[-1]))
+    area = float(np.cumsum(np.append(0.0, terms))[-1])
+    if not chord_ends:
+        return ContourSet(level, (), area)
+
+    order, ids, xs, ys = (np.concatenate(c) for c in zip(*chord_ends))
+    by_order = np.argsort(order)  # the two ends of chord n land at 2n and 2n + 1
+    ids = ids[by_order]
+    # vertex j: the j-th smallest edge id, reached first at chord end
+    # first[j] and last at last[j]
+    _, first, index = np.unique(ids, return_index=True, return_inverse=True)
+    last = ids.size - 1 - np.unique(ids[::-1], return_index=True)[1]
+    # the first cell to reach a shared edge vertex sets its coordinate
+    xy = np.column_stack([xs[by_order], ys[by_order]])[first]
+    partner = index[np.arange(ids.size) ^ 1]
+    # a vertex's neighbors in chord order; the same one twice at a path end
+    nbr0, nbr1 = partner[first].tolist(), partner[last].tolist()
+
+    def chain(start):
+        """The path from the end ``start``, or the cycle from ``start`` back to it."""
+        path = [start, nbr0[start]]
+        while path[-1] != start and nbr0[path[-1]] != nbr1[path[-1]]:
+            a, b = nbr0[path[-1]], nbr1[path[-1]]
+            path.append(b if a == path[-2] else a)
+        return path
+
+    polylines = []
+    chained: set = set()
+    # open paths first; the vertices left after them lie on cycles
+    for start in np.flatnonzero(first == last).tolist() + list(range(first.size)):
+        if start not in chained:
+            path = chain(start)
+            chained.update(path)
+            polylines.append(xy[path])
+    return ContourSet(level, tuple(polylines), area)

@@ -5,9 +5,10 @@ Usage::
     python tests/snapshot_outputs.py OUTDIR
 
 runs the pszsim of this checkout (its ``src``) on the template ``spectra``
-and ``map``, on the three benchmark workloads and on the partial-skip config
-of ``tests/test_golden.py``, each at seeds 0 and 1, in a fresh interpreter
-per invocation. Each invocation gets its own directory under OUTDIR, named
+and ``map``, on the template ``map`` at 0.025 m (a grid that lands on four
+speakers, so its maps hold NaN cells), on the three benchmark workloads and
+on the partial-skip config of ``tests/test_golden.py``, each at seeds 0
+and 1, in a fresh interpreter per invocation. Each invocation gets its own directory under OUTDIR, named
 ``<run>-<command>-seed<seed>``, holding ``config.json``, ``stdout.txt``,
 ``stderr.txt``, ``exit_code.txt`` and the ``out`` directory it wrote.
 Workload configs are built as the benchmark builds them, with
@@ -43,6 +44,9 @@ def runs() -> list[tuple[str, str, dict]]:
     spec = json.loads((PERFBENCH / "workloads.json").read_text(encoding="utf-8"))
     make = perfbench_outputs().workload_config
     listed = [("template", command, default_config_dict()) for command in ("spectra", "map")]
+    on_speakers = default_config_dict()
+    on_speakers["map"]["resolution_m"] = 0.025
+    listed.append(("speaker_grid", "map", on_speakers))
     listed += [
         (name, workload["command"], make(spec["template"], workload["delta"]))
         for name, workload in spec["workloads"].items()

@@ -212,10 +212,11 @@ def test_json_writer_writes_the_text_of_json_dump_for_every_file_of_a_run(tmp_pa
 
 
 def test_map_csv_writer_formats_each_point_as_nine_significant_digits(tmp_path):
-    for values in (np.array([EDGE_FLOATS[:7], EDGE_FLOATS[7:]]), np.array([[1.0, -0.0]]),
-                   BIT_FLOATS):
+    for n, values in enumerate((np.array([EDGE_FLOATS[:7], EDGE_FLOATS[7:]]),
+                                np.array([[1.0, -0.0]]), BIT_FLOATS)):
         m = IpiMap(1000.0, -1.0, 0.0, 0.01, values)
-        path = pszsim.cli._write_map_csv(tmp_path / "map.csv", m, values)
+        # the writer never overwrites, so each case gets its own file
+        path = pszsim.cli._write_map_csv(tmp_path / f"map{n}.csv", m, values)
         expected = ["x_m,y_m,ipi_db"] + [
             f"{x:.9g},{y:.9g},{v:.9g}"
             for y, row in zip(m.y_coords().tolist(), values.tolist())
@@ -573,20 +574,69 @@ def test_unwritable_output_file_is_a_config_error(tmp_path, capsys, command, nam
     assert main([command, str(small_config(tmp_path))]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.splitlines() == [f"config error: output_dir: cannot write {blocker}: Is a directory"]
+    assert err.splitlines() == [f"config error: output_dir: cannot write {blocker}: File exists"]
     assert blocker.is_dir() and not any(blocker.iterdir())
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
-def test_failed_write_names_the_output_dir(tmp_path, capsys):
+def test_failed_write_names_the_output_dir(tmp_path, capsys, monkeypatch):
     # the file opens, but its data cannot be flushed: the error names no file
-    (tmp_path / "out").mkdir()
-    (tmp_path / "out" / "spectra_mono_centered_matched.csv").symlink_to("/dev/full")
+    def open_full(path, mode, **kwargs):
+        return open("/dev/full", "w", **kwargs)
+
+    monkeypatch.setattr(pszsim.cli, "open", open_full, raising=False)
     assert main(["spectra", str(small_config(tmp_path))]) == 1
     err = capsys.readouterr().err
     assert err.splitlines() == [
         f"config error: output_dir: cannot write {tmp_path / 'out'}: No space left on device"
     ]
+
+
+def file_bytes(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("command, first", [
+    ("spectra", "spectra_mono_centered_matched.csv"),
+    ("map", "map_mono_500hz.csv"),
+])
+def test_rerun_into_a_used_directory_changes_no_file(tmp_path, capsys, command, first):
+    path = str(small_config(tmp_path))
+    assert main([command, path]) == 0
+    before = file_bytes(tmp_path / "out")
+    capsys.readouterr()
+    assert main([command, path]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: output_dir: cannot write {tmp_path / 'out' / first}: File exists"
+    ]
+    assert file_bytes(tmp_path / "out") == before
+
+
+def test_fewer_modes_into_a_three_mode_directory_is_refused(tmp_path, capsys):
+    # the mono run's files are a subset of the three-mode run's names; writing
+    # them would leave the other modes' CSVs beside a manifest that omits them
+    assert main(["spectra", str(small_config(tmp_path, modes=["mono", "stereo", "xtc"]))]) == 0
+    before = file_bytes(tmp_path / "out")
+    assert len(before) == 4
+    capsys.readouterr()
+    assert main(["spectra", str(small_config(tmp_path))]) == 1
+    assert "File exists" in capsys.readouterr().err
+    assert file_bytes(tmp_path / "out") == before
+
+
+def test_spectra_then_map_share_one_directory(tmp_path):
+    # the two commands write disjoint file names, so a shared output_dir
+    # (the default "results") holds both runs, each listed by its manifest
+    path = str(small_config(tmp_path))
+    assert main(["spectra", path]) == 0
+    assert main(["map", path]) == 0
+    out = tmp_path / "out"
+    spectra, maps = (
+        json.loads((out / f"manifest_{c}.json").read_text())["outputs"] + [f"manifest_{c}.json"]
+        for c in ("spectra", "map")
+    )
+    assert not set(spectra) & set(maps)
+    assert sorted(p.name for p in out.iterdir()) == sorted(spectra + maps)
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,6 +11,7 @@ from pszsim.acoustics import response_matrix
 from pszsim.cli import main
 from pszsim.config import default_config_dict
 from pszsim.filter_design import RenderingMode, program_channels, solve_stack, target_stack
+from pszsim.metrics import ipi_ratios, min_db
 from pszsim.scene import Scene, default_scene
 from pszsim.spatial_analysis import (
     ContourSet,
@@ -265,6 +266,24 @@ def test_ipi_map_speaker_coincidence_marks_cell_invalid():
     assert np.isfinite(m.values_db[2]).all()
 
 
+def test_ipi_map_values_are_min_db_of_the_grid_ipi_ratios():
+    # the map's dB values come from the one dB kernel, bit for bit; the grid
+    # lands on speaker 0, so a NaN cell goes through it too
+    scene = default_scene()
+    frequency = 500.0
+    filters = designed_filters(scene, frequency)
+    target, interferer = program_channels(scene, RenderingMode.MONO)
+    (m,) = ipi_map(
+        scene, filters, (-1.0, -0.75, 0.0, 0.25), 0.125, [frequency], target, interferer
+    )
+    gx, gy = np.meshgrid(m.x_coords(), m.y_coords())
+    points = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
+    rows = (response_matrix(scene, points, frequency) @ filters[0])[:, None, :]
+    _, want = min_db(*ipi_ratios(rows, (0,), target, interferer))
+    assert np.isnan(want).any()
+    assert m.values_db.tobytes() == want.reshape(m.ny, m.nx).tobytes()
+
+
 def test_ipi_map_validates_inputs():
     scene = default_scene()
     filters = designed_filters(scene, 500.0)
@@ -487,14 +506,17 @@ def grid_map(values, x0=-0.3, y0=-0.7, spacing=0.1):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_random_maps_with_nonfinite_corners_match_the_cell_walk(seed):
+    # the one-cell-wide grids put chord ends on the first and last edge ids
+    # of both edge kinds
     rng = np.random.default_rng(seed)
-    values = rng.normal(20.0, 8.0, size=(23, 31))
-    values[rng.random(values.shape) < 0.05] = np.nan
-    values[rng.random(values.shape) < 0.01] = np.inf
-    values[rng.random(values.shape) < 0.01] = -np.inf
-    m = grid_map(values)
-    for level in (12.5, 20.0, 27.0):
-        assert_matches_oracle(m, level)
+    for shape in ((23, 31), (2, 31), (23, 2), (2, 2)):
+        values = rng.normal(20.0, 8.0, size=shape)
+        values[rng.random(values.shape) < 0.05] = np.nan
+        values[rng.random(values.shape) < 0.01] = np.inf
+        values[rng.random(values.shape) < 0.01] = -np.inf
+        m = grid_map(values)
+        for level in (12.5, 20.0, 27.0):
+            assert_matches_oracle(m, level)
 
 
 def test_values_equal_to_the_level_match_the_cell_walk():

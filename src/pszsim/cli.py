@@ -19,6 +19,8 @@ map <config>
 The config format is defined in :mod:`pszsim.config`. All randomness
 flows from the seed in the config (overridable with --seed), and outputs
 never embed timestamps, so identical inputs give byte-identical files.
+A run builds its files in memory and ``_write_run`` writes all of them
+or none: nothing if any of them exists, nothing on exit 2.
 Exit codes: 0 success, 1 config or usage error, 2 runtime numerical
 failure.
 """
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import chain
 from pathlib import Path
@@ -51,10 +54,6 @@ from .spatial_analysis import extract_contours, ipi_map
 
 _DESIGN_STREAM = "design"
 _EVAL_STREAM = "eval"
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
 
 
 def _design_filters(config: ExperimentConfig, scene: Scene, h_design, mode: RenderingMode,
@@ -100,13 +99,10 @@ _SPECTRA_HEADER = ["frequency_hz"] + [
 ]
 
 
-def _write_csv(path: Path, header, rows) -> Path:
-    # "%.9g" formats a number as _fmt does; one template formats a whole row
+def _csv_text(header, rows) -> str:
+    # one "%.9g" template formats a whole row
     line = ",".join(["%.9g"] * len(header)) + "\n"
-    with open(path, "x", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(line % tuple(row) for row in rows)
-    return path
+    return ",".join(header) + "\n" + "".join(line % tuple(row) for row in rows)
 
 
 def _json_text(value, indent: str = "") -> str:
@@ -141,29 +137,40 @@ def _json_text(value, indent: str = "") -> str:
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
 
 
-def _write_json(path: Path, payload) -> Path:
-    """Exactly the text of ``json.dump(payload, fh, indent=2, sort_keys=True)``
-    and a newline, with NaN written as null."""
-    with open(path, "x", encoding="utf-8") as fh:
-        fh.write(_json_text(payload) + "\n")
-    return path
+def _write_run(config: ExperimentConfig, command: str, files: dict[str, str],
+               skipped) -> list[Path]:
+    """Write ``files`` (name -> text) and the run's manifest into ``output_dir``:
+    all of them or none.
 
-
-def _write_manifest(config: ExperimentConfig, command: str, outputs, skipped) -> Path:
-    return _write_json(config.output_dir / f"manifest_{command}.json", {
+    Nothing is written if any of the files exists. If a write fails, the
+    files this run created are removed before the error is re-raised.
+    """
+    files[f"manifest_{command}.json"] = _json_text({
         "command": command,
         "config": config.echo,
-        "outputs": sorted(str(p.name) for p in outputs),
+        "outputs": sorted(files),
         "skipped_frequencies": skipped,
         "version": __version__,
-    })
-
-
-def _make_output_dir(config: ExperimentConfig) -> None:
+    }) + "\n"
     try:
         config.output_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError([f"output_dir: cannot create {config.output_dir}: {exc.strerror}"])
+    paths = [config.output_dir / name for name in files]
+    taken = [f"output_dir: cannot write {p}: File exists" for p in paths if os.path.lexists(p)]
+    if taken:
+        raise ConfigError(taken)
+    created = []
+    try:
+        for path, text in zip(paths, files.values()):
+            with open(path, "x", encoding="utf-8") as fh:
+                created.append(path)
+                fh.write(text)
+    except OSError:
+        for path in created:
+            path.unlink(missing_ok=True)
+        raise
+    return paths
 
 
 def _report_skips(key: str, kept, failures, skipped_log: dict) -> None:
@@ -183,7 +190,6 @@ def run_spectra(config: ExperimentConfig) -> list[Path]:
     draw and design is computed once per run and shared by the
     combinations that use it.
     """
-    _make_output_dir(config)
     scenes, freqs = config.scenes, config.frequencies
 
     def design_key(case: ListenerCase, strategy: str):
@@ -200,7 +206,7 @@ def run_spectra(config: ExperimentConfig) -> list[Path]:
         _EVAL_STREAM: list(dict.fromkeys(c.displacement for c in config.cases)),
     }, freqs)
     designs = {}
-    outputs: list[Path] = []
+    files: dict[str, str] = {}
     skipped_log: dict[str, list] = {}
     for mode, case, strategy in combos:
         scene_key = design_key(case, strategy)
@@ -214,23 +220,21 @@ def run_spectra(config: ExperimentConfig) -> list[Path]:
         m = h[case.displacement, _EVAL_STREAM][kept] @ filters
         raw = _spectra_db(config.scene, mode, m)
         rows = np.column_stack([freqs[kept], raw.T, smooth_db(freqs[kept], raw).T]).tolist()
-        outputs.append(_write_csv(config.output_dir / f"spectra_{key}.csv", _SPECTRA_HEADER, rows))
-    outputs.append(_write_manifest(config, "spectra", outputs, skipped_log))
-    return outputs
+        files[f"spectra_{key}.csv"] = _csv_text(_SPECTRA_HEADER, rows)
+    return _write_run(config, "spectra", files, skipped_log)
 
 
-def _write_map_csv(path: Path, m, values) -> Path:
+def _map_csv_text(m, values) -> str:
     # one template per map formats each x once; a row fills it with one % as
-    # (y, v0, y, v1, ...), the y text and "%.9g" (_fmt's format) for each value
-    row_text = "".join(f"{_fmt(x)},%s,%.9g\n" for x in m.x_coords().tolist())
+    # (y, v0, y, v1, ...), the y text and "%.9g" for each value
+    row_text = "".join(f"{x:.9g},%s,%.9g\n" for x in m.x_coords().tolist())
     args = [None] * (2 * m.nx)
-    with open(path, "x", encoding="utf-8") as fh:
-        fh.write("x_m,y_m,ipi_db\n")
-        for y, row in zip(m.y_coords().tolist(), values.tolist()):
-            args[::2] = [_fmt(y)] * m.nx
-            args[1::2] = row
-            fh.write(row_text % tuple(args))
-    return path
+    lines = ["x_m,y_m,ipi_db\n"]
+    for y, row in zip(m.y_coords().tolist(), values.tolist()):
+        args[::2] = [f"{y:.9g}"] * m.nx
+        args[1::2] = row
+        lines.append(row_text % tuple(args))
+    return "".join(lines)
 
 
 def _map_payload(m, values, cap_db: float) -> dict:
@@ -255,7 +259,6 @@ def run_map(config: ExperimentConfig) -> list[Path]:
     request = config.map_request
     if request is None:
         raise ConfigError(["map: section required for the map command"])
-    _make_output_dir(config)
     scene = config.scene
     prog_a, prog_b = program_channels(scene, request.mode)
     target, interferer = (prog_a, prog_b) if request.bright_zone == "A" else (prog_b, prog_a)
@@ -274,29 +277,26 @@ def run_map(config: ExperimentConfig) -> list[Path]:
     except MemoryError as exc:  # a grid numpy allows but memory cannot hold
         raise RuntimeError(f"map: {exc}") from exc
 
-    outputs: list[Path] = []
+    files: dict[str, str] = {}
     area_rows = []
     for m in maps:
         # the files are capped; the contours and area below use the untruncated values
         capped = np.minimum(m.values_db, request.cap_db)
         tag = map_tag(request.mode.value, m.frequency)
-        outputs.append(_write_map_csv(config.output_dir / f"map_{tag}.csv", m, capped))
-        outputs.append(_write_json(config.output_dir / f"map_{tag}.json",
-                                   _map_payload(m, capped, request.cap_db)))
+        files[f"map_{tag}.csv"] = _map_csv_text(m, capped)
+        files[f"map_{tag}.json"] = _json_text(_map_payload(m, capped, request.cap_db)) + "\n"
         contour_sets = [extract_contours(m, level) for level in request.levels_db]
-        outputs.append(_write_json(config.output_dir / f"contours_{tag}.json", {
+        files[f"contours_{tag}.json"] = _json_text({
             "frequency_hz": m.frequency,
             "contours": [
                 {"level_db": cs.level_db, "polylines": [line.tolist() for line in cs.polylines]}
                 for cs in contour_sets
             ],
-        }))
+        }) + "\n"
         area_rows += [(m.frequency, cs.level_db, cs.area_m2) for cs in contour_sets]
 
-    header = ["frequency_hz", "level_db", "area_m2"]
-    outputs.append(_write_csv(config.output_dir / "area_summary.csv", header, area_rows))
-    outputs.append(_write_manifest(config, "map", outputs, skipped))
-    return outputs
+    files["area_summary.csv"] = _csv_text(["frequency_hz", "level_db", "area_m2"], area_rows)
+    return _write_run(config, "map", files, skipped)
 
 
 def main(argv=None) -> int:
@@ -344,7 +344,7 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return 1
-    except OSError as exc:  # a writer's; load_config and _make_output_dir report their own
+    except OSError as exc:  # _write_run's; load_config and mkdir report their own
         where = exc.filename or config.output_dir  # a failed write names no file
         print(f"config error: output_dir: cannot write {where}: {exc.strerror}", file=sys.stderr)
         return 1

@@ -124,9 +124,9 @@ def _number(gt=None, ge=None, lt=None, integer=False):
     return check
 
 
-def _string(v):
-    if not isinstance(v, str):
-        raise _Invalid(f"must be a string, got {v!r}")
+def _path(v):
+    if not isinstance(v, str) or not v or "\0" in v:
+        raise _Invalid(f"must be a non-empty string without NUL, got {v!r}")
     return v
 
 
@@ -204,7 +204,7 @@ FIELDS = (
     _Field("frequency_grid.stop_hz", _number(gt=0), 10000.0),
     _Field("frequency_grid.points_per_octave", _number(ge=1, integer=True), 48),
     _Field("frequency_grid.step_hz", _number(gt=0), _ABSENT),  # a linear grid instead
-    _Field("modes", _list(_choice(*_MODES)), list(_MODES)),
+    _Field("modes", _list(_choice(*_MODES), unique=True), list(_MODES)),
     _Field("uncertainty", None, {}),
     _Field("uncertainty.sigma_sq", _number(ge=0), _ABSENT, 1e-4),  # sets both below
     _Field("uncertainty.sigma_amp_sq", _number(ge=0), 0.0, _ABSENT),
@@ -238,7 +238,7 @@ FIELDS = (
     _Field("map.region.y_max", _number(), _REQUIRED, 2.0),
     _Field("map.resolution_m", _number(gt=0), 0.02),
     _Field("map.cap_db", _number(), 40.0),
-    _Field("output_dir", _string, "results"),
+    _Field("output_dir", _path, "results"),
 )
 
 
@@ -351,6 +351,9 @@ def resolve_config(raw: dict, seed_override: int | None = None,
     if seed_override is not None:
         seed = _fields("uncertainty")["seed"]
         model["seed"] = _check(seed, seed_override, "--seed", problems)
+    if output_override is not None:
+        output_dir = _fields("")["output_dir"]
+        echo["output_dir"] = _check(output_dir, output_override, "-o", problems)
     if "sigma_sq" in model:
         model["sigma_amp_sq"] = model["sigma_phase_sq"] = model.pop("sigma_sq")
     scene = _build_scene(echo["scene"])
@@ -406,7 +409,7 @@ def resolve_config(raw: dict, seed_override: int | None = None,
         raise ConfigError(problems)
 
     echo["scene"] = raw.get("scene", "default")  # a custom scene is echoed as written
-    echo["output_dir"] = str(Path(output_override or echo["output_dir"]))
+    echo["output_dir"] = str(Path(echo["output_dir"]))
     config = ExperimentConfig(
         scenes=scenes,
         frequencies=frequencies,

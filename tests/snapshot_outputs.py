@@ -7,10 +7,13 @@ Usage::
 runs the pszsim of this checkout (its ``src``) on the template ``spectra``
 and ``map``, on the template ``map`` at 0.025 m (a grid that lands on four
 speakers, so its maps hold NaN cells), on the three benchmark workloads and
-on the partial-skip config of ``tests/test_golden.py``, each at seeds 0
-and 1, in a fresh interpreter per invocation. Each invocation gets its own directory under OUTDIR, named
-``<run>-<command>-seed<seed>``, holding ``config.json``, ``stdout.txt``,
-``stderr.txt``, ``exit_code.txt`` and the ``out`` directory it wrote.
+on the partial-skip config of ``tests/test_golden.py``, and on a ``rerun``
+of the template ``spectra`` into an ``out`` that already holds the file of
+its last combination (``TAKEN``), each at seeds 0 and 1, in a fresh
+interpreter per invocation. Each invocation gets its own directory under
+OUTDIR, named ``<run>-<command>-seed<seed>``, holding ``config.json``,
+``stdout.txt``, ``stderr.txt``, ``exit_code.txt`` and the ``out`` directory
+it wrote.
 Workload configs are built as the benchmark builds them, with
 ``perfbench/outputs.workload_config`` from ``perfbench/workloads.json``.
 
@@ -38,6 +41,9 @@ from test_golden import partial_skip_config  # noqa: E402
 
 from pszsim.config import default_config_dict  # noqa: E402
 
+# run name -> the file its ``out`` holds before the invocation
+TAKEN = {"rerun": "spectra_xtc_moved_a_centered.csv"}
+
 
 def runs() -> list[tuple[str, str, dict]]:
     """(run name, command, config) of every invocation, seeds aside."""
@@ -52,6 +58,7 @@ def runs() -> list[tuple[str, str, dict]]:
         for name, workload in spec["workloads"].items()
     ]
     listed += [("partial_skip", command, partial_skip_config()) for command in ("spectra", "map")]
+    listed.append(("rerun", "spectra", default_config_dict()))
     return listed
 
 
@@ -67,6 +74,9 @@ def main(argv: list[str]) -> int:
             work = outdir / f"{name}-{command}-seed{seed}"
             work.mkdir()
             (work / "config.json").write_text(json.dumps(config, indent=2), encoding="utf-8")
+            if name in TAKEN:
+                (work / "out").mkdir()
+                (work / "out" / TAKEN[name]).write_text("taken\n", encoding="utf-8")
             done = subprocess.run(
                 [sys.executable, "-m", "pszsim.cli", command, "config.json",
                  "--seed", str(seed), "-o", "out"],

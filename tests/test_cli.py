@@ -1,4 +1,5 @@
 import collections
+import errno
 import io
 import json
 import os
@@ -111,22 +112,22 @@ def test_spectra_computes_each_transfer_draw_and_design_once(tmp_path, monkeypat
     assert counts == {"transfers": 2, "draws": 2 * 319, "factors": 3 * 2 * 319}
 
 
-def test_csv_writer_prints_nine_significant_digits(tmp_path):
+def test_csv_writer_prints_nine_significant_digits():
     # the edge values are pinned as written; random bit patterns (NaN
     # payloads, subnormals and extremes included) match f"{x:.9g}" per value
     edge = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324,
             2.2250738585072014e-308, 1e16, 123456789.5, 1 / 3, -2.5e-7, 7, -3, 10**20]
     bits = np.random.default_rng(1).integers(0, 2**64, size=(2000, 5), dtype=np.uint64)
     rows = bits.view(np.float64).tolist()
-    path = pszsim.cli._write_csv(tmp_path / "edge.csv", [f"c{i}" for i in range(len(edge))], [edge])
-    assert path.read_bytes() == (
-        b"c0,c1,c2,c3,c4,c5,c6,c7,c8,c9,c10,c11,c12,c13\n"
-        b"nan,inf,-inf,-0,0,4.94065646e-324,2.22507386e-308,1e+16,123456790,0.333333333,"
-        b"-2.5e-07,7,-3,1e+20\n"
+    text = pszsim.cli._csv_text([f"c{i}" for i in range(len(edge))], [edge])
+    assert text == (
+        "c0,c1,c2,c3,c4,c5,c6,c7,c8,c9,c10,c11,c12,c13\n"
+        "nan,inf,-inf,-0,0,4.94065646e-324,2.22507386e-308,1e+16,123456790,0.333333333,"
+        "-2.5e-07,7,-3,1e+20\n"
     )
-    path = pszsim.cli._write_csv(tmp_path / "bits.csv", list("abcde"), rows)
+    text = pszsim.cli._csv_text(list("abcde"), rows)
     expected = ["a,b,c,d,e"] + [",".join(f"{x:.9g}" for x in row) for row in rows]
-    assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+    assert text == "\n".join(expected) + "\n"
 
 
 EDGE_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1.0, 40.0, 5e-324,
@@ -181,48 +182,52 @@ JSON_PAYLOADS = {
 
 
 @pytest.mark.parametrize("name", JSON_PAYLOADS)
-def test_json_writer_writes_the_text_of_json_dump(tmp_path, name):
-    path = pszsim.cli._write_json(tmp_path / "payload.json", JSON_PAYLOADS[name])
-    assert_same_lines(path.read_text(encoding="utf-8"), json_dump_text(JSON_PAYLOADS[name]))
+def test_json_writer_writes_the_text_of_json_dump(name):
+    text = pszsim.cli._json_text(JSON_PAYLOADS[name]) + "\n"
+    assert_same_lines(text, json_dump_text(JSON_PAYLOADS[name]))
 
 
 def test_json_writer_writes_the_text_of_json_dump_for_every_file_of_a_run(tmp_path, monkeypatch):
-    # beta 0 below 1 kHz skips frequencies, so both manifests list skips
-    written = []
-    write_json = pszsim.cli._write_json
+    # beta 0 below 1 kHz skips frequencies, so both manifests list skips;
+    # a call at indent "" is a whole file's payload, the others its parts
+    payloads = []
+    json_text = pszsim.cli._json_text
 
-    def recording_write_json(path, payload):
-        written.append((path, payload))
-        return write_json(path, payload)
+    def recording_json_text(value, indent=""):
+        if indent == "":
+            payloads.append(value)
+        return json_text(value, indent)
 
-    monkeypatch.setattr(pszsim.cli, "_write_json", recording_write_json)
+    monkeypatch.setattr(pszsim.cli, "_json_text", recording_json_text)
     path = small_config(tmp_path, beta={"frequencies_hz": [1000, 1001], "values": [0, 4e-4]},
                         uncertainty={"sigma_sq": 0, "trials": 1},
                         map={"frequencies_hz": [500.0, 2000.0]})
     assert main(["spectra", str(path)]) == 0
     assert main(["map", str(path)]) == 0
-    assert sorted(p.name for p, _ in written) == [
+    files = sorted((tmp_path / "out").glob("*.json"))
+    assert [p.name for p in files] == [
         "contours_mono_2000hz.json", "manifest_map.json", "manifest_spectra.json",
         "map_mono_2000hz.json",
     ]
-    for p, payload in written:
-        assert_same_lines(p.read_text(encoding="utf-8"), json_dump_text(payload))
-        if p.name.startswith("manifest"):
+    assert len(payloads) == len(files)
+    assert sorted(p.read_text(encoding="utf-8") for p in files) == sorted(
+        json_dump_text(payload) for payload in payloads)
+    for payload in payloads:
+        assert_same_lines(json_text(payload) + "\n", json_dump_text(payload))
+        if "command" in payload:  # a manifest
             assert payload["skipped_frequencies"]
 
 
-def test_map_csv_writer_formats_each_point_as_nine_significant_digits(tmp_path):
-    for n, values in enumerate((np.array([EDGE_FLOATS[:7], EDGE_FLOATS[7:]]),
-                                np.array([[1.0, -0.0]]), BIT_FLOATS)):
+def test_map_csv_writer_formats_each_point_as_nine_significant_digits():
+    for values in (np.array([EDGE_FLOATS[:7], EDGE_FLOATS[7:]]), np.array([[1.0, -0.0]]),
+                   BIT_FLOATS):
         m = IpiMap(1000.0, -1.0, 0.0, 0.01, values)
-        # the writer never overwrites, so each case gets its own file
-        path = pszsim.cli._write_map_csv(tmp_path / f"map{n}.csv", m, values)
         expected = ["x_m,y_m,ipi_db"] + [
             f"{x:.9g},{y:.9g},{v:.9g}"
             for y, row in zip(m.y_coords().tolist(), values.tolist())
             for x, v in zip(m.x_coords().tolist(), row)
         ]
-        assert_same_lines(path.read_text(encoding="utf-8"), "\n".join(expected) + "\n")
+        assert_same_lines(pszsim.cli._map_csv_text(m, values), "\n".join(expected) + "\n")
 
 
 def test_validate_command(tmp_path, capsys):
@@ -510,6 +515,7 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "runtime error" in err
     assert "skipped" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_map_numerical_failure_exits_2(tmp_path, capsys):
@@ -522,7 +528,7 @@ def test_map_numerical_failure_exits_2(tmp_path, capsys):
         "warning: map: skipped 500", "warning: map: skipped 1000"
     ]
     assert error == "runtime error: map: every frequency failed to solve"
-    assert list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_map_grid_too_large_for_memory_exits_2(tmp_path, capsys):
@@ -533,7 +539,7 @@ def test_map_grid_too_large_for_memory_exits_2(tmp_path, capsys):
     assert main(["map", str(path)]) == 2
     (error,) = capsys.readouterr().err.splitlines()
     assert error.startswith("runtime error: map: Unable to allocate ")
-    assert list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_frequency_grid_too_large_for_one_array_exits_1(tmp_path, capsys):
@@ -601,15 +607,73 @@ def file_bytes(directory):
     ("map", "map_mono_500hz.csv"),
 ])
 def test_rerun_into_a_used_directory_changes_no_file(tmp_path, capsys, command, first):
+    # every file is taken; the refusal lists each, in the order the run writes them
     path = str(small_config(tmp_path))
     assert main([command, path]) == 0
     before = file_bytes(tmp_path / "out")
-    capsys.readouterr()
+    written = capsys.readouterr().out.splitlines()
+    assert written[0] == str(tmp_path / "out" / first)
     assert main([command, path]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        f"config error: output_dir: cannot write {tmp_path / 'out' / first}: File exists"
+        f"config error: output_dir: cannot write {p}: File exists" for p in written
     ]
     assert file_bytes(tmp_path / "out") == before
+
+
+def test_refused_run_writes_no_file(tmp_path, capsys):
+    # the xtc CSV is free, but the run is refused as a whole: writing it
+    # would leave a CSV that no manifest lists
+    assert main(["spectra", str(small_config(tmp_path))]) == 0
+    before = file_bytes(tmp_path / "out")
+    capsys.readouterr()
+    assert main(["spectra", str(small_config(tmp_path, modes=["xtc", "mono"]))]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: output_dir: cannot write {tmp_path / 'out' / name}: File exists"
+        for name in ("spectra_mono_centered_matched.csv", "manifest_spectra.json")
+    ]
+    assert file_bytes(tmp_path / "out") == before
+
+
+@pytest.mark.parametrize("taken", [False, True], ids=["disk full", "name taken meanwhile"])
+def test_failed_write_removes_the_files_of_the_run(tmp_path, capsys, monkeypatch, taken):
+    # the third file fails to open; the two written before it are removed,
+    # while the files the run did not write stay: one that was there before,
+    # and one that another writer put on the third name after the check
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("keep")
+    kept = file_bytes(out)
+    opened = []
+
+    def open_third_fails(path, *args, **kwargs):
+        opened.append(path)
+        if len(opened) == 3:
+            if not taken:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+            path.write_text("other")
+            kept[path.name] = b"other"
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(pszsim.cli, "open", open_third_fails, raising=False)
+    assert main(["map", str(small_config(tmp_path))]) == 1
+    reason = "File exists" if taken else "No space left on device"
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: output_dir: cannot write {opened[2]}: {reason}"
+    ]
+    assert [p.name for p in opened] == [
+        "map_mono_500hz.csv", "map_mono_500hz.json", "contours_mono_500hz.json"
+    ]
+    assert file_bytes(out) == kept
+
+
+@pytest.mark.parametrize("command", ["spectra", "map"])
+@pytest.mark.parametrize("value", ["", "a\0b"], ids=["empty", "NUL"])
+def test_output_dir_override_is_checked_like_the_field(tmp_path, capsys, command, value):
+    assert main([command, str(small_config(tmp_path)), "-o", value]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: -o: must be a non-empty string without NUL, got {value!r}"
+    ]
+    assert not (tmp_path / "out").exists()
 
 
 def test_fewer_modes_into_a_three_mode_directory_is_refused(tmp_path, capsys):

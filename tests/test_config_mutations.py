@@ -204,6 +204,8 @@ FIXED = {
     "filter_positions [{}]": (set_path("filter_positions", [{}]), "filter_positions[0]"),
     "listener_cases 5": (set_path("listener_cases", 5), "listener_cases"),
     "output_dir 5": (set_path("output_dir", 5), "output_dir"),
+    "output_dir ''": (set_path("output_dir", ""), "output_dir"),
+    "output_dir with NUL": (set_path("output_dir", "a\0b"), "output_dir"),
     "stop_hz Infinity": (set_path("frequency_grid.stop_hz", float("inf")), "frequency_grid.stop_hz"),
     "sigma_sq NaN": (set_path("uncertainty.sigma_sq", float("nan")), "uncertainty.sigma_sq"),
     "trials 2.5": (set_path("uncertainty.trials", 2.5), "uncertainty.trials"),
@@ -257,6 +259,7 @@ FIXED = {
         set_path("scene", dict(CUSTOM_SCENE, control_points=[[-0.2, 1.0, 0.0], [0.2, 1.0]])),
         "scene.control_points[1]: must have 3 entries",
     ),
+    "duplicate modes": (set_path("modes", ["mono", "xtc", "mono"]), "modes: duplicate"),
     "duplicate filter_positions": (
         set_path("filter_positions", ["matched", "matched"]), "filter_positions: duplicate",
     ),

@@ -16,18 +16,47 @@ outward propagation carries exp(-1j*k*r). Pressures are normalized: unit
 magnitude on axis at 1 m. The distances and angles of a set of points
 are computed once for all of their frequencies; a point exactly on a
 speaker has a NaN distance, so its responses from that speaker are NaN.
+
+J1 is evaluated by the rational approximations of the Cephes library
+(S. L. Moshier, ``j1.c``) in Cephes's operation order, so it equals
+``scipy.special.j1``, which evaluates the same code, bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import j1
 
 from .scene import Scene
 
 # Below this argument the directivity is evaluated by its Taylor series to
 # sidestep the 0/0 form; the two branches agree to ~1e-16 at the seam.
 _SMALL_ARG = 1e-4
+_BLOCK_ARGS = 2**13  # arguments per block, so that a block's temporaries stay in cache
+
+# Cephes j1.c's coefficients, spelled as their shortest doubles; _RQ, _QQ lead with p1evl's 1.0
+_RP = (-8.999712257055594e8, 4.5222829799819403e11, -7.274942452218183e13, 3.682957328638529e15)
+_RQ = (1.0, 6.208364781180543e2, 2.5698725675774884e5, 8.351467914319493e7, 2.215115954797925e10,
+       4.749141220799914e12, 7.843696078762359e14, 8.952223361846274e16, 5.322786203326801e18)
+_PP = (7.621256162081731e-4, 7.313970569409176e-2, 1.1271960812968493e0, 5.112079511468076e0,
+       8.424045901417724e0, 5.214515986823615e0, 1.0)
+_PQ = (5.713231280725487e-4, 6.884559087544954e-2, 1.105142326340617e0, 5.073863861286015e0,
+       8.399855543276042e0, 5.209828486823619e0, 1.0)
+_QP = (5.108625947501766e-2, 4.982138729512334e0, 7.582382841325453e1, 3.667796093601508e2,
+       7.108563049989261e2, 5.974896124006136e2, 2.1168875710057213e2, 2.5207020585802372e1)
+_QQ = (1.0, 7.423732770356752e1, 1.0564488603826283e3, 4.986410583376536e3,
+       9.562318924047562e3, 7.997041604473507e3, 2.8261927851763908e3, 3.360936078106983e2)
+_Z1, _Z2 = 1.4681970642123893e1, 4.92184563216946e1
+_THPIO4, _SQ2OPI = 2.356194490192345, 7.978845608028654e-1
+
+
+def _polevl(z, coefs, out=None):
+    """Cephes's polevl: Horner from coefs[0], each step one multiply, then one add."""
+    out = np.multiply(z, coefs[0], out=out)
+    out += coefs[1]
+    for c in coefs[2:]:
+        out *= z
+        out += c
+    return out
 
 
 def directivity(x):
@@ -37,15 +66,34 @@ def directivity(x):
     1 - x^2/8 + x^4/192 is used; otherwise the Bessel form directly.
     """
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-    small = np.abs(x) < _SMALL_ARG
-    xs = x[small]
+    ax = np.abs(x).reshape(-1)  # D is even and J1 odd: 2*J1(|x|)/|x| is 2*J1(x)/x bit for bit
+    out = np.empty_like(ax)
+    z, w, t = np.empty((3, min(ax.size, _BLOCK_ARGS)))
+    with np.errstate(all="ignore"):  # lanes that another branch overwrites may overflow or be 0/0
+        for start in range(0, ax.size, _BLOCK_ARGS):
+            a, ob = ax[start : start + _BLOCK_ARGS], out[start : start + _BLOCK_ARGS]
+            zb, wb, tb = z[: a.size], w[: a.size], t[: a.size]
+            np.multiply(a, a, out=zb)  # Cephes's J1 for x <= 5, then 2 * J1 / x
+            np.divide(_polevl(zb, _RP, wb), _polevl(zb, _RQ, tb), out=wb)
+            wb *= a
+            wb *= np.subtract(zb, _Z1, out=tb)
+            wb *= np.subtract(zb, _Z2, out=tb)
+            wb *= 2.0
+            np.divide(wb, a, out=ob)
+            if (large := a > 5.0).any():  # Cephes's J1 for x > 5: Hankel's asymptotic form
+                xl = a[large]
+                wl = 5.0 / xl
+                zl = wl * wl
+                p = _polevl(zl, _PP) / _polevl(zl, _PQ)
+                q = _polevl(zl, _QP) / _polevl(zl, _QQ)
+                xn = xl - _THPIO4
+                p = p * np.cos(xn) - wl * q * np.sin(xn)
+                ob[large] = 2.0 * (p * _SQ2OPI / np.sqrt(xl)) / xl
+    small = ax < _SMALL_ARG
+    xs = ax[small]
     out[small] = 1.0 - xs * xs / 8.0 + xs**4 / 192.0
-    xl = x[~small]
-    out[~small] = 2.0 * j1(xl) / xl
-    return float(out[0]) if scalar else out
+    out = out.reshape(x.shape)
+    return float(out) if x.ndim == 0 else out
 
 
 def _field(scene: Scene, points: np.ndarray):

@@ -436,4 +436,6 @@ def load_config(path: str, seed_override=None, output_override=None) -> Experime
         raise ConfigError([f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"]) from exc
     except UnicodeDecodeError as exc:
         raise ConfigError([f"{path}: not UTF-8 text: {exc.reason}"]) from exc
+    except ValueError as exc:  # open's, for a path with a NUL byte
+        raise ConfigError([f"cannot read {path}: {exc}"]) from exc
     return resolve_config(raw, seed_override, output_override)

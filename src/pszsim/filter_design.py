@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 
 import numpy as np
-import scipy.linalg
 
 from .scene import Scene
 
@@ -107,9 +106,10 @@ def solve_stack(H: np.ndarray, M_T: np.ndarray, betas, frequencies):
     solved by LAPACK's Cholesky routines ``potrf`` and ``potrs``, called
     directly and shared by all right hand side columns, with no explicit
     inverse. So every filter is bit for bit what a one-frequency
-    ``scipy.linalg.cho_factor``/``cho_solve`` gives. With beta = 0 the
-    normal matrix must be invertible; a frequency where it does not
-    factorize is reported, not raised.
+    ``scipy.linalg.cho_factor``/``cho_solve`` gives. scipy is imported at
+    the first call, not with the package. With beta = 0 the normal matrix
+    must be invertible; a frequency where it does not factorize is
+    reported, not raised.
     Returns ``(filters, kept, failures)``: the (F_kept, speakers, channels)
     filters of the frequencies whose normal matrix factorized, the (F,)
     boolean mask of those frequencies, and a ``(frequency, message)`` pair
@@ -119,6 +119,7 @@ def solve_stack(H: np.ndarray, M_T: np.ndarray, betas, frequencies):
     point counts, for inputs that disagree on the frequency count, and for
     a normal matrix or right hand side that holds an inf or a NaN.
     """
+    import scipy.linalg  # LAPACK is loaded at the first solve, not at import
     betas = np.asarray(betas, dtype=float)
     if np.any(betas < 0):
         raise ValueError(f"beta must be >= 0, got {betas[betas < 0][0]}")

@@ -1,8 +1,10 @@
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 
 from pszsim.acoustics import (
+    _BLOCK_ARGS,
     directivity,
     response_matrix,
 )
@@ -111,6 +113,69 @@ def test_directivity_small_argument_limit_and_branch_seam():
     below, above = 0.99e-4, 1.01e-4
     assert directivity(below) == pytest.approx(directivity(above), rel=1e-10)
     assert directivity(below) == pytest.approx(1.0, abs=1e-8)
+
+
+def scipy_directivity(x):
+    """2*J1(x)/x through ``scipy.special.j1``, with directivity's Taylor form below 1e-4."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    with np.errstate(all="ignore"):
+        d = 2.0 * scipy.special.j1(x) / x
+    small = np.abs(x) < 1e-4
+    xs = x[small]
+    d[small] = 1.0 - xs * xs / 8.0 + xs**4 / 192.0
+    return d
+
+
+def assert_same_bits(got, want):
+    """Equal float64 bit patterns, NaN matched as NaN whatever its payload."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    differ = (got.view(np.int64) != want.view(np.int64)) & ~nan
+    assert not differ.any(), f"{differ.sum()} differ, first at flat index {np.argmax(differ)}"
+
+
+def around(value, steps=64):
+    """``value`` and its ``steps`` float64 neighbours on each side, by np.nextafter."""
+    below, above = [value], [value]
+    for _ in range(steps):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return np.array(below[:0:-1] + above)
+
+
+def test_directivity_is_scipy_j1_bit_for_bit():
+    rng = np.random.default_rng(2209)
+    xs = np.concatenate([
+        rng.uniform(1e-4, 60.0, 10**6),
+        10.0 ** rng.uniform(-4.0, 12.0, 10**5),  # log-uniform up to 1e12
+        around(5.0),  # the seam of Cephes's two forms
+        around(1e-4),  # the seam of the Taylor branch
+        scipy.special.jn_zeros(1, 20),
+        [0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, -1e-5, -3.0, -5.0, -7.5, -1e9],
+    ])
+    assert_same_bits(directivity(xs), scipy_directivity(xs))
+    assert_same_bits(directivity(-xs), scipy_directivity(-xs))
+
+
+@pytest.mark.parametrize("shape", [
+    (_BLOCK_ARGS - 1,), (_BLOCK_ARGS,), (_BLOCK_ARGS + 1,), (0,), (3, 1001, 8)
+])
+def test_directivity_blocks_keep_the_bits_at_every_shape(shape):
+    # arguments in [-12, 12] put both of Cephes's forms into every block
+    x = np.random.default_rng(sum(shape)).uniform(-12.0, 12.0, shape)
+    got = directivity(x)
+    assert got.shape == shape
+    assert_same_bits(got, scipy_directivity(x).reshape(shape))
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 5e-5, 0.7, 5.0, 8.25, -9.16, 1e6, np.nan])
+def test_directivity_of_a_scalar_is_a_float_with_the_array_bits(x):
+    got = directivity(x)
+    assert type(got) is float
+    assert_same_bits(got, scipy_directivity(x)[0])
+    assert_same_bits(directivity(np.array(x)), directivity(np.array([x]))[0])
 
 
 def test_frozen_response_spot_value():

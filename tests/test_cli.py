@@ -3,6 +3,9 @@ import errno
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -897,3 +900,54 @@ def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
     path.write_bytes(b'{"scene": "\xff"}')
     assert main(["validate", str(path)]) == 1
     assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "spectra", "map"])
+def test_config_path_with_a_nul_is_a_config_error(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "a\0b"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: cannot read a\0b: embedded null byte"
+    ]
+    assert not list(tmp_path.iterdir())
+
+
+# Runs ``pszsim.cli.main(argv)`` in a fresh interpreter and prints its exit
+# code and the scipy modules it loaded; this process has scipy loaded already.
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+import pszsim.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = pszsim.cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def scipy_modules_after(argv, cwd):
+    src = str(Path(pszsim.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(argv)],
+        cwd=cwd, env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["validate", "CONFIG"], 0),
+    (["template"], 0),
+    (["--help"], 0),
+    (["spectra", "missing.json"], 1),
+], ids=["validate", "template", "help", "config_error"])
+def test_start_up_and_config_exits_load_no_scipy(tmp_path, argv, code):
+    config = str(small_config(tmp_path))
+    argv = [config if a == "CONFIG" else a for a in argv]
+    assert scipy_modules_after(argv, tmp_path) == [code, []]
+
+
+@pytest.mark.parametrize("command", ["spectra", "map"])
+def test_runs_load_scipy_linalg_and_not_scipy_special(tmp_path, command):
+    code, loaded = scipy_modules_after([command, str(small_config(tmp_path))], tmp_path)
+    assert code == 0
+    assert "scipy.linalg" in loaded
+    assert not [m for m in loaded if m == "scipy.special" or m.startswith("scipy.special.")]

@@ -188,7 +188,9 @@ def run_spectra(config: ExperimentConfig) -> list[Path]:
 
     One pipeline over the whole frequency grid: every transfer stack,
     draw and design is computed once per run and shared by the
-    combinations that use it.
+    combinations that use it. The combinations that kept the same
+    frequencies are smoothed by one ``smooth_db`` call on their stacked
+    (4, F_kept) raw dB rows, which gives each row the bits it gets alone.
     """
     scenes, freqs = config.scenes, config.frequencies
 
@@ -206,7 +208,7 @@ def run_spectra(config: ExperimentConfig) -> list[Path]:
         _EVAL_STREAM: list(dict.fromkeys(c.displacement for c in config.cases)),
     }, freqs)
     designs = {}
-    files: dict[str, str] = {}
+    raw = {}  # combination key -> (kept mask, (4, F_kept) raw dB)
     skipped_log: dict[str, list] = {}
     for mode, case, strategy in combos:
         scene_key = design_key(case, strategy)
@@ -218,9 +220,20 @@ def run_spectra(config: ExperimentConfig) -> list[Path]:
         key = f"{mode.value}_{case.name}_{strategy}"
         _report_skips(key, kept, failures, skipped_log)
         m = h[case.displacement, _EVAL_STREAM][kept] @ filters
-        raw = _spectra_db(config.scene, mode, m)
-        rows = np.column_stack([freqs[kept], raw.T, smooth_db(freqs[kept], raw).T]).tolist()
-        files[f"spectra_{key}.csv"] = _csv_text(_SPECTRA_HEADER, rows)
+        raw[key] = kept, _spectra_db(config.scene, mode, m)
+    # one smooth_db call per set of kept frequencies
+    groups: dict[bytes, list[str]] = {}
+    for key, (kept, _) in raw.items():
+        groups.setdefault(kept.tobytes(), []).append(key)
+    smooth = {}
+    for keys in groups.values():
+        kept = raw[keys[0]][0]
+        smooth.update(zip(keys, smooth_db(freqs[kept], np.stack([raw[k][1] for k in keys]))))
+    files = {
+        f"spectra_{key}.csv": _csv_text(_SPECTRA_HEADER, np.column_stack(
+            [freqs[kept], db.T, smooth[key].T]).tolist())
+        for key, (kept, db) in raw.items()
+    }
     return _write_run(config, "spectra", files, skipped_log)
 
 

@@ -136,9 +136,11 @@ def smooth_db(frequencies: np.ndarray, db: np.ndarray) -> np.ndarray:
 
     Bin i averages the bins whose frequency lies in [f_i * 2^(-1/6),
     f_i * 2^(1/6)]; on an increasing grid they are one contiguous slice,
-    found by binary search. Every row is smoothed alike. Each mean is the
-    window's sum over its length, the arithmetic ``np.mean`` does, without
-    its per-call overhead.
+    found by binary search. Each mean is the window's sum over its length,
+    the arithmetic ``np.mean`` does, without its per-call overhead. Each
+    row is smoothed on its own: a row of a stacked (..., F) array gets the
+    bits it gets alone, whatever rows share the array, so many spectra on
+    one grid can be smoothed in one call.
     """
     lo = np.searchsorted(frequencies, frequencies / _THIRD_OCTAVE_HALF_WIDTH, "left")
     hi = np.searchsorted(frequencies, frequencies * _THIRD_OCTAVE_HALF_WIDTH, "right")

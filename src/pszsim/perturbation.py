@@ -11,11 +11,15 @@ statistically independent from the set used for evaluation.
 
 All draws come from a counter-based generator keyed by
 (seed, stream_id, frequency), so results are reproducible regardless of
-evaluation order or parallel scheduling. One Philox generator per call is
-re-keyed for each frequency: its state is reset to counter 0, the key and
-an empty buffer, which is exactly the state a Philox built with that key
-starts in, without the cost of building one (and the entropy it seeds
-itself with before the key replaces it) per frequency.
+evaluation order or parallel scheduling. The key is the 16-byte blake2s
+digest of (seed, stream_id, NUL, frequency), read big-endian; the hash of
+the (seed, stream_id, NUL) prefix is taken once per call and copied for
+each frequency. One Philox generator per call is re-keyed for each
+frequency: the two key words are written into one state dict of counter 0
+and an empty buffer, which is exactly the state a Philox built with that
+key starts in, without the cost of building one (and the entropy it seeds
+itself with before the key replaces it) per frequency. Its normals are
+written in place into one preallocated block.
 """
 
 from __future__ import annotations
@@ -55,15 +59,19 @@ class UncertaintyModel:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
 
 
-def _key(seed: int, stream_id: str, frequency: float) -> int:
-    # Hash (seed, stream, frequency value) into a 128-bit Philox key. Keying
-    # by the frequency's bit pattern makes a draw independent of where the
-    # frequency sits in a sweep grid.
-    h = hashlib.blake2s(digest_size=16)
-    h.update(struct.pack(">q", int(seed)))
-    h.update(stream_id.encode("utf-8"))
-    h.update(b"\x00")
-    h.update(struct.pack(">d", float(frequency)))
+def _prefix(seed: int, stream_id: str):
+    """The blake2s state after (seed, stream_id, NUL), shared by every key of a stream."""
+    return hashlib.blake2s(
+        struct.pack(">q", int(seed)) + stream_id.encode("utf-8") + b"\x00", digest_size=16
+    )
+
+
+def _key(prefix, frequency: bytes) -> int:
+    # Hash the frequency's big-endian float64 bytes after the stream's
+    # prefix into a 128-bit Philox key. Keying by the frequency's bit
+    # pattern makes a draw independent of where it sits in a sweep grid.
+    h = prefix.copy()
+    h.update(frequency)
     return int.from_bytes(h.digest(), "big")
 
 
@@ -97,21 +105,25 @@ def averaged_perturbed_stacks(stacks, frequencies, model: UncertaintyModel, stre
     bits = np.random.Philox(key=0)
     rng = np.random.Generator(bits)
     state = bits.state  # counter 0 and an empty buffer; only the key changes
-
-    def draw(frequency):
-        key = _key(model.seed, stream_id, frequency)
-        state["state"]["key"] = np.array([key & _WORD, key >> 64], dtype=np.uint64)
-        bits.state = state
-        return rng.standard_normal(shape)
+    words = state["state"]["key"]  # little-endian: low word first
+    prefix = _prefix(model.seed, stream_id)
+    packed = np.asarray(frequencies, dtype=">f8").tobytes()
+    z = np.empty((min(step, len(frequencies)), *shape))
 
     for start in range(0, len(frequencies), step):
         block = slice(start, start + step)
-        z = np.stack([draw(f) for f in frequencies[block]])
+        n = min(step, len(frequencies) - start)
+        for i in range(n):
+            at = 8 * (start + i)
+            key = _key(prefix, packed[at:at + 8])
+            words[0], words[1] = key & _WORD, key >> 64
+            bits.state = state
+            rng.standard_normal(out=z[i])
         for h, out in zip(stacks, averaged):
             h = h[block, None]  # the trials axis
-            amp = np.abs(h) + amp_sd * z[:, :, 0]
+            amp = np.abs(h) + amp_sd * z[:n, :, 0]
             np.clip(amp, 0.0, None, out=amp)
-            phase = np.angle(h) + phase_sd * z[:, :, 1]
+            phase = np.angle(h) + phase_sd * z[:n, :, 1]
             out[block] = (amp * np.exp(1j * phase)).mean(axis=1)
     return averaged
 

@@ -7,7 +7,9 @@ Usage::
 runs the pszsim of this checkout (its ``src``) on the template ``spectra``
 and ``map``, on the template ``map`` at 0.025 m (a grid that lands on four
 speakers, so its maps hold NaN cells), on the three benchmark workloads and
-on the partial-skip config of ``tests/test_golden.py``, and on a ``rerun``
+on the partial-skip config of ``tests/test_golden.py``, on a ``spectra``
+of that config with the template's three modes and two filter positions
+(``partial_skip_all``: several combinations with skips), and on a ``rerun``
 of the template ``spectra`` into an ``out`` that already holds the file of
 its last combination (``TAKEN``), each at seeds 0 and 1, in a fresh
 interpreter per invocation. Each invocation gets its own directory under
@@ -58,6 +60,10 @@ def runs() -> list[tuple[str, str, dict]]:
         for name, workload in spec["workloads"].items()
     ]
     listed += [("partial_skip", command, partial_skip_config()) for command in ("spectra", "map")]
+    skip_all = partial_skip_config()
+    skip_all["modes"] = default_config_dict()["modes"]
+    skip_all["filter_positions"] = default_config_dict()["filter_positions"]
+    listed.append(("partial_skip_all", "spectra", skip_all))
     listed.append(("rerun", "spectra", default_config_dict()))
     return listed
 

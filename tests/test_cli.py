@@ -1,6 +1,7 @@
 import collections
 import errno
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -25,6 +26,7 @@ from pszsim.cli import (
 )
 from pszsim.config import log_frequency_grid, resolve_config
 from pszsim.spatial_analysis import IpiMap, extract_contours
+from test_metrics import smoothing_oracle
 
 
 def small_config(tmp_path, **overrides):
@@ -113,6 +115,66 @@ def test_spectra_computes_each_transfer_draw_and_design_once(tmp_path, monkeypat
     path.write_text(json.dumps(cfg))
     assert main(["spectra", str(path)]) == 0
     assert counts == {"transfers": 2, "draws": 2 * 319, "factors": 3 * 2 * 319}
+
+
+def test_spectra_smooths_each_kept_set_once_against_the_mask_oracle(tmp_path, monkeypatch,
+                                                                    capsys):
+    # the template keeps every frequency, so all 12 combinations are smoothed
+    # in one call; with each design dropping a frequency of its own, there
+    # is one call per design, and every CSV's smoothed columns are still the
+    # literal-mask oracle of that combination's own raw dB and frequencies
+    smooth_calls, combos = [], []
+    smooth_db, spectra_db = pszsim.cli.smooth_db, pszsim.cli._spectra_db
+    report_skips, solve_stack = pszsim.cli._report_skips, pszsim.cli.solve_stack
+
+    def counting_smooth(freqs, db):
+        smooth_calls.append(db.shape)
+        return smooth_db(freqs, db)
+
+    def recording_skips(key, kept, failures, log):
+        combos.append([key, kept.copy()])
+        return report_skips(key, kept, failures, log)
+
+    def recording_db(*args):
+        combos[-1].append(spectra_db(*args))
+        return combos[-1][-1]
+
+    drops = itertools.count(3, 7)  # a frequency of its own for each design
+
+    def dropping_solve(H, M_T, betas, frequencies):
+        filters, kept, failures = solve_stack(H, M_T, betas, frequencies)
+        assert kept.all() and not failures
+        drop = next(drops)
+        kept[drop] = False
+        return (np.delete(filters, drop, axis=0), kept,
+                [(float(frequencies[drop]), "dropped by the test")])
+
+    for name, fn in (("smooth_db", counting_smooth), ("_report_skips", recording_skips),
+                     ("_spectra_db", recording_db)):
+        monkeypatch.setattr(pszsim.cli, name, fn)
+    cfg = default_config_dict()
+    freqs = log_frequency_grid(100.0, 10000.0, 48)
+    for run, wrap in (("template", False), ("dropping", True)):
+        if wrap:
+            monkeypatch.setattr(pszsim.cli, "solve_stack", dropping_solve)
+        smooth_calls.clear()
+        combos.clear()
+        cfg["output_dir"] = str(tmp_path / run)
+        path = tmp_path / f"{run}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["spectra", str(path)]) == 0
+        assert capsys.readouterr().err.count("dropped by the test") == 12 * wrap
+        distinct = {kept.tobytes() for _, kept, _ in combos}
+        assert len(combos) == 12 and len(smooth_calls) == len(distinct)
+        # per mode, the centered design serves three combinations, a moved one one
+        assert sorted(smooth_calls) == ([(1, 4, 318)] * 3 + [(3, 4, 318)] * 3 if wrap
+                                        else [(12, 4, 319)])
+        for key, kept, raw in combos:
+            text = (tmp_path / run / f"spectra_{key}.csv").read_text().splitlines()[1:]
+            assert len(text) == kept.sum() == 319 - wrap
+            smoothed = np.array([smoothing_oracle(freqs[kept], row) for row in raw])
+            for line, own in zip(text, smoothed.T):
+                assert line.split(",")[5:] == [f"{x:.9g}" for x in own]
 
 
 def test_csv_writer_prints_nine_significant_digits():

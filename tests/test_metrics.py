@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from pszsim.config import log_frequency_grid
 from pszsim.metrics import ipi_ratios, izi_ratios, min_db, smooth_db
 
 
@@ -32,6 +33,12 @@ def acoustic_contrast(h_a, h_b, q):
     num = float(np.sum(np.abs(h_a @ q) ** 2)) / h_a.shape[0]
     den = float(np.sum(np.abs(h_b @ q) ** 2)) / h_b.shape[0]
     return num / den
+
+
+def smoothing_oracle(freqs, db):
+    """1/3-octave smoothing of one (F,) row by a literal frequency mask per bin."""
+    half = 2.0 ** (1.0 / 6.0)
+    return np.array([np.mean(db[(freqs >= f / half) & (freqs <= f * half)]) for f in freqs])
 
 
 def test_izi_single_channel_hand_ratio():
@@ -259,15 +266,32 @@ def test_smoothing_equals_literal_mask_oracle_bit_for_bit():
     for row, special in zip(dbs, (math.inf, -math.inf, math.nan)):
         row[rng.choice(n, size=4, replace=False)] = special
 
-    def oracle(db_vals):
-        return np.array([np.mean(db_vals[(freqs >= f / half) & (freqs <= f * half)]) for f in freqs])
-
     out = smooth_db(freqs, dbs)
     for row, smoothed in zip(dbs, out):
-        expected = oracle(row)
+        expected = smoothing_oracle(freqs, row)
         assert np.array_equal(smoothed, expected, equal_nan=True)
         assert np.isinf(expected).any() or np.isnan(expected).any()
-    assert np.array_equal(smooth_db(freqs, dbs[2]), oracle(dbs[2]), equal_nan=True)
+    assert np.array_equal(smooth_db(freqs, dbs[2]), smoothing_oracle(freqs, dbs[2]), equal_nan=True)
+
+
+@pytest.mark.parametrize("freqs", [
+    log_frequency_grid(100.0, 10000.0, 48),  # the template grid
+    np.arange(100.0, 10000.0 + 1e-9, 5.0),  # 5 Hz linear, windows of up to ~900 bins
+], ids=["log48", "linear5"])
+def test_smoothing_treats_rows_independently(freqs):
+    # 12 random rows, some windows holding NaN, +inf or -inf, smoothed as
+    # one (12, F) and one (3, 4, F) stack: each row's bits equal those of
+    # the row smoothed alone
+    rng = np.random.default_rng(9)
+    n = len(freqs)
+    rows = rng.uniform(-20.0, 60.0, size=(12, n))
+    for row, special in zip(rows[:6], (math.nan, math.inf, -math.inf) * 2):
+        row[rng.choice(n, size=3, replace=False)] = special
+    alone = [smooth_db(freqs, row) for row in rows]
+    for stacked in (smooth_db(freqs, rows), smooth_db(freqs, rows.reshape(3, 4, n)).reshape(12, n)):
+        for i, row in enumerate(alone):
+            assert np.array_equal(stacked[i], row, equal_nan=True)
+    assert np.isnan(alone[0]).any() and np.isposinf(alone[1]).any() and np.isneginf(alone[2]).any()
 
 
 def test_min_db_is_within_2_ulp_of_math_log10():

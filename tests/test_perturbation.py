@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from pszsim.perturbation import (
     _BLOCK_NORMALS,
     UncertaintyModel,
     _key,
+    _prefix,
     averaged_perturbed_stacks,
 )
 from pszsim.scene import ListenerDisplacement, default_scene, move_listener
@@ -19,9 +22,15 @@ def perturbed(h, frequency, model, stream_id):
     return stack[0]
 
 
+def literal_key(seed, stream_id, frequency):
+    """The documented key: blake2s of (seed, stream, NUL, frequency), read big-endian."""
+    message = struct.pack(">q", seed) + stream_id.encode() + b"\0" + struct.pack(">d", frequency)
+    return int.from_bytes(hashlib.blake2s(message, digest_size=16).digest(), "big")
+
+
 def fresh_generator(seed, stream_id, frequency):
     """A generator built new for the (seed, stream, frequency) key, as documented."""
-    return np.random.Generator(np.random.Philox(key=_key(seed, stream_id, frequency)))
+    return np.random.Generator(np.random.Philox(key=literal_key(seed, stream_id, frequency)))
 
 
 def literal_average(h, frequency, model, stream_id):
@@ -82,6 +91,27 @@ def test_rekeyed_draws_equal_fresh_generators(trials):
         expected = [literal_average(h, f, model, stream) for h, f in zip(stack, freqs)]
         assert np.array_equal(out, np.array(expected))
         assert np.array_equal(out[-1], out[0])
+
+
+EDGE_FREQUENCIES = [5e-324, 1e300, 1000.0, float(np.nextafter(1000.0, np.inf))]
+
+
+@pytest.mark.parametrize("seed", [-(2**63), 0, 2**63 - 1])
+@pytest.mark.parametrize("stream", ["design", "évaluation ζ"])
+def test_key_equals_literal_blake2s_oracle(seed, stream):
+    # extreme seeds, a non-ASCII stream id, the smallest subnormal, a huge
+    # frequency and two adjacent doubles: each key is the literal hash, and
+    # the draws of a stack are those of Philox generators built on it
+    keys = [literal_key(seed, stream, f) for f in EDGE_FREQUENCIES]
+    prefix = _prefix(seed, stream)
+    assert [_key(prefix, struct.pack(">d", f)) for f in EDGE_FREQUENCIES] == keys
+    assert len(set(keys)) == len(keys)
+    rng = np.random.default_rng(8)
+    stack = rng.normal(size=(4, 2, 3)) + 1j * rng.normal(size=(4, 2, 3))
+    model = UncertaintyModel(1e-4, 2e-4, trials=2, seed=seed)
+    (out,) = averaged_perturbed_stacks([stack], EDGE_FREQUENCIES, model, stream)
+    expected = [literal_average(h, f, model, stream) for h, f in zip(stack, EDGE_FREQUENCIES)]
+    assert np.array_equal(out, np.array(expected))
 
 
 def test_zero_variance_averaging_is_exact(nominal):

@@ -80,8 +80,10 @@ def averaged_perturbed_stacks(stacks, frequencies, model: UncertaintyModel, stre
 
     Each draw resamples every entry as A * exp(1j*phi), with A drawn around
     the nominal magnitude and phi around the nominal phase; negative
-    amplitude samples are clamped to zero (vanishingly rare at realistic
-    variances). Mimics averaging repeated measurements of the same setup.
+    amplitude samples are clamped to zero, biasing their entry's mean
+    upward. The template ``spectra`` clamps 0.27 % of them, at 51 frequencies
+    from 4.46 kHz up, where |H| at the piston's nulls is far below sigma_amp.
+    Mimics averaging repeated measurements of the same setup.
     Use distinct stream ids for the design and evaluation sets so the two
     are statistically independent.
 

@@ -14,11 +14,12 @@ polygonized superlevel region and the two views can never disagree.
 Cells with any non-finite corner (grid point on a speaker, or an
 unbounded ratio) are excluded from both. Each level is one pass: one
 numpy classification of its cells, then one loop over the walk table that
-computes each walk's vertices once, for its shoelace term and its contour
-chords. Only the chaining of chords into polylines runs in Python, on
-integer edge ids. An edge vertex belongs to at most two finite cells,
-each giving it one chord, so the chords form disjoint paths and cycles,
-and chaining walks each of them once.
+computes each walk's vertices once, from two tables of corner offsets and
+edge corners, for its shoelace term and its contour chords. Only the
+chaining of chords into polylines runs in Python, on integer edge ids. An
+edge vertex belongs to at most two finite cells, each giving it one
+chord, so the chords form disjoint paths and cycles, and chaining walks
+each of them once.
 """
 
 from __future__ import annotations
@@ -202,51 +203,12 @@ _CODE_WALKS = {
     26: [("e0", "c1", "e1"), ("e2", "c3", "e3")],
 }
 
-# Edge token -> (low corner, high corner, vertical, dx, dy): the crossing
-# lies between the two corners, and edge e of cell (ix, iy) is the grid edge
-# (vertical, ix + dx, iy + dy), the one its neighbor shares.
-_EDGES = {
-    "e0": (0, 1, 0, 0, 0),
-    "e1": (1, 2, 1, 1, 0),
-    "e2": (3, 2, 0, 0, 1),
-    "e3": (0, 3, 1, 0, 0),
-}
-
-
-def _classify(m: IpiMap, level: float):
-    """(codes, vertex) of the grid cells at ``level``.
-
-    ``codes`` holds the ``_CODE_WALKS`` key of every cell in row-major
-    order, 0 for a cell with a non-finite corner. ``vertex(token, cells)``
-    gives the (x, y) arrays of one walk vertex of the cells at those flat
-    indices. It evaluates one floating-point expression per token, so the
-    two cells that share an edge vertex may differ in its last bit.
-    """
-    v = m.values_db
-    corners = [c.ravel() for c in (v[:-1, :-1], v[:-1, 1:], v[1:, 1:], v[1:, :-1])]
-    c0, c1, c2, c3 = corners
-    finite = np.isfinite(c0) & np.isfinite(c1) & np.isfinite(c2) & np.isfinite(c3)
-    mask = sum((c >= level).astype(np.int64) << bit for bit, c in enumerate(corners))
-    with np.errstate(invalid="ignore", over="ignore"):
-        center_inside = (((c0 + c1) + c2) + c3) / 4.0 >= level
-    split_saddle = ((mask == 5) | (mask == 10)) & ~center_inside
-    codes = np.where(finite, mask + 16 * split_saddle, 0)
-    s = m.spacing
-
-    def vertex(token: str, cells: np.ndarray):
-        iy, ix = np.divmod(cells, m.nx - 1)
-        cx = m.x0 + ix * s
-        cy = m.y0 + iy * s
-        if token[0] == "c":
-            corner = int(token[1])
-            return cx + (s if corner in (1, 2) else 0.0), cy + (s if corner in (2, 3) else 0.0)
-        lo, hi = (corners[k][cells] for k in _EDGES[token][:2])
-        ts = (level - lo) / (hi - lo) * s
-        if token in ("e0", "e2"):
-            return cx + ts, cy + (s if token == "e2" else 0.0)
-        return cx + (s if token == "e1" else 0.0), cy + ts
-
-    return codes, vertex
+# Corner k's (x, y) offset in cells from its cell's bottom-left corner.
+_CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
+# Edge token -> (low corner, high corner, vertical): the crossing lies
+# between the two corners, and edge e of cell (ix, iy) is the grid edge
+# (vertical, (ix, iy) + the low corner's offset), the one its neighbor shares.
+_EDGES = {"e0": (0, 1, 0), "e1": (1, 2, 1), "e2": (3, 2, 0), "e3": (0, 3, 1)}
 
 
 def extract_contours(m: IpiMap, level_db: float) -> ContourSet:
@@ -261,30 +223,50 @@ def extract_contours(m: IpiMap, level_db: float) -> ContourSet:
     empty set is returned when the level is never crossed.
     """
     level = float(level_db)
-    codes, vertex = _classify(m, level)
-    nx, ny = m.nx, m.ny
+    v = m.values_db
+    nx, ny, s = m.nx, m.ny, m.spacing
+    corners = [c.ravel() for c in (v[:-1, :-1], v[:-1, 1:], v[1:, 1:], v[1:, :-1])]
+    c0, c1, c2, c3 = corners
+    finite = np.isfinite(c0) & np.isfinite(c1) & np.isfinite(c2) & np.isfinite(c3)
+    mask = sum((c >= level).astype(np.int64) << bit for bit, c in enumerate(corners))
+    with np.errstate(invalid="ignore", over="ignore"):
+        center_inside = (((c0 + c1) + c2) + c3) / 4.0 >= level
+    split_saddle = ((mask == 5) | (mask == 10)) & ~center_inside
+    # each cell's _CODE_WALKS key in row-major order, 0 with a non-finite corner
+    codes = np.where(finite, mask + 16 * split_saddle, 0)
     terms = np.zeros((codes.size, 2))  # one shoelace term per (cell, walk)
     chord_ends = []  # (processing order, edge id, x, y) arrays
     for code in np.unique(codes).tolist():
+        if not _CODE_WALKS[code]:
+            continue
         cells = np.flatnonzero(codes == code)
         iy, ix = np.divmod(cells, nx - 1)
+        cx, cy = m.x0 + ix * s, m.y0 + iy * s
         for w, walk in enumerate(_CODE_WALKS[code]):
-            pts = [vertex(t, cells) for t in walk]
+            # each vertex's (x, y, edge id or None), by one expression per
+            # token: two cells that share an edge vertex may differ in its
+            # last bit; a corner token is its own low corner, with no crossing
+            verts = []
+            for token in walk:
+                lo, hi, vertical = _EDGES.get(token, (int(token[1]), None, None))
+                dx, dy = _CORNERS[lo]
+                x, y, edge = cx + dx * s, cy + dy * s, None
+                if hi is not None:
+                    a = corners[lo][cells]
+                    ts = (level - a) / (corners[hi][cells] - a) * s
+                    x, y = x + (0.0 if vertical else ts), y + (ts if vertical else 0.0)
+                    # integer order is that of (vertical, ix + dx, iy + dy)
+                    edge = vertical * (nx - 1) * ny + (ix + dx) * (ny - vertical) + iy + dy
+                verts.append((x, y, edge))
             acc = 0.0
-            for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
+            for i, ((x1, y1, e1), (x2, y2, e2)) in enumerate(zip(verts, verts[1:] + verts[:1])):
                 acc = acc + (x1 * y2 - x2 * y1)
+                # a chord joins two cyclically consecutive edge vertices;
+                # order by cell, walk (< 2), position (< 6), end (< 2)
+                if e1 is not None and e2 is not None:
+                    order = cells * 24 + w * 12 + i * 2
+                    chord_ends += [(order, e1, x1, y1), (order + 1, e2, x2, y2)]
             terms[cells, w] = np.abs(acc) / 2.0
-            # a chord joins two cyclically consecutive edge vertices of a walk
-            for i in range(len(walk)):
-                chord = (i, (i + 1) % len(walk))
-                if all(walk[k][0] == "e" for k in chord):
-                    for end, k in enumerate(chord):
-                        *_, vertical, dx, dy = _EDGES[walk[k]]
-                        # integer order is that of (vertical, ix + dx, iy + dy)
-                        edge = vertical * (nx - 1) * ny + (ix + dx) * (ny - vertical) + iy + dy
-                        # order by cell, walk (< 2), position (< 6), end (< 2)
-                        order = cells * 24 + w * 12 + i * 2 + end
-                        chord_ends.append((order, edge, *pts[k]))
     # cumsum adds in order (np.sum pairs): row-major cells, then walks;
     # the leading 0.0 is the empty sum
     area = float(np.cumsum(np.append(0.0, terms))[-1])

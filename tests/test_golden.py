@@ -6,15 +6,17 @@ and the template map through ``map``. Every CSV cell and every JSON value
 of every file written, manifests included, is compared with
 ``tests/golden/reference.json``.
 
-Numbers match when they agree to a relative 2e-8 or an absolute 1e-12
-(grid coordinates that come out as 0 or 1e-16). The writers print 9
-significant digits, so one unit in the last printed digit is up to 1e-8
-of the value: a tighter tolerance, such as 1e-9 dB, would demand an exact
-match of the printed digits, and a refactor that moves the numbers by
-~1e-12 relative (a batched solve in place of the per-frequency Cholesky
-solve) may flip a last digit. Changing beta by one part in a million
-already moves many values by more than the tolerance, as the second test
-shows.
+Files are parsed and compared with the benchmark's own parser and checker
+(``perfbench/outputs.py``). Numbers match when they agree to its relative
+``REL_TOL`` = 2e-8 or absolute ``ABS_TOL`` = 1e-12 (grid coordinates that
+come out as 0 or 1e-16). The writers print 9 significant digits, so one
+unit in the last printed digit is up to 1e-8 of the value: a tighter
+tolerance, such as 1e-9 dB, would demand an exact match of the printed
+digits, and a refactor that moves the numbers by ~1e-12 relative (a
+batched solve in place of the per-frequency Cholesky solve) may flip a
+last digit. Changing beta by one part in a million already moves many
+values by more than the tolerance, as the second test shows. Byte
+identity is ``tests/test_digests.py``'s check.
 
 A third test pins a run in which only part of the grid can be designed:
 with beta 0 below 1 kHz and no perturbation, the normal matrix of the
@@ -38,7 +40,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -50,8 +51,7 @@ from pszsim.config import default_config_dict
 
 REFERENCE = Path(__file__).resolve().parent / "golden" / "reference.json"
 PARTIAL_SKIP = REFERENCE.with_name("partial_skip.json")
-REL_TOL = 2e-8
-ABS_TOL = 1e-12
+OUTPUTS = perfbench_outputs()
 
 
 def golden_config() -> dict:
@@ -61,15 +61,6 @@ def golden_config() -> dict:
     # relative to the working directory, so no manifest names a temp path
     cfg["output_dir"] = "out"
     return cfg
-
-
-def parse_file(path: Path):
-    """A CSV as {"header", "columns"} of floats; a JSON file as its tree."""
-    text = path.read_text(encoding="utf-8")
-    if path.suffix == ".json":
-        return json.loads(text)
-    header, *rows = (line.split(",") for line in text.splitlines())
-    return {"header": header, "columns": [[float(r[j]) for r in rows] for j in range(len(header))]}
 
 
 def partial_skip_config() -> dict:
@@ -93,7 +84,7 @@ def run_partial_skip() -> dict:
             assert cli_main([command, "config.json"]) == 0
         manifest = json.loads(Path("out", f"manifest_{command}.json").read_text(encoding="utf-8"))
         out[command] = {"stderr": err.getvalue(), "skipped": manifest["skipped_frequencies"]}
-    out["files"] = {p.name: parse_file(p) for p in sorted(Path("out").glob("*.csv"))
+    out["files"] = {p.name: OUTPUTS.parse_file(p) for p in sorted(Path("out").glob("*.csv"))
                     if not p.name.startswith("map_")}
     return out
 
@@ -103,47 +94,23 @@ def run(cfg: dict, commands=("spectra", "map")) -> dict:
     Path("config.json").write_text(json.dumps(cfg), encoding="utf-8")
     for command in commands:
         assert cli_main([command, "config.json"]) == 0
-    return {p.name: parse_file(p) for p in sorted(Path(cfg["output_dir"]).iterdir())}
+    return OUTPUTS.parse_dir(Path(cfg["output_dir"]))
 
 
-def mismatches(ref, out, where: str = "") -> list[str]:
-    """Every place where ``out`` differs from ``ref`` beyond the tolerance."""
-    if isinstance(ref, (int, float)) and not isinstance(ref, bool) and isinstance(out, (int, float)):
-        a, b = float(ref), float(out)
-        if a == b or (math.isnan(a) and math.isnan(b)):
-            return []
-        if abs(a - b) <= max(REL_TOL * max(abs(a), abs(b)), ABS_TOL):
-            return []
-        return [f"{where}: {b!r} != {a!r}"]
-    if isinstance(ref, dict) and isinstance(out, dict):
-        if set(ref) != set(out):
-            return [f"{where}: keys {sorted(out)} != {sorted(ref)}"]
-        return [m for k in sorted(ref) for m in mismatches(ref[k], out[k], f"{where}/{k}")]
-    if isinstance(ref, list) and isinstance(out, list):
-        if len(ref) != len(out):
-            return [f"{where}: {len(out)} items != {len(ref)}"]
-        return [m for i, (r, o) in enumerate(zip(ref, out)) for m in mismatches(r, o, f"{where}[{i}]")]
-    return [] if ref == out else [f"{where}: {out!r} != {ref!r}"]
+def mismatches(ref, out) -> tuple[int, list[str]]:
+    """(count, the first few) of the places where ``out`` differs from ``ref``
+    beyond the tolerance, by the benchmark's checker."""
+    problems: list[str] = []
+    return OUTPUTS._compare(ref, out, "", problems), problems
 
 
 def load_reference() -> dict:
     return json.loads(REFERENCE.read_text(encoding="utf-8"))
 
 
-def _round9(node):
-    """Round floats to the 9 significant digits the CSV writers print."""
-    if isinstance(node, float) and math.isfinite(node):
-        return float(f"{node:.9g}")
-    if isinstance(node, list):
-        return [_round9(v) for v in node]
-    if isinstance(node, dict):
-        return {k: _round9(v) for k, v in node.items()}
-    return node
-
-
 def test_reduced_default_run_matches_the_golden_reference(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert mismatches(load_reference(), run(golden_config())) == []
+    assert mismatches(load_reference(), run(golden_config())) == (0, [])
 
 
 def test_beta_changed_by_one_part_in_a_million_fails_the_comparison(tmp_path, monkeypatch):
@@ -158,7 +125,7 @@ def test_beta_changed_by_one_part_in_a_million_fails_the_comparison(tmp_path, mo
         out = run(cfg, commands=("spectra",))
         names = [n for n in out if n.startswith("spectra_")]
         assert len(names) == 12
-        counts.append(len(mismatches({n: reference[n] for n in names}, {n: out[n] for n in names})))
+        counts.append(mismatches({n: reference[n] for n in names}, {n: out[n] for n in names})[0])
     assert counts[0] == 0 and counts[1] > 100, counts
 
 
@@ -169,14 +136,13 @@ def test_partial_skip_inside_one_batch_matches_the_pinned_run(tmp_path, monkeypa
     for command in ("spectra", "map"):
         assert out[command] == reference[command]
     assert len(reference["spectra"]["skipped"]["mono_centered_matched"]) == 20
-    assert mismatches(reference["files"], out["files"]) == []
+    assert mismatches(reference["files"], out["files"]) == (0, [])
 
 
 def check_benchmark_reference(name: str, out: Path) -> tuple[str, list[str]]:
     """The benchmark checker's verdict on ``out`` against workload ``name`` at seed 0."""
-    outputs = perfbench_outputs()
-    return outputs.check_reference(
-        outputs.parse_dir(out), PERFBENCH / "reference" / f"{name}-seed0.json.xz"
+    return OUTPUTS.check_reference(
+        OUTPUTS.parse_dir(out), PERFBENCH / "reference" / f"{name}-seed0.json.xz"
     )
 
 
@@ -197,7 +163,7 @@ def test_spectra_unshared_matches_the_benchmark_reference(tmp_path):
 
 if __name__ == "__main__":
     home = os.getcwd()
-    for path, make in ((REFERENCE, lambda: _round9(run(golden_config()))),
+    for path, make in ((REFERENCE, lambda: OUTPUTS._round9(run(golden_config()))),
                        (PARTIAL_SKIP, run_partial_skip)):
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)

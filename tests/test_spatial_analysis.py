@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import pszsim.cli
 import pszsim.spatial_analysis
 from pszsim.acoustics import response_matrix
 from pszsim.cli import main
@@ -141,13 +142,13 @@ def test_contour_set_holds_its_level_polylines_and_area_only():
 
 def test_a_map_run_classifies_each_level_of_each_map_once(tmp_path, monkeypatch, capsys):
     calls = collections.Counter()
-    classify = pszsim.spatial_analysis._classify
+    contours = pszsim.cli.extract_contours
 
-    def counting_classify(m, level):
+    def counting_contours(m, level):
         calls[m.frequency, level] += 1
-        return classify(m, level)
+        return contours(m, level)
 
-    monkeypatch.setattr(pszsim.spatial_analysis, "_classify", counting_classify)
+    monkeypatch.setattr(pszsim.cli, "extract_contours", counting_contours)
     cfg = default_config_dict()
     cfg["map"]["resolution_m"] = 0.1
     cfg["output_dir"] = str(tmp_path / "out")

@@ -11,12 +11,48 @@ pressures and is what all isolation metrics consume.
 from __future__ import annotations
 
 import enum
+import importlib.util
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from pathlib import Path
 
 import numpy as np
 
 from .scene import Scene
 
 _BLOCK_FREQUENCIES = 256  # normal matrices formed at once; bounds the temporaries
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _cholesky_routines():
+    """LAPACK's complex Cholesky ``zpotrf`` and ``zpotrs``, from scipy's f2py extension.
+
+    The extension is loaded on its own, under its real module name, at the
+    first call: the ``scipy.linalg`` package, which would import over 300
+    modules for two routines, is never imported. A plain ``import scipy``
+    comes first, because its ``_distributor_init`` sets up the bundled
+    libraries. A module already in ``sys.modules`` is reused, and a later
+    ``import scipy.linalg`` finds this one, so there is one extension per
+    process and ``scipy.linalg.lapack.zpotrf`` is the routine used here.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        import scipy
+
+        folder = Path(scipy.__path__[0], "linalg")
+        for suffix in EXTENSION_SUFFIXES:
+            path = folder / f"_flapack{suffix}"
+            if path.is_file():
+                break
+        else:
+            raise ImportError(f"no _flapack extension in {folder}")
+        loader = ExtensionFileLoader(_FLAPACK, str(path))
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_file_location(_FLAPACK, path, loader=loader)
+        )
+        sys.modules[_FLAPACK] = module
+        loader.exec_module(module)
+    return module.zpotrf, module.zpotrs
 
 
 class RenderingMode(enum.Enum):
@@ -103,13 +139,15 @@ def solve_stack(H: np.ndarray, M_T: np.ndarray, betas, frequencies):
     C = (H^H H + beta I)^(-1) H^H M_T. The normal matrices and right hand
     sides are formed for blocks of frequencies at once and checked for
     infs and NaNs once per block; each frequency is then factorized and
-    solved by LAPACK's Cholesky routines ``potrf`` and ``potrs``, called
-    directly and shared by all right hand side columns, with no explicit
-    inverse. So every filter is bit for bit what a one-frequency
-    ``scipy.linalg.cho_factor``/``cho_solve`` gives. scipy is imported at
-    the first call, not with the package. With beta = 0 the normal matrix
-    must be invertible; a frequency where it does not factorize is
-    reported, not raised.
+    solved by LAPACK's complex Cholesky routines ``zpotrf`` and ``zpotrs``,
+    called directly and shared by all right hand side columns, with no
+    explicit inverse. They are the f2py wrappers that ``scipy.linalg`` uses,
+    taken from scipy's LAPACK extension alone at the first call (see
+    :func:`_cholesky_routines`); no ``scipy.linalg`` package module is
+    imported. So every filter of a complex stack is bit for bit what a
+    one-frequency ``scipy.linalg.cho_factor``/``cho_solve`` gives. With
+    beta = 0 the normal matrix must be invertible; a frequency where it
+    does not factorize is reported, not raised.
     Returns ``(filters, kept, failures)``: the (F_kept, speakers, channels)
     filters of the frequencies whose normal matrix factorized, the (F,)
     boolean mask of those frequencies, and a ``(frequency, message)`` pair
@@ -119,7 +157,6 @@ def solve_stack(H: np.ndarray, M_T: np.ndarray, betas, frequencies):
     point counts, for inputs that disagree on the frequency count, and for
     a normal matrix or right hand side that holds an inf or a NaN.
     """
-    import scipy.linalg  # LAPACK is loaded at the first solve, not at import
     betas = np.asarray(betas, dtype=float)
     if np.any(betas < 0):
         raise ValueError(f"beta must be >= 0, got {betas[betas < 0][0]}")
@@ -133,6 +170,7 @@ def solve_stack(H: np.ndarray, M_T: np.ndarray, betas, frequencies):
     filters = np.empty((len(betas), H.shape[-1], M_T.shape[-1]), dtype=complex)
     kept = np.ones(len(betas), dtype=bool)
     failures = []
+    potrf, potrs = _cholesky_routines()
     diag = np.arange(H.shape[-1])
     for start in range(0, len(betas), _BLOCK_FREQUENCIES):
         block = slice(start, start + _BLOCK_FREQUENCIES)
@@ -142,7 +180,6 @@ def solve_stack(H: np.ndarray, M_T: np.ndarray, betas, frequencies):
         rhs = h_herm @ M_T[block]
         if not (np.isfinite(normal).all() and np.isfinite(rhs).all()):
             raise ValueError("array must not contain infs or NaNs")
-        potrf, potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (normal, rhs))
         for i, n, b in zip(range(start, len(betas)), normal, rhs):
             factor, info = potrf(n, lower=False, clean=False)
             if info > 0:  # a leading minor is not positive definite

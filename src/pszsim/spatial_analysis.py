@@ -287,12 +287,21 @@ def extract_contours(m: IpiMap, level_db: float) -> ContourSet:
     nbr0, nbr1 = partner[first].tolist(), partner[last].tolist()
 
     def chain(start):
-        """The path from the end ``start``, or the cycle from ``start`` back to it."""
+        """The path from the end ``start``, or the cycle from ``start`` back to it.
+
+        Both visit each vertex once (a cycle ends on ``start`` again), so a
+        walk past ``first.size + 1`` vertices means that some vertex has
+        more than two chords: it raises ``RuntimeError`` rather than loop
+        forever.
+        """
         path = [start, nbr0[start]]
-        while path[-1] != start and nbr0[path[-1]] != nbr1[path[-1]]:
-            a, b = nbr0[path[-1]], nbr1[path[-1]]
+        for _ in range(first.size):
+            here = path[-1]
+            a, b = nbr0[here], nbr1[here]
+            if here == start or a == b:
+                return path
             path.append(b if a == path[-2] else a)
-        return path
+        raise RuntimeError(f"contour at {level} dB does not close: a vertex has over two chords")
 
     polylines = []
     chained: set = set()

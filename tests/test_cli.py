@@ -10,9 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import pszsim.cli
+import pszsim.filter_design
 import pszsim.perturbation
 
 from pszsim import ListenerDisplacement
@@ -96,19 +96,14 @@ def test_spectra_computes_each_transfer_draw_and_design_once(tmp_path, monkeypat
             return fn(*args, **kwargs)
         return wrapper
 
-    get_lapack_funcs = scipy.linalg.get_lapack_funcs
-
-    def counting_lapack_funcs(names, *args, **kwargs):
-        funcs = get_lapack_funcs(names, *args, **kwargs)
-        return tuple(counting("factors", f) if name == "potrf" else f
-                     for name, f in zip(names, funcs))
-
+    potrf, potrs = pszsim.filter_design._cholesky_routines()
     for module, name, label in (
         (pszsim.cli, "response_matrix", "transfers"),
         (pszsim.perturbation, "_key", "draws"),
     ):
         monkeypatch.setattr(module, name, counting(label, getattr(module, name)))
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting_lapack_funcs)
+    monkeypatch.setattr(pszsim.filter_design, "_cholesky_routines",
+                        lambda: (counting("factors", potrf), potrs))
     cfg = default_config_dict()
     cfg["output_dir"] = str(tmp_path / "out")
     path = tmp_path / "config.json"
@@ -985,14 +980,19 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "sci
 """
 
 
-def scipy_modules_after(argv, cwd):
+def run_probe(probe, arg, cwd):
+    """The JSON that ``probe`` prints when run with ``arg`` in a fresh interpreter."""
     src = str(Path(pszsim.cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, json.dumps(argv)],
+        [sys.executable, "-c", probe, arg],
         cwd=cwd, env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(done.stdout)
+
+
+def scipy_modules_after(argv, cwd):
+    return run_probe(SCIPY_PROBE, json.dumps(argv), cwd)
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -1008,8 +1008,37 @@ def test_start_up_and_config_exits_load_no_scipy(tmp_path, argv, code):
 
 
 @pytest.mark.parametrize("command", ["spectra", "map"])
-def test_runs_load_scipy_linalg_and_not_scipy_special(tmp_path, command):
+def test_runs_load_scipy_lapack_extension_and_no_linalg_or_special_module(tmp_path, command):
     code, loaded = scipy_modules_after([command, str(small_config(tmp_path))], tmp_path)
     assert code == 0
-    assert "scipy.linalg" in loaded
-    assert not [m for m in loaded if m == "scipy.special" or m.startswith("scipy.special.")]
+    assert [m for m in loaded if m.split(".")[:2] in (["scipy", "linalg"], ["scipy", "special"])
+            ] == ["scipy.linalg._flapack"]
+
+
+# Runs a template-derived spectra in a fresh interpreter, recording the
+# routines solve_stack takes, then imports scipy.linalg and prints whether
+# it reuses the loaded extension and hands out those same routines.
+REUSE_PROBE = """
+import contextlib, io, json, sys
+import numpy as np
+import pszsim.cli, pszsim.filter_design as fd
+used = []
+routines = fd._cholesky_routines
+fd._cholesky_routines = lambda: used.append(routines()) or used[-1]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = pszsim.cli.main(["spectra", sys.argv[1]])
+loaded = sys.modules["scipy.linalg._flapack"]
+import scipy.linalg
+potrf, potrs = used[0]
+print(json.dumps([
+    code, len(used) > 0, all(u == used[0] for u in used),
+    sys.modules["scipy.linalg._flapack"] is loaded, scipy.linalg.lapack._flapack is loaded,
+    scipy.linalg.lapack.zpotrf is potrf, scipy.linalg.lapack.zpotrs is potrs,
+    scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.eye(2, dtype=complex),))
+    == [potrf, potrs],
+]))
+"""
+
+
+def test_scipy_linalg_imported_after_a_run_reuses_its_lapack_routines(tmp_path):
+    assert run_probe(REUSE_PROBE, str(small_config(tmp_path)), tmp_path) == [0] + [True] * 7

@@ -95,6 +95,29 @@ def test_rekeyed_draws_equal_fresh_generators(trials):
         assert np.array_equal(out[-1], out[0])
 
 
+@pytest.mark.parametrize("trials", [1, 2, 10])
+def test_clamped_averages_equal_the_complex_literal_bit_for_bit(trials):
+    # at unit variance about half of the amplitude samples are clamped to
+    # zero; the real-arithmetic kernel must give the complex literal's every
+    # bit, signed zeros included, which np.array_equal would not tell apart
+    rng = np.random.default_rng(12)
+    freqs = 500.0 + np.arange(300)
+    stacks = [0.01 * (rng.normal(size=(300, 4, 8)) + 1j * rng.normal(size=(300, 4, 8)))
+              for _ in range(2)]
+    assert len(freqs) > _BLOCK_NORMALS // (2 * trials * 4 * 8)
+    model = UncertaintyModel(1.0, 1.0, trials=trials, seed=2)
+    out = averaged_perturbed_stacks(stacks, freqs, model, "eval")
+    clamped = 0
+    for stack, averaged in zip(stacks, out):
+        expected = np.array([literal_average(h, f, model, "eval") for h, f in zip(stack, freqs)])
+        assert np.array_equal(averaged.view(np.uint64), expected.view(np.uint64))
+        assert (expected.view(float) == 0.0).any()
+        z = np.array([fresh_generator(2, "eval", f).standard_normal((trials, 2, 4, 8))
+                      for f in freqs])
+        clamped += np.count_nonzero(np.abs(stack)[:, None] + z[:, :, 0] < 0.0)
+    assert 0.4 < clamped / (2 * 300 * trials * 32) < 0.6
+
+
 EDGE_FREQUENCIES = [5e-324, 1e300, 1000.0, float(np.nextafter(1000.0, np.inf))]
 
 

@@ -505,19 +505,35 @@ def grid_map(values, x0=-0.3, y0=-0.7, spacing=0.1):
     return IpiMap(1000.0, x0, y0, spacing, values)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_random_maps_with_nonfinite_corners_match_the_cell_walk(seed):
-    # the one-cell-wide grids put chord ends on the first and last edge ids
-    # of both edge kinds
+def random_maps(seed):
+    """Random maps with NaN and infinite corners; the one-cell-wide grids put
+    chord ends on the first and last edge ids of both edge kinds."""
     rng = np.random.default_rng(seed)
     for shape in ((23, 31), (2, 31), (23, 2), (2, 2)):
         values = rng.normal(20.0, 8.0, size=shape)
         values[rng.random(values.shape) < 0.05] = np.nan
         values[rng.random(values.shape) < 0.01] = np.inf
         values[rng.random(values.shape) < 0.01] = -np.inf
-        m = grid_map(values)
+        yield grid_map(values)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_maps_with_nonfinite_corners_match_the_cell_walk(seed):
+    for m in random_maps(seed):
         for level in (12.5, 20.0, 27.0):
             assert_matches_oracle(m, level)
+
+
+def test_a_vertex_with_over_two_chords_raises_instead_of_looping(monkeypatch):
+    # edge ids taken from each edge's high corner no longer name the edge a
+    # neighbor shares; on this map a vertex then gets more than two chords,
+    # and chaining must fail rather than walk forever
+    high_corner = {k: (hi, lo, vertical)
+                   for k, (lo, hi, vertical) in pszsim.spatial_analysis._EDGES.items()}
+    monkeypatch.setattr(pszsim.spatial_analysis, "_EDGES", high_corner)
+    m = next(random_maps(4))
+    with pytest.raises(RuntimeError, match="^contour at 27.0 dB does not close"):
+        extract_contours(m, 27.0)
 
 
 def test_values_equal_to_the_level_match_the_cell_walk():

@@ -68,16 +68,22 @@ def _perturbed_transfers(config: ExperimentConfig, scenes: dict, streams: dict, 
 
     ``streams`` maps each stream to the keys of the scenes it perturbs. Each
     scene's nominal stack is computed once over all frequencies, and each
-    stream's draws once for all of its scenes.
+    stream's draws once for all of its scenes. Raises RuntimeError naming
+    the first frequency at which a stack holds an inf or a NaN.
     """
-    nominal = {
-        key: response_matrix(scenes[key], scenes[key].control_points, freqs)
-        for key in dict.fromkeys(key for keys in streams.values() for key in keys)
-    }
     stacks = {}
-    for stream, keys in streams.items():
-        perturbed = averaged_perturbed_stacks([nominal[k] for k in keys], freqs, config.model, stream)
-        stacks.update(((key, stream), h) for key, h in zip(keys, perturbed))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        nominal = {
+            key: response_matrix(scenes[key], scenes[key].control_points, freqs)
+            for key in dict.fromkeys(key for keys in streams.values() for key in keys)
+        }
+        for stream, keys in streams.items():
+            perturbed = averaged_perturbed_stacks([nominal[k] for k in keys], freqs,
+                                                  config.model, stream)
+            stacks.update(((key, stream), h) for key, h in zip(keys, perturbed))
+    finite = np.logical_and.reduce([np.isfinite(h).all(axis=(1, 2)) for h in stacks.values()])
+    if not finite.all():
+        raise RuntimeError(f"transfer functions overflow at {freqs[~finite][0]:.6g} Hz")
     return stacks
 
 
@@ -143,7 +149,8 @@ def _write_run(config: ExperimentConfig, command: str, files: dict[str, str],
     all of them or none.
 
     Nothing is written if any of the files exists. If a write fails, the
-    files this run created are removed before the error is re-raised.
+    files this run created are removed and a ConfigError names the file,
+    or ``output_dir`` when the failure names none.
     """
     files[f"manifest_{command}.json"] = _json_text({
         "command": command,
@@ -166,10 +173,11 @@ def _write_run(config: ExperimentConfig, command: str, files: dict[str, str],
             with open(path, "x", encoding="utf-8") as fh:
                 created.append(path)
                 fh.write(text)
-    except OSError:
+    except OSError as exc:
         for path in created:
             path.unlink(missing_ok=True)
-        raise
+        where = exc.filename or config.output_dir  # a failed flush names no file
+        raise ConfigError([f"output_dir: cannot write {where}: {exc.strerror}"]) from exc
     return paths
 
 
@@ -356,10 +364,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # _write_run's; load_config and mkdir report their own
-        where = exc.filename or config.output_dir  # a failed write names no file
-        print(f"config error: output_dir: cannot write {where}: {exc.strerror}", file=sys.stderr)
         return 1
     except RuntimeError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)

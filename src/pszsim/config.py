@@ -378,6 +378,12 @@ def resolve_config(raw: dict, seed_override: int | None = None,
             problems.append(f"listener_cases[{i}].name: duplicate name {case['name']!r}")
         cases.append(ListenerCase(case["name"], displacement))
     violations = validate_scene(scene)
+    # xtc cancels each channel at the zone's other points: one channel per point
+    uneven = [f"xtc needs one channel per zone point, got {len(channels)} channels for "
+              f"{len(zone)} points in zone {z}" for z, zone, channels in
+              (("A", scene.zone_a, scene.program_a), ("B", scene.zone_b, scene.program_b))
+              if len(channels) != len(zone)]
+    problems += [f"modes: {x}" for x in uneven if "xtc" in echo["modes"]]
     problems += [f"scene: {violation}" for violation in violations]
     # a moved listener may land an ear on a speaker; a moved copy of an
     # invalid scene would only repeat its violations
@@ -396,6 +402,7 @@ def resolve_config(raw: dict, seed_override: int | None = None,
             grid_shape(region, request["resolution_m"])
         except ValueError as exc:
             problems.append(f"map: {exc}")
+        problems += [f"map.mode: {x}" for x in uneven if request["mode"] == "xtc"]
         tags = [map_tag(request["mode"], f) for f in request["frequencies_hz"]]
         for tag in sorted({t for t in tags if tags.count(t) > 1}):
             shared = [f for f, t in zip(request["frequencies_hz"], tags) if t == tag]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import importlib.util
 import sys
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.machinery import PathFinder
 from pathlib import Path
 
 import numpy as np
@@ -27,31 +27,24 @@ _FLAPACK = "scipy.linalg._flapack"
 def _cholesky_routines():
     """LAPACK's complex Cholesky ``zpotrf`` and ``zpotrs``, from scipy's f2py extension.
 
-    The extension is loaded on its own, under its real module name, at the
-    first call: the ``scipy.linalg`` package, which would import over 300
-    modules for two routines, is never imported. A plain ``import scipy``
-    comes first, because its ``_distributor_init`` sets up the bundled
-    libraries. A module already in ``sys.modules`` is reused, and a later
-    ``import scipy.linalg`` finds this one, so there is one extension per
-    process and ``scipy.linalg.lapack.zpotrf`` is the routine used here.
+    The import system's path finder finds the extension in scipy's ``linalg``
+    folder, and it is loaded alone, under its real module name, at the first
+    call, after a plain ``import scipy`` for the libraries that its
+    ``_distributor_init`` sets up; the ``scipy.linalg`` package (over 300
+    modules) is never imported. A module already in ``sys.modules`` is
+    reused, and a later ``import scipy.linalg`` finds this one.
     """
     module = sys.modules.get(_FLAPACK)
     if module is None:
         import scipy
 
-        folder = Path(scipy.__path__[0], "linalg")
-        for suffix in EXTENSION_SUFFIXES:
-            path = folder / f"_flapack{suffix}"
-            if path.is_file():
-                break
-        else:
+        folder = str(Path(scipy.__path__[0], "linalg"))
+        spec = PathFinder.find_spec(_FLAPACK, [folder])
+        if spec is None:
             raise ImportError(f"no _flapack extension in {folder}")
-        loader = ExtensionFileLoader(_FLAPACK, str(path))
-        module = importlib.util.module_from_spec(
-            importlib.util.spec_from_file_location(_FLAPACK, path, loader=loader)
-        )
+        module = importlib.util.module_from_spec(spec)
         sys.modules[_FLAPACK] = module
-        loader.exec_module(module)
+        spec.loader.exec_module(module)
     return module.zpotrf, module.zpotrs
 
 

@@ -97,19 +97,19 @@ def averaged_perturbed_stacks(stacks, frequencies, model: UncertaintyModel, stre
     temporaries. Zero variance returns the stacks themselves, for any
     trial count.
 
-    The arithmetic is real, in buffers allocated once per call: |H| and
-    arg H once per stack, the scaled draws once per block for all stacks,
-    then A * cos(phi) and A * sin(phi) summed over the trials and divided
-    the way numpy divides a complex sum by trials + 0j. So each average is
-    bit for bit the complex mean of A * exp(1j*phi), signed zeros of
-    clamped entries included, without a complex temporary.
+    The arithmetic is real: |H| and arg H once per stack, the draws scaled
+    in place once per block for all stacks, then A * cos(phi) and
+    A * sin(phi) summed over the trials and divided the way numpy divides a
+    complex sum by trials + 0j. So each average is bit for bit the complex
+    mean of A * exp(1j*phi), signed zeros of clamped entries included,
+    without a complex temporary.
     """
     stacks = list(stacks)
     if model.sigma_amp_sq == model.sigma_phase_sq == 0.0:
         return stacks
     shape = (model.trials, 2, *stacks[0].shape[-2:])
     step = max(1, _BLOCK_NORMALS // math.prod(shape))
-    amp_sd, phase_sd = np.sqrt(model.sigma_amp_sq), np.sqrt(model.sigma_phase_sq)
+    scale = np.sqrt([model.sigma_amp_sq, model.sigma_phase_sq])[:, None, None]
     nominal = [(np.abs(h), np.angle(h)) for h in stacks]
     averaged = [np.empty_like(h, dtype=complex) for h in stacks]
     bits = np.random.Philox(key=0)
@@ -119,10 +119,6 @@ def averaged_perturbed_stacks(stacks, frequencies, model: UncertaintyModel, stre
     prefix = _prefix(model.seed, stream_id)
     packed = np.asarray(frequencies, dtype=">f8").tobytes()
     z = np.empty((min(step, len(frequencies)), *shape))
-    # (block, trials, K, L) buffers: the scaled amplitude and phase draws,
-    # then each stack's amplitude, real part and imaginary part; the
-    # imaginary part's buffer holds the phase until its sine replaces it
-    amp_dev, phase_dev, amp, re, im = (np.empty(z[:, :, 0].shape) for _ in range(5))
     inv = 1.0 / model.trials
 
     for start in range(0, len(frequencies), step):
@@ -134,16 +130,12 @@ def averaged_perturbed_stacks(stacks, frequencies, model: UncertaintyModel, stre
             words[0], words[1] = key & _WORD, key >> 64
             bits.state = state
             rng.standard_normal(out=z[i])
-        np.multiply(amp_sd, z[:n, :, 0], out=amp_dev[:n])
-        np.multiply(phase_sd, z[:n, :, 1], out=phase_dev[:n])
-        a, re_t, im_t = amp[:n], re[:n], im[:n]
+        draws = z[:n]
+        draws *= scale  # (amplitude, phase) deviations for every stack of the block
         for (mag, arg), out in zip(nominal, averaged):
-            np.add(mag[block, None], amp_dev[:n], out=a)
-            np.maximum(a, 0.0, out=a)
-            np.add(arg[block, None], phase_dev[:n], out=im_t)
-            np.multiply(np.cos(im_t, out=re_t), a, out=re_t)
-            np.multiply(np.sin(im_t, out=im_t), a, out=im_t)
-            re_sum, im_sum = re_t.sum(axis=1), im_t.sum(axis=1)
+            amp = np.maximum(mag[block, None] + draws[:, :, 0], 0.0)
+            phase = arg[block, None] + draws[:, :, 1]
+            re_sum, im_sum = (amp * np.cos(phase)).sum(axis=1), (amp * np.sin(phase)).sum(axis=1)
             # numpy's complex mean divides by trials + 0j, which is this
             out.real[block] = (re_sum + im_sum * 0.0) * inv
             out.imag[block] = (im_sum - re_sum * 0.0) * inv

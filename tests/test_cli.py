@@ -1042,3 +1042,23 @@ print(json.dumps([
 
 def test_scipy_linalg_imported_after_a_run_reuses_its_lapack_routines(tmp_path):
     assert run_probe(REUSE_PROBE, str(small_config(tmp_path)), tmp_path) == [0] + [True] * 7
+
+
+# Points scipy at an empty folder in a fresh interpreter and prints whether
+# the extension got registered and the ImportError the solve's loader raises.
+MISSING_PROBE = """
+import json, sys
+import scipy
+scipy.__path__ = [sys.argv[1]]
+from pszsim.filter_design import _cholesky_routines
+try:
+    _cholesky_routines()
+except ImportError as exc:
+    print(json.dumps(["scipy.linalg._flapack" in sys.modules, str(exc)]))
+"""
+
+
+def test_missing_lapack_extension_is_an_import_error_naming_its_folder(tmp_path):
+    assert run_probe(MISSING_PROBE, str(tmp_path), tmp_path) == [
+        False, f"no _flapack extension in {tmp_path / 'linalg'}"
+    ]

@@ -294,3 +294,65 @@ def test_config_root_that_is_not_an_object_exits_1(tmp_path, capsys, root):
     path.write_text(json.dumps(root))
     assert main(["validate", str(path)]) == 1
     assert capsys.readouterr().err == "config error: config root must be a JSON object\n"
+
+
+XTC_LINE = "xtc needs one channel per zone point, got 2 channels for 3 points in zone A"
+# zone A has 3 points but program A only 2 channels
+UNEVEN_SCENE = dict(
+    CUSTOM_SCENE,
+    control_points=[[-0.3, 1.0, 0.0], [-0.2, 1.0, 0.0], [-0.1, 1.0, 0.0], [0.2, 1.0, 0.0]],
+    zone_a=[1, 2, 3], zone_b=[4], program_a=[1, 2], program_b=[3], virtual_sources=[1, 2, 4],
+)
+
+
+def uneven_xtc_map(cfg):
+    set_path("scene", UNEVEN_SCENE)(cfg)
+    cfg["modes"] = ["mono"]
+    cfg["map"]["mode"] = "xtc"
+
+
+def each_command(code, line):
+    return {command: (code, line) for command in ("validate", "spectra", "map")}
+
+
+# Configs that validated and then ended in a traceback in spectra or map:
+# name -> (edit, command -> (exit code, its one stderr line)); a command
+# left out exits 0 and prints nothing to stderr.
+RUN_FIXED = {
+    "xtc with 2 channels for 3 points": (
+        set_path("scene", UNEVEN_SCENE), each_command(1, f"config error: modes: {XTC_LINE}"),
+    ),
+    "xtc map with 2 channels for 3 points": (
+        uneven_xtc_map, each_command(1, f"config error: map.mode: {XTC_LINE}"),
+    ),
+    "frequency grid at 1e308 Hz": (
+        set_path("frequency_grid", {"start_hz": 1e308, "stop_hz": 1.7e308}),
+        {"spectra": (2, "runtime error: transfer functions overflow at 1e+308 Hz")},
+    ),
+    "sound_speed 1e-307": (
+        set_path("scene", dict(CUSTOM_SCENE, sound_speed=1e-307)), {
+            "spectra": (2, "runtime error: transfer functions overflow at 100 Hz"),
+            "map": (2, "runtime error: transfer functions overflow at 500 Hz"),
+        },
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would print more than the error
+@pytest.mark.parametrize("command", ["validate", "spectra", "map"])
+@pytest.mark.parametrize("name", RUN_FIXED)
+def test_fixed_config_that_raised_in_a_run_prints_one_error_line(tmp_path, capsys, name,
+                                                                 command):
+    edit, expected = RUN_FIXED[name]
+    cfg = default_config_dict()
+    edit(cfg)
+    cfg["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    code, line = expected.get(command, (0, None))
+    assert main([command, str(path)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == ([line] if line else [])
+    # a failed run writes nothing, not even its directory
+    assert (tmp_path / "out").exists() == (code == 0 and command != "validate")

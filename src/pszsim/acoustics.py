@@ -68,27 +68,39 @@ def directivity(x):
     x = np.asarray(x, dtype=float)
     ax = np.abs(x).reshape(-1)  # D is even and J1 odd: 2*J1(|x|)/|x| is 2*J1(x)/x bit for bit
     out = np.empty_like(ax)
-    z, w, t = np.empty((3, min(ax.size, _BLOCK_ARGS)))
+    buffers = np.empty((5, min(ax.size, _BLOCK_ARGS)))
     with np.errstate(all="ignore"):  # lanes that another branch overwrites may overflow or be 0/0
         for start in range(0, ax.size, _BLOCK_ARGS):
-            a, ob = ax[start : start + _BLOCK_ARGS], out[start : start + _BLOCK_ARGS]
-            zb, wb, tb = z[: a.size], w[: a.size], t[: a.size]
+            a = ax[start : start + _BLOCK_ARGS]
+            zb, wb, tb = (b[: a.size] for b in buffers[:3])
             np.multiply(a, a, out=zb)  # Cephes's J1 for x <= 5, then 2 * J1 / x
             np.divide(_polevl(zb, _RP, wb), _polevl(zb, _RQ, tb), out=wb)
             wb *= a
             wb *= np.subtract(zb, _Z1, out=tb)
             wb *= np.subtract(zb, _Z2, out=tb)
             wb *= 2.0
-            np.divide(wb, a, out=ob)
-            if (large := a > 5.0).any():  # Cephes's J1 for x > 5: Hankel's asymptotic form
-                xl = a[large]
-                wl = 5.0 / xl
-                zl = wl * wl
-                p = _polevl(zl, _PP) / _polevl(zl, _PQ)
-                q = _polevl(zl, _QP) / _polevl(zl, _QQ)
-                xn = xl - _THPIO4
-                p = p * np.cos(xn) - wl * q * np.sin(xn)
-                ob[large] = 2.0 * (p * _SQ2OPI / np.sqrt(xl)) / xl
+            np.divide(wb, a, out=out[start : start + _BLOCK_ARGS])
+        # Cephes's J1 for x > 5, Hankel's asymptotic form, then 2 * J1 / x: on
+        # the gathered arguments, in full blocks, each overwritten by its result
+        if (large := ax > 5.0).any():
+            xg = ax[large]
+            for start in range(0, xg.size, _BLOCK_ARGS):
+                xl = xg[start : start + _BLOCK_ARGS]
+                wl, zl, p, q, tl = (b[: xl.size] for b in buffers)
+                np.divide(5.0, xl, out=wl)
+                np.multiply(wl, wl, out=zl)
+                np.divide(_polevl(zl, _PP, p), _polevl(zl, _PQ, tl), out=p)
+                np.divide(_polevl(zl, _QP, q), _polevl(zl, _QQ, tl), out=q)
+                xn = np.subtract(xl, _THPIO4, out=zl)
+                q *= wl  # p = p * cos(xn) - w * q * sin(xn)
+                q *= np.sin(xn, out=tl)
+                p *= np.cos(xn, out=tl)
+                p -= q
+                p *= _SQ2OPI  # J1 = p * SQ2OPI / sqrt(x)
+                p /= np.sqrt(xl, out=tl)
+                p *= 2.0
+                np.divide(p, xl, out=xl)
+            out[large] = xg
     small = ax < _SMALL_ARG
     xs = ax[small]
     out[small] = 1.0 - xs * xs / 8.0 + xs**4 / 192.0

@@ -7,10 +7,13 @@ regions, and the area they enclose is a scalar robustness proxy: the
 larger the area, the more a listener can move before isolation drops
 below the level.
 
-The maps of all frequencies share one grid, whose distances and angles to
-the speakers are computed once. Contours and area share one table of
-per-cell polygon walks, so the area is exactly the shoelace area of the
-polygonized superlevel region and the two views can never disagree.
+The maps of all frequencies are evaluated together, one block of grid
+points at a time: a block's distances and angles to the speakers are
+computed once for every frequency, so the memory that ``ipi_map`` needs
+beside the maps' values is bounded by a block, not by the grid. Contours
+and area share one table of per-cell polygon walks, so the area is
+exactly the shoelace area of the polygonized superlevel region and the
+two views can never disagree.
 Cells with any non-finite corner (grid point on a speaker, or an
 unbounded ratio) are excluded from both. Each level is one pass: one
 numpy classification of its cells, then one loop over the walk table that
@@ -94,13 +97,17 @@ class ContourSet:
 
 
 MAX_BYTES = np.iinfo(np.intp).max  # the largest numpy array, in bytes
+# (frequency, point, speaker) entries per block of grid points in ipi_map: a
+# block's complex temporaries are 0.5 MB each, whatever the grid, and together
+# they fit a core's L2 cache (2^14 is slower, 2^16 holds more memory)
+_BLOCK_ENTRIES = 2**15
 
 
 def grid_shape(region, resolution: float) -> tuple[int, int]:
     """(nx, ny) of the grid covering ``region`` = (x_min, x_max, y_min, y_max)
     at ``resolution``; ValueError unless both extents are positive integer multiples
-    of a positive resolution (to 1e-6 of a step) and numpy can create the (points, 3)
-    float64 array of their coordinates."""
+    of a positive resolution (to 1e-6 of a step) and numpy can create the (points,)
+    float64 array of one map's values."""
     if resolution <= 0:
         raise ValueError(f"resolution must be positive, got {resolution}")
     x_min, x_max, y_min, y_max = (float(v) for v in region)
@@ -115,7 +122,7 @@ def grid_shape(region, resolution: float) -> tuple[int, int]:
                 f"region {name} extent {extent} is not a multiple of resolution {resolution}"
             )
         counts.append(int(round(steps)) + 1)
-    if counts[0] * counts[1] * 3 * 8 > MAX_BYTES:
+    if counts[0] * counts[1] * 8 > MAX_BYTES:
         raise ValueError(f"{float(counts[0]) * counts[1]:.3g} grid points, too many for one array")
     return counts[0], counts[1]
 
@@ -146,34 +153,41 @@ def ipi_map(
     the filters; the resulting channel row is a one-point zone whose IPI
     is :func:`~pszsim.metrics.ipi_ratios`, with its channel checks. A grid
     point exactly on a speaker yields NaN for that cell instead of failing
-    the whole map.
+    the whole map. The grid is evaluated in row-major blocks of points, all
+    frequencies at once, with about ``_BLOCK_ENTRIES`` (frequency, point,
+    speaker) entries per block; every value has the bits of a whole-grid
+    evaluation.
     """
     if len(filters) != len(frequencies):
         raise ValueError(f"{len(filters)} filter sets for {len(frequencies)} frequencies")
     nx, ny = grid_shape(region, resolution)
     x_min, _, y_min, _ = (float(v) for v in region)
+    freqs = np.asarray(frequencies, dtype=float)
 
-    # the (ny, nx, 3) grid comes first, so a grid too large for memory fails
-    # in one allocation before any smaller one is made; x varies along axis 1
-    points = np.zeros((ny, nx, 3))
-    points[..., 0] = x_min + np.arange(nx) * resolution
-    points[..., 1] = (y_min + np.arange(ny) * resolution)[:, None]
-    field = _field(scene, points.reshape(-1, 3))
-    del points  # only the field's two (points, speakers) arrays are kept
-
-    maps = []
-    for frequency, c in zip(frequencies, filters):
-        # one single-point zone per grid point: (n_points, 1, n_channels)
-        m = (field(frequency) @ c)[:, None, :]  # NaN rows propagate
+    # each map's values come first, so a grid too large for memory fails in
+    # one allocation before any work; x varies fastest along the flat index
+    n = ny * nx
+    values = [np.empty(n) for _ in freqs]
+    # no block holds a single point: numpy multiplies one row by another BLAS
+    # routine, whose last bits differ from those of the many-row product
+    step = max(2, _BLOCK_ENTRIES // max(1, freqs.size * len(scene.speakers)))
+    for start in range(0, n - 1, step):
+        stop = start + step if start + step < n - 1 else n
+        iy, ix = np.divmod(np.arange(start, stop), nx)
+        points = np.zeros((ix.size, 3))
+        points[:, 0] = x_min + ix * resolution
+        points[:, 1] = y_min + iy * resolution
+        # one single-point zone per grid point: (F, n_points, 1, n_channels)
+        m = (_field(scene, points)(freqs) @ filters)[:, :, None, :]  # NaN rows propagate
         _, values_db = min_db(*ipi_ratios(m, (0,), target_channels, interferer_channels))
-        maps.append(IpiMap(
-            frequency=float(frequency),
-            x0=x_min,
-            y0=y_min,
-            spacing=float(resolution),
-            values_db=values_db.reshape(ny, nx),
-        ))
-    return maps
+        for v, block in zip(values, values_db):
+            v[start:stop] = block
+    # each map copies its values, and the pop frees the original right after
+    return [
+        IpiMap(frequency=float(f), x0=x_min, y0=y_min, spacing=float(resolution),
+               values_db=values.pop(0).reshape(ny, nx))
+        for f in freqs
+    ]
 
 
 # Per-cell polygon walks of the superlevel region by cell code: the mask of

@@ -592,10 +592,22 @@ def test_map_numerical_failure_exits_2(tmp_path, capsys):
 
 
 def test_map_grid_too_large_for_memory_exits_2(tmp_path, capsys):
-    # 2e16 grid points pass the config's size check: numpy allows the 4.8e17
-    # bytes of their coordinates, but no 64-bit address space holds them, so
-    # the first grid array fails to allocate without touching memory
+    # 2e16 grid points pass the config's size check: numpy allows the 1.6e17
+    # bytes of a map's values, but no 64-bit address space holds them, so the
+    # first map array fails to allocate without touching memory
     path = small_config(tmp_path, map={"resolution_m": 1e-8})
+    assert main(["map", str(path)]) == 2
+    (error,) = capsys.readouterr().err.splitlines()
+    assert error.startswith("runtime error: map: Unable to allocate ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_map_grid_too_large_for_all_its_maps_at_once_exits_2(tmp_path, capsys):
+    # 3.2e17 grid points: numpy allows the 2.6e18 bytes of one map's values,
+    # but not the 1e19 of four maps in one array
+    path = small_config(
+        tmp_path, map={"resolution_m": 2.5e-9, "frequencies_hz": [500.0, 1000.0, 2000.0, 4000.0]}
+    )
     assert main(["map", str(path)]) == 2
     (error,) = capsys.readouterr().err.splitlines()
     assert error.startswith("runtime error: map: Unable to allocate ")

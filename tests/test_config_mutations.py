@@ -251,7 +251,7 @@ FIXED = {
         set_path("map.region", {"x_min": 0.0, "x_max": 1e300, "y_min": 0.0, "y_max": 2.0}),
         "map: 5.05e+303 grid points",
     ),
-    "map region 1e8 m tall": (  # the (points, 3) coordinates need 6e19 bytes
+    "map region 1e8 m tall": (  # a map's values need 2e19 bytes
         set_path("map.region", {"x_min": 0.0, "x_max": 1e7, "y_min": 0.0, "y_max": 1e8}),
         "map: 2.5e+18 grid points",
     ),

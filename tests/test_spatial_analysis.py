@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,6 +284,45 @@ def test_ipi_map_values_are_min_db_of_the_grid_ipi_ratios():
     _, want = min_db(*ipi_ratios(rows, (0,), target, interferer))
     assert np.isnan(want).any()
     assert m.values_db.tobytes() == want.reshape(m.ny, m.nx).tobytes()
+
+
+@pytest.mark.parametrize("points_per_block", [2, 7, 40])
+def test_ipi_map_block_edges_move_no_bits(monkeypatch, points_per_block):
+    # the 0.025 m grid is 41 x 81 points and lands on speakers (NaN cells);
+    # 7 and 40 points split grid rows, and 3321 points leave one point over
+    # after blocks of 2 and 40
+    frequencies = [500.0, 4000.0]
+    scene = default_scene()
+    filters = np.concatenate([designed_filters(scene, f) for f in frequencies])
+    target, interferer = program_channels(scene, RenderingMode.MONO)
+    args = (scene, filters, (-1.0, 0.0, 0.0, 2.0), 0.025, frequencies, target, interferer)
+    want = ipi_map(*args)
+    assert all(np.isnan(m.values_db).any() for m in want)
+    entries = len(frequencies) * len(scene.speakers)
+    monkeypatch.setattr(pszsim.spatial_analysis, "_BLOCK_ENTRIES", points_per_block * entries)
+    got = ipi_map(*args)
+    for g, w in zip(got, want, strict=True):
+        assert g.frequency == w.frequency
+        assert np.array_equal(g.values_db.view(np.uint64), w.values_db.view(np.uint64))
+
+
+def test_ipi_map_memory_is_bounded_by_its_maps_not_by_the_grid():
+    # 201 x 401 points, three maps: the values returned are 1.9 MB, and what
+    # ipi_map holds besides them must not grow with the grid
+    frequencies = [500.0, 1000.0, 2000.0]
+    scene = default_scene()
+    filters = np.concatenate([designed_filters(scene, f) for f in frequencies])
+    target, interferer = program_channels(scene, RenderingMode.MONO)
+    tracemalloc.start()
+    try:
+        maps = ipi_map(scene, filters, (-1.0, 0.0, 0.0, 2.0), 0.005, frequencies,
+                       target, interferer)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    values = sum(m.values_db.nbytes for m in maps)
+    assert values == 3 * 201 * 401 * 8
+    assert peak <= 3 * values + 4 * 2**20
 
 
 def test_ipi_map_validates_inputs():

@@ -115,9 +115,9 @@ def _json_text(value, indent: str = "") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` nested at ``indent``, NaN as null.
 
     With ``indent`` set, ``json`` encodes in pure Python, one value at a
-    time. Here a list of non-empty lists of numbers (map rows, polyline
-    vertices) is formatted by one C-level ``repr``, whose numbers are
-    ``json``'s text, and re-indented by ``str.replace``.
+    time. Here a list of non-empty lists of numbers (polyline vertices) is
+    formatted by one C-level ``repr``, whose numbers are ``json``'s text,
+    and re-indented by ``str.replace``.
     """
     inner = indent + "  "
     if isinstance(value, dict):
@@ -245,30 +245,29 @@ def run_spectra(config: ExperimentConfig) -> list[Path]:
     return _write_run(config, "spectra", files, skipped_log)
 
 
-def _map_csv_text(m, values) -> str:
-    # one template per map formats each x once; a row fills it with one % as
-    # (y, v0, y, v1, ...), the y text and "%.9g" for each value
-    row_text = "".join(f"{x:.9g},%s,%.9g\n" for x in m.x_coords().tolist())
-    args = [None] * (2 * m.nx)
-    lines = ["x_m,y_m,ipi_db\n"]
+def _map_texts(m, values, cap_db: float) -> tuple[str, str]:
+    """The ``map_*.csv`` and ``map_*.json`` texts of ``m`` with its capped ``values``.
+
+    Each value is formatted once, at "%.9g", a row at a time: that text is
+    its CSV cell and its ``values_db`` number, nan as null and inf as
+    Infinity. The other JSON fields are ``_json_text``'s.
+    """
+    row_format = ",".join(["%.9g"] * m.nx)
+    # the CSV template formats each x once; "#" stands for the row's y
+    row_text = "".join(f"{x:.9g},#,%s\n" for x in m.x_coords().tolist())
+    lines, rows = ["x_m,y_m,ipi_db\n"], []
     for y, row in zip(m.y_coords().tolist(), values.tolist()):
-        args[::2] = [f"{y:.9g}"] * m.nx
-        args[1::2] = row
-        lines.append(row_text % tuple(args))
-    return "".join(lines)
-
-
-def _map_payload(m, values, cap_db: float) -> dict:
-    return {
-        "frequency_hz": m.frequency,
-        "x0_m": m.x0,
-        "y0_m": m.y0,
-        "spacing_m": m.spacing,
-        "nx": m.nx,
-        "ny": m.ny,
-        "cap_db": cap_db,
-        "values_db": values.tolist(),
-    }
+        cells = row_format % tuple(row)
+        lines.append((row_text % tuple(cells.split(","))).replace("#", f"{y:.9g}"))
+        rows.append(cells.replace(",", ",\n      "))
+    grid = "\n    ],\n    [\n      ".join(rows)
+    if "n" in grid:  # "%.9g" writes nan, inf and -inf
+        grid = grid.replace("nan", "null").replace("inf", "Infinity")
+    # the other fields are numbers, so "[]" is values_db's place
+    json_text = _json_text({"frequency_hz": m.frequency, "x0_m": m.x0, "y0_m": m.y0,
+                            "spacing_m": m.spacing, "nx": m.nx, "ny": m.ny, "cap_db": cap_db,
+                            "values_db": []})
+    return "".join(lines), json_text.replace("[]", f"[\n    [\n      {grid}\n    ]\n  ]") + "\n"
 
 
 def run_map(config: ExperimentConfig) -> list[Path]:
@@ -304,8 +303,7 @@ def run_map(config: ExperimentConfig) -> list[Path]:
         # the files are capped; the contours and area below use the untruncated values
         capped = np.minimum(m.values_db, request.cap_db)
         tag = map_tag(request.mode.value, m.frequency)
-        files[f"map_{tag}.csv"] = _map_csv_text(m, capped)
-        files[f"map_{tag}.json"] = _json_text(_map_payload(m, capped, request.cap_db)) + "\n"
+        files[f"map_{tag}.csv"], files[f"map_{tag}.json"] = _map_texts(m, capped, request.cap_db)
         contour_sets = [extract_contours(m, level) for level in request.levels_db]
         files[f"contours_{tag}.json"] = _json_text({
             "frequency_hz": m.frequency,

@@ -217,9 +217,41 @@ def assert_same_lines(text, expected):
     assert text.splitlines(keepends=True) == expected.splitlines(keepends=True)
 
 
-def map_payload(values):
+def map_payload(values, frequency=1000.0, x0=-1.0, y0=0.0, spacing=0.01, cap_db=40.0):
+    """A map file's fields, ``values`` as the floats that json.dump writes."""
     values = np.asarray(values, dtype=float)
-    return pszsim.cli._map_payload(IpiMap(1000.0, -1.0, 0.0, 0.01, values), values, 40.0)
+    return {"frequency_hz": frequency, "x0_m": x0, "y0_m": y0, "spacing_m": spacing,
+            "nx": values.shape[1], "ny": values.shape[0], "cap_db": cap_db,
+            "values_db": values.tolist()}
+
+
+# a map CSV cell's text -> that number's text in JSON
+CSV_TO_JSON = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def map_csv_cells(csv_text):
+    """The ipi_db cells of a map_*.csv text in file order, each as JSON writes its number."""
+    cells = [line.rsplit(",", 1)[1] for line in csv_text.splitlines()[1:]]
+    return [CSV_TO_JSON.get(c, c) for c in cells]
+
+
+def map_json_cells(json_text):
+    """The values_db numbers of a map_*.json text row by row, each as the file writes it."""
+    grid = json.loads(json_text, parse_int=str, parse_float=str, parse_constant=str)
+    return ["null" if v is None else v for row in grid["values_db"] for v in row]
+
+
+def map_json_oracle(m, cap_db, csv_text):
+    """json.dump's text of map ``m``'s file, with each values_db number written
+    as its cell of the map's CSV ``csv_text``."""
+    layout = json_dump_text(map_payload(np.zeros((m.ny, m.nx)), m.frequency, m.x0, m.y0,
+                                        m.spacing, cap_db))
+    # json.dump writes each value on a line of its own, the only lines 6 deep
+    cells = iter(map_csv_cells(csv_text))
+    lines = [line.replace("0.0", next(cells), 1) if line.startswith(" " * 6) else line
+             for line in layout.splitlines(keepends=True)]
+    assert next(cells, None) is None
+    return "".join(lines)
 
 
 CLOSED = [[-0.5, 0.25], [-0.4, 0.3125], [-0.5, 0.375], [-0.6, 0.3125], [-0.5, 0.25]]
@@ -248,17 +280,24 @@ def test_json_writer_writes_the_text_of_json_dump(name):
 
 
 def test_json_writer_writes_the_text_of_json_dump_for_every_file_of_a_run(tmp_path, monkeypatch):
-    # beta 0 below 1 kHz skips frequencies, so both manifests list skips;
-    # a call at indent "" is a whole file's payload, the others its parts
-    payloads = []
-    json_text = pszsim.cli._json_text
+    # beta 0 below 1 kHz skips frequencies, so both manifests list skips; a
+    # call at indent "" is a whole file's payload, the others its parts; a
+    # map file is json.dump's layout with its CSV's numbers
+    payloads, maps = [], []
+    json_text, ipi_map = pszsim.cli._json_text, pszsim.cli.ipi_map
 
     def recording_json_text(value, indent=""):
         if indent == "":
             payloads.append(value)
         return json_text(value, indent)
 
+    def recording_ipi_map(*args):
+        computed = ipi_map(*args)
+        maps.extend(computed)
+        return computed
+
     monkeypatch.setattr(pszsim.cli, "_json_text", recording_json_text)
+    monkeypatch.setattr(pszsim.cli, "ipi_map", recording_ipi_map)
     path = small_config(tmp_path, beta={"frequencies_hz": [1000, 1001], "values": [0, 4e-4]},
                         uncertainty={"sigma_sq": 0, "trials": 1},
                         map={"frequencies_hz": [500.0, 2000.0]})
@@ -269,9 +308,12 @@ def test_json_writer_writes_the_text_of_json_dump_for_every_file_of_a_run(tmp_pa
         "contours_mono_2000hz.json", "manifest_map.json", "manifest_spectra.json",
         "map_mono_2000hz.json",
     ]
-    assert len(payloads) == len(files)
-    assert sorted(p.read_text(encoding="utf-8") for p in files) == sorted(
-        json_dump_text(payload) for payload in payloads)
+    *others, grid = (p.read_text(encoding="utf-8") for p in files)
+    (m,) = maps
+    csv_text = (tmp_path / "out" / "map_mono_2000hz.csv").read_text(encoding="utf-8")
+    assert_same_lines(grid, map_json_oracle(m, 40.0, csv_text))
+    dumped = [json_dump_text(payload) for payload in payloads]
+    assert all(text in dumped for text in others)
     for payload in payloads:
         assert_same_lines(json_text(payload) + "\n", json_dump_text(payload))
         if "command" in payload:  # a manifest
@@ -287,7 +329,8 @@ def test_map_csv_writer_formats_each_point_as_nine_significant_digits():
             for y, row in zip(m.y_coords().tolist(), values.tolist())
             for x, v in zip(m.x_coords().tolist(), row)
         ]
-        assert_same_lines(pszsim.cli._map_csv_text(m, values), "\n".join(expected) + "\n")
+        csv_text, _ = pszsim.cli._map_texts(m, values, 40.0)
+        assert_same_lines(csv_text, "\n".join(expected) + "\n")
 
 
 def test_validate_command(tmp_path, capsys):
@@ -441,7 +484,8 @@ def test_map_outputs(tmp_path):
 
 def test_map_files_are_capped_and_contours_are_not(tmp_path, monkeypatch):
     # a cap below the 30 dB level: both map files stop at the cap, while the
-    # contours and the area at 30 dB come from the untruncated map
+    # contours and the area at 30 dB come from the untruncated maps; at
+    # 0.025 m the grid lands on speakers, so the maps hold NaN cells
     maps = []
     ipi_map = pszsim.cli.ipi_map
 
@@ -451,24 +495,39 @@ def test_map_files_are_capped_and_contours_are_not(tmp_path, monkeypatch):
         return computed
 
     monkeypatch.setattr(pszsim.cli, "ipi_map", recording_ipi_map)
-    config = load_config(str(small_config(tmp_path, map={"cap_db": 25.0})))
+    config = load_config(str(small_config(tmp_path, map={
+        "cap_db": 25.0, "resolution_m": 0.025, "frequencies_hz": [500.0, 1000.0, 2000.0]})))
     run_map(config)
-    (m,) = maps
-    assert np.nanmax(m.values_db) > 30.0
-    capped = np.minimum(m.values_db, 25.0)
-
-    _, rows = read_csv(config.output_dir / "map_mono_500hz.csv")
-    assert np.nanmax(rows[:, 2]) == 25.0
-    assert np.allclose(rows[:, 2], capped.ravel(), rtol=1e-8, atol=0, equal_nan=True)
-    grid = json.loads((config.output_dir / "map_mono_500hz.json").read_text())
-    assert grid["cap_db"] == 25.0
-    assert grid["values_db"] == [[None if np.isnan(v) else v for v in r] for r in capped.tolist()]
-
-    contours = json.loads((config.output_dir / "contours_mono_500hz.json").read_text())
-    at_30 = [c["polylines"] for c in contours["contours"] if c["level_db"] == 30.0][0]
-    assert at_30 and at_30 == [line.tolist() for line in extract_contours(m, 30.0).polylines]
+    assert len(maps) == 3
     _, areas = read_csv(config.output_dir / "area_summary.csv")
-    assert areas[areas[:, 1] == 30.0][0, 2] > 0.0
+    for m in maps:
+        tag = f"mono_{m.frequency:.0f}hz"
+        assert np.nanmax(m.values_db) > 30.0 and np.isnan(m.values_db).any()
+        capped = np.minimum(m.values_db, 25.0)
+
+        csv_text = (config.output_dir / f"map_{tag}.csv").read_text(encoding="utf-8")
+        _, rows = read_csv(config.output_dir / f"map_{tag}.csv")
+        assert np.nanmax(rows[:, 2]) == 25.0
+        assert np.allclose(rows[:, 2], capped.ravel(), rtol=1e-8, atol=0, equal_nan=True)
+        json_text = (config.output_dir / f"map_{tag}.json").read_text(encoding="utf-8")
+        assert json.loads(json_text)["cap_db"] == 25.0
+        # each value of the JSON is the text of its point's CSV cell
+        cells = map_csv_cells(csv_text)
+        assert "null" in cells and "25" in cells
+        assert map_json_cells(json_text) == cells
+
+        contours = json.loads((config.output_dir / f"contours_{tag}.json").read_text())
+        at_30 = [c["polylines"] for c in contours["contours"] if c["level_db"] == 30.0][0]
+        assert at_30 and at_30 == [line.tolist() for line in extract_contours(m, 30.0).polylines]
+        assert areas[(areas[:, 0] == m.frequency) & (areas[:, 1] == 30.0)][0, 2] > 0.0
+
+    # a -inf cell, which no run above holds
+    values = np.array([[-np.inf, 12.5, 1 / 3], [np.nan, 40.0, -0.0]])
+    m = IpiMap(1000.0, -1.0, 0.0, 0.01, values)
+    csv_text, json_text = pszsim.cli._map_texts(m, values, 40.0)
+    assert map_csv_cells(csv_text) == ["-Infinity", "12.5", "0.333333333", "null", "40", "-0"]
+    assert map_json_cells(json_text) == map_csv_cells(csv_text)
+    assert_same_lines(json_text, map_json_oracle(m, 40.0, csv_text))
 
 
 def test_map_runs_are_byte_identical(tmp_path):

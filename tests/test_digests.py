@@ -4,7 +4,7 @@ Every invocation of ``tests/snapshot_outputs.py`` runs here in-process, and
 the sha256 of each output file, stdout, stderr and exit code must equal
 ``tests/golden/digests.json``. The golden and benchmark tests compare
 values to a relative 2e-8; this test catches a change in the last digit of
-any file, the 17-digit map JSON values included.
+any file, the 17-digit contour vertices included.
 
 Another interpreter, numpy, scipy, BLAS build or CPU may change last bits
 with the code unchanged; a failure there says so first, and the

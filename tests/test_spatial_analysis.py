@@ -325,6 +325,31 @@ def test_ipi_map_memory_is_bounded_by_its_maps_not_by_the_grid():
     assert peak <= 3 * values + 4 * 2**20
 
 
+def test_ipi_map_and_contours_hold_the_arrays_they_build_without_a_copy(monkeypatch):
+    # with small blocks, ipi_map's peak is its map and one block; a copy of
+    # the map, as IpiMap makes of a caller's array, would double it
+    copies = []
+    frozen = pszsim.spatial_analysis._frozen
+    monkeypatch.setattr(pszsim.spatial_analysis, "_frozen",
+                        lambda *args: copies.append(args) or frozen(*args))
+    monkeypatch.setattr(pszsim.spatial_analysis, "_BLOCK_ENTRIES", 2**10)
+    scene = default_scene()
+    filters = designed_filters(scene, 500.0)
+    target, interferer = program_channels(scene, RenderingMode.MONO)
+    tracemalloc.start()
+    try:
+        (m,) = ipi_map(scene, filters, (-1.0, 0.0, 0.0, 2.0), 0.005, [500.0], target, interferer)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.values_db.nbytes == 201 * 401 * 8
+    assert peak < 1.5 * m.values_db.nbytes
+    held = [m.values_db, *extract_contours(m, 20.0).polylines]
+    assert len(held) > 1 and not copies
+    assert not any(a.flags.writeable or (a.base is not None and a.base.flags.writeable)
+                   for a in held)
+
+
 def test_ipi_map_validates_inputs():
     scene = default_scene()
     filters = designed_filters(scene, 500.0)
@@ -350,17 +375,22 @@ def test_contour_vertices_lie_on_cell_edges():
             assert on_x or on_y
 
 
+@pytest.mark.parametrize("wrap", [np.asarray, np.ma.asarray, memoryview],
+                         ids=["ndarray", "masked", "memoryview"])
 @pytest.mark.parametrize("holder", ["scene", "ipi_map", "contours"])
-def test_frozen_arrays_are_read_only_copies(holder):
-    given = np.arange(6.0).reshape(2, 3)
+def test_frozen_arrays_are_read_only_copies(holder, wrap):
+    # a masked array or a memoryview of the caller's array is a view of it, and is copied too
+    owned = np.arange(6.0).reshape(2, 3)
+    given = wrap(owned)
     if holder == "scene":
-        stored = Scene(given, given + 5.0, (0,), (1,), (0,), (1,), (0, 1)).speakers
+        stored = Scene(given, owned + 5.0, (0,), (1,), (0,), (1,), (0, 1)).speakers
     elif holder == "ipi_map":
         stored = IpiMap(1000.0, 0.0, 0.0, 0.1, given).values_db
     else:
         (stored,) = ContourSet(20.0, (given,), 0.0).polylines
-    assert np.array_equal(stored, given) and not np.shares_memory(stored, given)
-    assert not stored.flags.writeable and given.flags.writeable
+    assert type(stored) is np.ndarray and np.array_equal(stored, owned)
+    assert not np.shares_memory(stored, owned)
+    assert not stored.flags.writeable and owned.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         stored[0, 0] = 1.0
 

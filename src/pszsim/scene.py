@@ -22,10 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _frozen(values) -> np.ndarray:
-    """``values`` as a read-only float array that shares no memory with the caller's."""
-    arr = np.array(values, dtype=float)  # a copy, also of a view, subclass or memoryview
+def _frozen(values, dtype) -> np.ndarray:
+    """``values`` as a read-only ``dtype`` array that shares no memory with the caller's."""
+    arr = np.array(values, dtype=dtype)  # a copy, also of a view, subclass or memoryview
     arr.setflags(write=False)
+    return arr
+
+
+def _readonly_array(values, dtype, shape_hint: str) -> np.ndarray:
+    arr = _frozen(values, dtype)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValueError(f"{shape_hint} must be an (n, 3) array, got shape {arr.shape}")
     return arr
 
 
@@ -72,11 +79,14 @@ class Scene:
     piston_radius: float = 0.05
 
     def __post_init__(self):
-        for name in ("speakers", "control_points"):
-            arr = _frozen(getattr(self, name))
-            if arr.ndim != 2 or arr.shape[1] != 3:
-                raise ValueError(f"{name} must be an (n, 3) array, got shape {arr.shape}")
-            object.__setattr__(self, name, arr)
+        object.__setattr__(
+            self, "speakers", _readonly_array(self.speakers, float, "speakers")
+        )
+        object.__setattr__(
+            self,
+            "control_points",
+            _readonly_array(self.control_points, float, "control_points"),
+        )
         for name in ("zone_a", "zone_b", "program_a", "program_b", "virtual_source_map"):
             object.__setattr__(self, name, tuple(int(i) for i in getattr(self, name)))
 

@@ -28,7 +28,7 @@ each of them once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class IpiMap:
     values_db: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen(self.values_db)
+        arr = _frozen(self.values_db, float)
         if arr.ndim != 2:
             raise ValueError(f"values_db must be a 2-D array, got shape {arr.shape}")
         object.__setattr__(self, "values_db", arr)
@@ -92,16 +92,8 @@ class ContourSet:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "polylines", tuple(_frozen(line) for line in self.polylines)
+            self, "polylines", tuple(_frozen(line, float) for line in self.polylines)
         )
-
-
-def _holding(cls, *values):
-    """A ``cls`` of ``values``, read-only arrays built here, without the copy
-    that its ``__post_init__`` makes of a caller's arrays."""
-    held = object.__new__(cls)
-    held.__dict__.update(zip([f.name for f in fields(cls)], values))
-    return held
 
 
 MAX_BYTES = np.iinfo(np.intp).max  # the largest numpy array, in bytes
@@ -190,10 +182,12 @@ def ipi_map(
         _, values_db = min_db(*ipi_ratios(m, (0,), target_channels, interferer_channels))
         for v, block in zip(values, values_db):
             v[start:stop] = block
-    for v in values:
-        v.setflags(write=False)
-    return [_holding(IpiMap, f, x_min, y_min, float(resolution), v.reshape(ny, nx))
-            for f, v in zip(freqs.tolist(), values)]
+    # each map copies its values, and the pop frees the original right after
+    return [
+        IpiMap(frequency=float(f), x0=x_min, y0=y_min, spacing=float(resolution),
+               values_db=values.pop(0).reshape(ny, nx))
+        for f in freqs
+    ]
 
 
 # Per-cell polygon walks of the superlevel region by cell code: the mask of
@@ -331,5 +325,4 @@ def extract_contours(m: IpiMap, level_db: float) -> ContourSet:
             path = chain(start)
             chained.update(path)
             polylines.append(xy[path])
-            polylines[-1].setflags(write=False)
-    return _holding(ContourSet, level, tuple(polylines), area)
+    return ContourSet(level, tuple(polylines), area)

@@ -325,31 +325,6 @@ def test_ipi_map_memory_is_bounded_by_its_maps_not_by_the_grid():
     assert peak <= 3 * values + 4 * 2**20
 
 
-def test_ipi_map_and_contours_hold_the_arrays_they_build_without_a_copy(monkeypatch):
-    # with small blocks, ipi_map's peak is its map and one block; a copy of
-    # the map, as IpiMap makes of a caller's array, would double it
-    copies = []
-    frozen = pszsim.spatial_analysis._frozen
-    monkeypatch.setattr(pszsim.spatial_analysis, "_frozen",
-                        lambda *args: copies.append(args) or frozen(*args))
-    monkeypatch.setattr(pszsim.spatial_analysis, "_BLOCK_ENTRIES", 2**10)
-    scene = default_scene()
-    filters = designed_filters(scene, 500.0)
-    target, interferer = program_channels(scene, RenderingMode.MONO)
-    tracemalloc.start()
-    try:
-        (m,) = ipi_map(scene, filters, (-1.0, 0.0, 0.0, 2.0), 0.005, [500.0], target, interferer)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert m.values_db.nbytes == 201 * 401 * 8
-    assert peak < 1.5 * m.values_db.nbytes
-    held = [m.values_db, *extract_contours(m, 20.0).polylines]
-    assert len(held) > 1 and not copies
-    assert not any(a.flags.writeable or (a.base is not None and a.base.flags.writeable)
-                   for a in held)
-
-
 def test_ipi_map_validates_inputs():
     scene = default_scene()
     filters = designed_filters(scene, 500.0)

@@ -5,7 +5,8 @@ the target M_T (control points x program channels) of a rendering mode
 from the transfer stack H (control points x speakers), and
 :func:`solve_stack` designs the filters C (speakers x program channels).
 The system matrix M = H C maps program channels directly to control point
-pressures and is what all isolation metrics consume.
+pressures and is what all isolation metrics consume. Each frequency's
+filters take one LAPACK ``zposv`` call.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ _BLOCK_FREQUENCIES = 256  # normal matrices formed at once; bounds the temporari
 _FLAPACK = "scipy.linalg._flapack"
 
 
-def _cholesky_routines():
-    """LAPACK's complex Cholesky ``zpotrf`` and ``zpotrs``, from scipy's f2py extension.
+def _cholesky_solver():
+    """LAPACK's complex Cholesky solver ``zposv``, from scipy's f2py extension.
 
     The import system's path finder finds the extension in scipy's ``linalg``
     folder, and it is loaded alone, under its real module name, at the first
@@ -45,7 +46,7 @@ def _cholesky_routines():
         module = importlib.util.module_from_spec(spec)
         sys.modules[_FLAPACK] = module
         spec.loader.exec_module(module)
-    return module.zpotrf, module.zpotrs
+    return module.zposv
 
 
 class RenderingMode(enum.Enum):
@@ -132,11 +133,11 @@ def solve_stack(H: np.ndarray, M_T: np.ndarray, betas, frequencies):
     C = (H^H H + beta I)^(-1) H^H M_T. The normal matrices and right hand
     sides are formed for blocks of frequencies at once and checked for
     infs and NaNs once per block; each frequency is then factorized and
-    solved by LAPACK's complex Cholesky routines ``zpotrf`` and ``zpotrs``,
-    called directly and shared by all right hand side columns, with no
-    explicit inverse. They are the f2py wrappers that ``scipy.linalg`` uses,
-    taken from scipy's LAPACK extension alone at the first call (see
-    :func:`_cholesky_routines`); no ``scipy.linalg`` package module is
+    solved by one call of LAPACK's ``zposv``, which is ``zpotrf`` then
+    ``zpotrs``, shared by all right hand side columns, with no explicit
+    inverse. It is the f2py wrapper that ``scipy.linalg`` uses, taken from
+    scipy's LAPACK extension alone at the first call (see
+    :func:`_cholesky_solver`); no ``scipy.linalg`` package module is
     imported. So every filter of a complex stack is bit for bit what a
     one-frequency ``scipy.linalg.cho_factor``/``cho_solve`` gives. With
     beta = 0 the normal matrix must be invertible; a frequency where it
@@ -163,7 +164,7 @@ def solve_stack(H: np.ndarray, M_T: np.ndarray, betas, frequencies):
     filters = np.empty((len(betas), H.shape[-1], M_T.shape[-1]), dtype=complex)
     kept = np.ones(len(betas), dtype=bool)
     failures = []
-    potrf, potrs = _cholesky_routines()
+    posv = _cholesky_solver()
     diag = np.arange(H.shape[-1])
     for start in range(0, len(betas), _BLOCK_FREQUENCIES):
         block = slice(start, start + _BLOCK_FREQUENCIES)
@@ -174,7 +175,7 @@ def solve_stack(H: np.ndarray, M_T: np.ndarray, betas, frequencies):
         if not (np.isfinite(normal).all() and np.isfinite(rhs).all()):
             raise ValueError("array must not contain infs or NaNs")
         for i, n, b in zip(range(start, len(betas)), normal, rhs):
-            factor, info = potrf(n, lower=False, clean=False)
+            _, filters[i], info = posv(n, b, lower=False)
             if info > 0:  # a leading minor is not positive definite
                 frequency, beta = float(frequencies[i]), float(betas[i])
                 failures.append(
@@ -182,9 +183,7 @@ def solve_stack(H: np.ndarray, M_T: np.ndarray, betas, frequencies):
                 )
                 kept[i] = False
                 continue
-            if info == 0:
-                filters[i], info = potrs(factor, b, lower=False)
-            if info != 0:  # a negative info from either routine names a bad argument
+            if info != 0:  # a negative info names a bad argument
                 raise ValueError(f"LAPACK: illegal argument {-info} at {frequencies[i]} Hz")
     return (filters if kept.all() else filters[kept]), kept, failures
 

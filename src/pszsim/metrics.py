@@ -137,13 +137,16 @@ def smooth_db(frequencies: np.ndarray, db: np.ndarray) -> np.ndarray:
     Bin i averages the bins whose frequency lies in [f_i * 2^(-1/6),
     f_i * 2^(1/6)]; on an increasing grid they are one contiguous slice,
     found by binary search. Each mean is the window's sum over its length,
-    the arithmetic ``np.mean`` does, without its per-call overhead. Each
+    the arithmetic ``np.mean`` does, without its per-call overhead: one
+    division per call, of all windows' sums. An empty grid gives (..., 0). Each
     row is smoothed on its own: a row of a stacked (..., F) array gets the
     bits it gets alone, whatever rows share the array, so many spectra on
     one grid can be smoothed in one call.
     """
     lo = np.searchsorted(frequencies, frequencies / _THIRD_OCTAVE_HALF_WIDTH, "left")
     hi = np.searchsorted(frequencies, frequencies * _THIRD_OCTAVE_HALF_WIDTH, "right")
-    means = [np.add.reduce(db[..., a:b], axis=-1) / (b - a) for a, b in zip(lo, hi)]
-    return np.stack(means, axis=-1)
+    sums = np.empty(db.shape)
+    for i, (a, b) in enumerate(zip(lo, hi)):
+        np.add.reduce(db[..., a:b], axis=-1, out=sums[..., i])
+    return sums / (hi - lo)
 

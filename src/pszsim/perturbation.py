@@ -18,8 +18,9 @@ each frequency. One Philox generator per call is re-keyed for each
 frequency: the two key words are written into one state dict of counter 0
 and an empty buffer, which is exactly the state a Philox built with that
 key starts in, without the cost of building one (and the entropy it seeds
-itself with before the key replaces it) per frequency. Its normals are
-written in place into one preallocated block.
+itself with before the key replaces it) per frequency. The dict holds
+Python lists, whose elements numpy's state setter reads without building
+numpy scalars. The normals are written in place into one preallocated block.
 """
 
 from __future__ import annotations
@@ -92,10 +93,11 @@ def averaged_perturbed_stacks(stacks, frequencies, model: UncertaintyModel, stre
     in the grid, so one keyed state per frequency serves them all. Its
     normals are consumed in a fixed order (a trials x (amplitude, phase) x
     K x L block), so trials=1 returns a single draw bit for bit and the
-    first draw of a longer average is that same draw. The grid is worked
-    through in blocks of about ``_BLOCK_NORMALS`` normals, which bounds the
-    temporaries. Zero variance returns the stacks themselves, for any
-    trial count.
+    first draw of a longer average is that same draw. The keyed state is a
+    literal dict of Python lists, cheaper than numpy arrays for numpy's
+    setter to read. The grid is worked through in blocks of about ``_BLOCK_NORMALS``
+    normals, which bounds the temporaries. Zero variance returns the stacks
+    themselves, for any trial count.
 
     The arithmetic is real: |H| and arg H once per stack, the draws scaled
     in place once per block for all stacks, then A * cos(phi) and
@@ -114,8 +116,9 @@ def averaged_perturbed_stacks(stacks, frequencies, model: UncertaintyModel, stre
     averaged = [np.empty_like(h, dtype=complex) for h in stacks]
     bits = np.random.Philox(key=0)
     rng = np.random.Generator(bits)
-    state = bits.state  # counter 0 and an empty buffer; only the key changes
-    words = state["state"]["key"]  # little-endian: low word first
+    words = [0, 0]  # the key, little-endian: low word first; counter 0, empty buffer
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": words},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     prefix = _prefix(model.seed, stream_id)
     packed = np.asarray(frequencies, dtype=">f8").tobytes()
     z = np.empty((min(step, len(frequencies)), *shape))

@@ -87,7 +87,7 @@ def test_beta_over_an_array_equals_beta_at_each_frequency(beta):
 def test_spectra_computes_each_transfer_draw_and_design_once(tmp_path, monkeypatch):
     # template: 2 scenes, 2 streams x 319 frequencies of keyed draws, and
     # 3 modes x 2 design scenes x 319 frequencies of designs; a draw is
-    # counted by its key and a design by its LAPACK Cholesky factorization
+    # counted by its key and a design by its LAPACK Cholesky solve
     counts = collections.Counter()
 
     def counting(name, fn):
@@ -96,20 +96,20 @@ def test_spectra_computes_each_transfer_draw_and_design_once(tmp_path, monkeypat
             return fn(*args, **kwargs)
         return wrapper
 
-    potrf, potrs = pszsim.filter_design._cholesky_routines()
+    posv = pszsim.filter_design._cholesky_solver()
     for module, name, label in (
         (pszsim.cli, "response_matrix", "transfers"),
         (pszsim.perturbation, "_key", "draws"),
     ):
         monkeypatch.setattr(module, name, counting(label, getattr(module, name)))
-    monkeypatch.setattr(pszsim.filter_design, "_cholesky_routines",
-                        lambda: (counting("factors", potrf), potrs))
+    monkeypatch.setattr(pszsim.filter_design, "_cholesky_solver",
+                        lambda: counting("solves", posv))
     cfg = default_config_dict()
     cfg["output_dir"] = str(tmp_path / "out")
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     assert main(["spectra", str(path)]) == 0
-    assert counts == {"transfers": 2, "draws": 2 * 319, "factors": 3 * 2 * 319}
+    assert counts == {"transfers": 2, "draws": 2 * 319, "solves": 3 * 2 * 319}
 
 
 def test_spectra_smooths_each_kept_set_once_against_the_mask_oracle(tmp_path, monkeypatch,
@@ -1091,26 +1091,25 @@ def test_runs_load_scipy_lapack_extension_and_no_linalg_or_special_module(tmp_pa
 
 
 # Runs a template-derived spectra in a fresh interpreter, recording the
-# routines solve_stack takes, then imports scipy.linalg and prints whether
-# it reuses the loaded extension and hands out those same routines.
+# LAPACK routine solve_stack takes, then imports scipy.linalg and prints
+# whether it reuses the loaded extension and hands out that same routine.
 REUSE_PROBE = """
 import contextlib, io, json, sys
 import numpy as np
 import pszsim.cli, pszsim.filter_design as fd
 used = []
-routines = fd._cholesky_routines
-fd._cholesky_routines = lambda: used.append(routines()) or used[-1]
+solver = fd._cholesky_solver
+fd._cholesky_solver = lambda: used.append(solver()) or used[-1]
 with contextlib.redirect_stdout(io.StringIO()):
     code = pszsim.cli.main(["spectra", sys.argv[1]])
 loaded = sys.modules["scipy.linalg._flapack"]
 import scipy.linalg
-potrf, potrs = used[0]
+posv = used[0]
 print(json.dumps([
-    code, len(used) > 0, all(u == used[0] for u in used),
+    code, len(used) > 0, all(u is posv for u in used),
     sys.modules["scipy.linalg._flapack"] is loaded, scipy.linalg.lapack._flapack is loaded,
-    scipy.linalg.lapack.zpotrf is potrf, scipy.linalg.lapack.zpotrs is potrs,
-    scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.eye(2, dtype=complex),))
-    == [potrf, potrs],
+    loaded.zposv is posv, scipy.linalg.lapack.zposv is posv,
+    scipy.linalg.get_lapack_funcs(("posv",), (np.eye(2, dtype=complex),)) == [posv],
 ]))
 """
 
@@ -1125,9 +1124,9 @@ MISSING_PROBE = """
 import json, sys
 import scipy
 scipy.__path__ = [sys.argv[1]]
-from pszsim.filter_design import _cholesky_routines
+from pszsim.filter_design import _cholesky_solver
 try:
-    _cholesky_routines()
+    _cholesky_solver()
 except ImportError as exc:
     print(json.dumps(["scipy.linalg._flapack" in sys.modules, str(exc)]))
 """

@@ -274,6 +274,12 @@ def test_smoothing_equals_literal_mask_oracle_bit_for_bit():
     assert np.array_equal(smooth_db(freqs, dbs[2]), smoothing_oracle(freqs, dbs[2]), equal_nan=True)
 
 
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (2, 4, 0)])
+def test_smoothing_an_empty_grid_gives_empty_rows(shape):
+    out = smooth_db(np.zeros(0), np.zeros(shape))
+    assert out.shape == shape and out.dtype == np.float64
+
+
 @pytest.mark.parametrize("freqs", [
     log_frequency_grid(100.0, 10000.0, 48),  # the template grid
     np.arange(100.0, 10000.0 + 1e-9, 5.0),  # 5 Hz linear, windows of up to ~900 bins

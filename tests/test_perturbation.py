@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import struct
@@ -119,6 +120,45 @@ def test_clamped_averages_equal_the_complex_literal_bit_for_bit(trials):
 
 
 EDGE_FREQUENCIES = [5e-324, 1e300, 1000.0, float(np.nextafter(1000.0, np.inf))]
+
+
+def as_integers(state):
+    """A bit generator state with every number an int and every array a list of ints."""
+    if isinstance(state, dict):
+        return {name: as_integers(value) for name, value in state.items()}
+    if isinstance(state, str):
+        return state
+    if np.ndim(state):
+        return [int(value) for value in state]
+    return int(state)
+
+
+@pytest.mark.parametrize("seed", [-(2**63), 2**63 - 1])
+def test_assigned_states_equal_fresh_philox_states_field_by_field(seed, monkeypatch):
+    # every state dict the generator is re-keyed with has exactly the fields
+    # of a Philox built on the literal key, each equal as integers, so a
+    # numpy that adds, drops or renames a state field fails here; key words
+    # above 2**63 come from the extreme seeds and the edge frequencies
+    assigned, philox = [], np.random.Philox
+
+    class Philox(philox):  # the state setter checks the class name
+        @property
+        def state(self):
+            return philox.state.__get__(self)
+
+        @state.setter
+        def state(self, value):
+            assigned.append(copy.deepcopy(value))
+            philox.state.__set__(self, value)
+
+    expected = [as_integers(philox(key=literal_key(seed, "eval", f)).state)
+                for f in EDGE_FREQUENCIES]
+    assert max(key for state in expected for key in state["state"]["key"]) >= 2**63
+    stack = np.ones((len(EDGE_FREQUENCIES), 2, 3), dtype=complex)
+    monkeypatch.setattr(np.random, "Philox", Philox)
+    averaged_perturbed_stacks([stack], EDGE_FREQUENCIES, UncertaintyModel(1e-4, 2e-4, 3, seed),
+                              "eval")
+    assert [as_integers(state) for state in assigned] == expected
 
 
 @pytest.mark.parametrize("seed", [-(2**63), 0, 2**63 - 1])

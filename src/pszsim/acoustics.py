@@ -13,9 +13,9 @@ axis, and the directivity
 
 which tends to 1 on axis. The time convention is exp(+1j*omega*t), so
 outward propagation carries exp(-1j*k*r). Pressures are normalized: unit
-magnitude on axis at 1 m. The distances and angles of a set of points
-are computed once for all of their frequencies; a point exactly on a
-speaker has a NaN distance, so its responses from that speaker are NaN.
+magnitude on axis at 1 m. ``response_matrix`` evaluates H, with the distances
+and angles of its points computed once for all of its frequencies; a point
+exactly on a speaker has a NaN distance, so its responses from it are NaN.
 
 J1 is evaluated by the rational approximations of the Cephes library
 (S. L. Moshier, ``j1.c``) in Cephes's operation order, so it equals
@@ -31,7 +31,6 @@ from .scene import Scene
 # Below this argument the directivity is evaluated by its Taylor series to
 # sidestep the 0/0 form; the two branches agree to ~1e-16 at the seam.
 _SMALL_ARG = 1e-4
-_BLOCK_ARGS = 2**13  # arguments per block, so that a block's temporaries stay in cache
 
 # Cephes j1.c's coefficients, spelled as their shortest doubles; _RQ, _QQ lead with p1evl's 1.0
 _RP = (-8.999712257055594e8, 4.5222829799819403e11, -7.274942452218183e13, 3.682957328638529e15)
@@ -62,75 +61,44 @@ def _polevl(z, coefs, out=None):
 def directivity(x):
     """Far-field piston directivity 2*J1(x)/x with the limit D(0) = 1.
 
-    Accepts scalars or arrays. For |x| < 1e-4 the Taylor expansion
-    1 - x^2/8 + x^4/192 is used; otherwise the Bessel form directly.
+    Accepts scalars or arrays, of a size the caller bounds. For |x| < 1e-4
+    the Taylor expansion 1 - x^2/8 + x^4/192 is used; otherwise the Bessel form.
     """
     x = np.asarray(x, dtype=float)
     ax = np.abs(x).reshape(-1)  # D is even and J1 odd: 2*J1(|x|)/|x| is 2*J1(x)/x bit for bit
     out = np.empty_like(ax)
-    buffers = np.empty((5, min(ax.size, _BLOCK_ARGS)))
+    z, t = np.empty((2, ax.size))
     with np.errstate(all="ignore"):  # lanes that another branch overwrites may overflow or be 0/0
-        for start in range(0, ax.size, _BLOCK_ARGS):
-            a = ax[start : start + _BLOCK_ARGS]
-            zb, wb, tb = (b[: a.size] for b in buffers[:3])
-            np.multiply(a, a, out=zb)  # Cephes's J1 for x <= 5, then 2 * J1 / x
-            np.divide(_polevl(zb, _RP, wb), _polevl(zb, _RQ, tb), out=wb)
-            wb *= a
-            wb *= np.subtract(zb, _Z1, out=tb)
-            wb *= np.subtract(zb, _Z2, out=tb)
-            wb *= 2.0
-            np.divide(wb, a, out=out[start : start + _BLOCK_ARGS])
-        # Cephes's J1 for x > 5, Hankel's asymptotic form, then 2 * J1 / x: on
-        # the gathered arguments, in full blocks, each overwritten by its result
+        np.multiply(ax, ax, out=z)  # Cephes's J1 for x <= 5, then 2 * J1 / x
+        np.divide(_polevl(z, _RP, out), _polevl(z, _RQ, t), out=out)
+        out *= ax
+        out *= np.subtract(z, _Z1, out=t)
+        out *= np.subtract(z, _Z2, out=t)
+        out *= 2.0
+        out /= ax
+        # Cephes's J1 for x > 5, Hankel's asymptotic form, then 2 * J1 / x,
+        # on the gathered arguments
         if (large := ax > 5.0).any():
-            xg = ax[large]
-            for start in range(0, xg.size, _BLOCK_ARGS):
-                xl = xg[start : start + _BLOCK_ARGS]
-                wl, zl, p, q, tl = (b[: xl.size] for b in buffers)
-                np.divide(5.0, xl, out=wl)
-                np.multiply(wl, wl, out=zl)
-                np.divide(_polevl(zl, _PP, p), _polevl(zl, _PQ, tl), out=p)
-                np.divide(_polevl(zl, _QP, q), _polevl(zl, _QQ, tl), out=q)
-                xn = np.subtract(xl, _THPIO4, out=zl)
-                q *= wl  # p = p * cos(xn) - w * q * sin(xn)
-                q *= np.sin(xn, out=tl)
-                p *= np.cos(xn, out=tl)
-                p -= q
-                p *= _SQ2OPI  # J1 = p * SQ2OPI / sqrt(x)
-                p /= np.sqrt(xl, out=tl)
-                p *= 2.0
-                np.divide(p, xl, out=xl)
-            out[large] = xg
+            xl = ax[large]
+            w, zl, p, q, tl = np.empty((5, xl.size))
+            np.divide(5.0, xl, out=w)
+            np.multiply(w, w, out=zl)
+            np.divide(_polevl(zl, _PP, p), _polevl(zl, _PQ, tl), out=p)
+            np.divide(_polevl(zl, _QP, q), _polevl(zl, _QQ, tl), out=q)
+            xn = np.subtract(xl, _THPIO4, out=zl)
+            q *= w  # p = p * cos(xn) - w * q * sin(xn)
+            q *= np.sin(xn, out=tl)
+            p *= np.cos(xn, out=tl)
+            p -= q
+            p *= _SQ2OPI  # J1 = p * SQ2OPI / sqrt(x)
+            p /= np.sqrt(xl, out=tl)
+            p *= 2.0
+            out[large] = p / xl
     small = ax < _SMALL_ARG
     xs = ax[small]
     out[small] = 1.0 - xs * xs / 8.0 + xs**4 / 192.0
     out = out.reshape(x.shape)
     return float(out) if x.ndim == 0 else out
-
-
-def _field(scene: Scene, points: np.ndarray):
-    """``response_matrix`` at the (n, 3) ``points``, as a function of the frequencies.
-
-    r and sin(theta) are computed once, here. r is NaN on a speaker; the
-    squares are summed in ``np.linalg.norm``'s order, so r is its bit for bit.
-    """
-    diff = points[:, None, :] - scene.speakers[None, :, :]
-    dx, dy, dz = diff[..., 0], diff[..., 1], diff[..., 2]
-    r = np.sqrt((dx * dx + dy * dy) + dz * dz)
-    r[r == 0.0] = np.nan
-    # speakers face +y: sin(theta) = sqrt(dx^2 + dz^2) / r
-    sin_theta = np.hypot(dx, dz) / r
-
-    def at(frequency) -> np.ndarray:
-        freqs = np.asarray(frequency, dtype=float)
-        if np.any(freqs <= 0):
-            raise ValueError(f"frequency must be positive, got {freqs[freqs <= 0][0]}")
-        k = (2.0 * np.pi * freqs / scene.sound_speed)[..., None, None]
-        with np.errstate(invalid="ignore"):  # NaN radii are deliberate here
-            d_gain = directivity(k * scene.piston_radius * sin_theta)
-            return d_gain * np.exp(-1j * k * r) / r
-
-    return at
 
 
 def response_matrix(scene: Scene, points, frequency) -> np.ndarray:
@@ -142,9 +110,22 @@ def response_matrix(scene: Scene, points, frequency) -> np.ndarray:
     (k, l) is the normalized pressure at point k per unit input to speaker
     l: rows follow the input point order, columns the scene's. All
     speakers share the scene's +y axis. An entry whose point sits exactly
-    on its speaker is NaN.
+    on its speaker is NaN, from a NaN distance r; r sums the squares in
+    ``np.linalg.norm``'s order, so it is that norm bit for bit.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"points must be (n, 3), got shape {pts.shape}")
-    return _field(scene, pts)(frequency)
+    freqs = np.asarray(frequency, dtype=float)
+    if np.any(freqs <= 0):
+        raise ValueError(f"frequency must be positive, got {freqs[freqs <= 0][0]}")
+    diff = pts[:, None, :] - scene.speakers[None, :, :]
+    dx, dy, dz = diff[..., 0], diff[..., 1], diff[..., 2]
+    r = np.sqrt((dx * dx + dy * dy) + dz * dz)
+    r[r == 0.0] = np.nan
+    # speakers face +y: sin(theta) = sqrt(dx^2 + dz^2) / r
+    sin_theta = np.hypot(dx, dz) / r
+    k = (2.0 * np.pi * freqs / scene.sound_speed)[..., None, None]
+    with np.errstate(invalid="ignore"):  # NaN radii are deliberate here
+        d_gain = directivity(k * scene.piston_radius * sin_theta)
+        return d_gain * np.exp(-1j * k * r) / r

@@ -141,12 +141,14 @@ def smooth_db(frequencies: np.ndarray, db: np.ndarray) -> np.ndarray:
     division per call, of all windows' sums. An empty grid gives (..., 0). Each
     row is smoothed on its own: a row of a stacked (..., F) array gets the
     bits it gets alone, whatever rows share the array, so many spectra on
-    one grid can be smoothed in one call.
+    one grid can be smoothed in one call. A window that holds NaN, or both
+    +inf and -inf dB, averages to NaN, without a warning.
     """
     lo = np.searchsorted(frequencies, frequencies / _THIRD_OCTAVE_HALF_WIDTH, "left")
     hi = np.searchsorted(frequencies, frequencies * _THIRD_OCTAVE_HALF_WIDTH, "right")
     sums = np.empty(db.shape)
-    for i, (a, b) in enumerate(zip(lo, hi)):
-        np.add.reduce(db[..., a:b], axis=-1, out=sums[..., i])
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN
+        for i, (a, b) in enumerate(zip(lo, hi)):
+            np.add.reduce(db[..., a:b], axis=-1, out=sums[..., i])
     return sums / (hi - lo)
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acoustics import _field
+from .acoustics import response_matrix
 from .metrics import ipi_ratios, min_db
 from .scene import Scene, _frozen
 
@@ -178,7 +178,7 @@ def ipi_map(
         points[:, 0] = x_min + ix * resolution
         points[:, 1] = y_min + iy * resolution
         # one single-point zone per grid point: (F, n_points, 1, n_channels)
-        m = (_field(scene, points)(freqs) @ filters)[:, :, None, :]  # NaN rows propagate
+        m = (response_matrix(scene, points, freqs) @ filters)[:, :, None, :]  # NaN rows propagate
         _, values_db = min_db(*ipi_ratios(m, (0,), target_channels, interferer_channels))
         for v, block in zip(values, values_db):
             v[start:stop] = block

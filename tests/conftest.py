@@ -14,6 +14,9 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,6 +32,19 @@ def perfbench_outputs():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def run_python(args, cwd, **env) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter in ``cwd`` that imports this pszsim,
+    with ``env`` added to the environment; stdout and stderr captured as text."""
+    src = str(Path(pszsim.cli.__file__).resolve().parents[1])
+    environ = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env={**environ, **env},
+                          capture_output=True, text=True)
+
+
+# ``python -c CLI argv...`` runs ``pszsim.cli.main(argv)`` and exits with its code
+CLI = "import sys, pszsim.cli; sys.exit(pszsim.cli.main(sys.argv[1:]))"
 
 
 def run_workload(name: str, work: Path) -> Path:

@@ -3,11 +3,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from pszsim.acoustics import (
-    _BLOCK_ARGS,
-    directivity,
-    response_matrix,
-)
+from pszsim.acoustics import directivity, response_matrix
 from pszsim.scene import Scene, default_scene
 
 C_SOUND = 343.0
@@ -160,10 +156,12 @@ def test_directivity_is_scipy_j1_bit_for_bit():
 
 
 @pytest.mark.parametrize("shape", [
-    (_BLOCK_ARGS - 1,), (_BLOCK_ARGS,), (_BLOCK_ARGS + 1,), (0,), (3, 1001, 8)
+    (2**13 - 1,), (2**13,), (2**13 + 1,), (0,), (3, 1001, 8),
+    (32760,),  # one block of a map at 0.01 m: 1365 points x 3 frequencies x 8 speakers
+    (63392,),  # the spectra's F x K x L arguments on a 1981-frequency grid
 ])
 def test_directivity_blocks_keep_the_bits_at_every_shape(shape):
-    # arguments in [-12, 12] put both of Cephes's forms into every block
+    # arguments in [-12, 12] put both of Cephes's forms into every call
     x = np.random.default_rng(sum(shape)).uniform(-12.0, 12.0, shape)
     got = directivity(x)
     assert got.shape == shape
@@ -265,6 +263,13 @@ def test_frequency_stack_equals_one_frequency_calls_bit_for_bit():
     single = np.array([response_matrix(scene, points, f) for f in freqs])
     assert np.array_equal(stack, single, equal_nan=True)
     assert np.isnan(stack[:, 4, 2]).all()
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2), (1, 3, 1)])
+def test_response_matrix_rejects_points_that_are_not_n_by_3(shape):
+    with pytest.raises(ValueError) as caught:
+        response_matrix(default_scene(), np.zeros(shape), [1000.0])
+    assert str(caught.value) == f"points must be (n, 3), got shape {shape}"
 
 
 def test_frequency_stack_rejects_a_nonpositive_entry():

@@ -4,9 +4,6 @@ import io
 import itertools
 import json
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +23,7 @@ from pszsim.cli import (
 )
 from pszsim.config import log_frequency_grid, resolve_config
 from pszsim.spatial_analysis import IpiMap, extract_contours
+from conftest import CLI, run_python
 from test_metrics import smoothing_oracle
 
 
@@ -1057,13 +1055,22 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "sci
 
 def run_probe(probe, arg, cwd):
     """The JSON that ``probe`` prints when run with ``arg`` in a fresh interpreter."""
-    src = str(Path(pszsim.cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-c", probe, arg],
-        cwd=cwd, env=env, capture_output=True, text=True, check=True,
-    )
+    done = run_python(["-c", probe, arg], cwd)
+    done.check_returncode()
     return json.loads(done.stdout)
+
+
+def test_smoothing_windows_of_plus_and_minus_inf_db_print_no_warning(tmp_path):
+    # one trial at sigma^2 = 1 gives +-inf dB bins, and some 1/3-octave
+    # windows hold both: they average to NaN, which a default-filtered
+    # interpreter must not report on stderr
+    path = small_config(tmp_path, modes=["xtc"], frequency_grid={"points_per_octave": 12},
+                        uncertainty={"sigma_sq": 1.0, "trials": 1})
+    done = run_python(["-c", CLI, "spectra", str(path)], tmp_path, PYTHONWARNINGS="default")
+    assert (done.returncode, done.stderr) == (0, "")
+    header, rows = read_csv(tmp_path / "out" / "spectra_xtc_centered_matched.csv")
+    smoothed = rows[:, [i for i, name in enumerate(header) if name.endswith("_smooth_db")]]
+    assert np.isnan(smoothed).any()
 
 
 def scipy_modules_after(argv, cwd):

@@ -7,9 +7,12 @@ values to a relative 2e-8; this test catches a change in the last digit of
 any file, the 17-digit contour vertices included.
 
 Another interpreter, numpy, scipy, BLAS build or CPU may change last bits
-with the code unchanged; a failure there says so first, and the
-tolerance-based golden tests are the check that still applies. Re-record
-the digests only for an intended change of outputs::
+with the code unchanged; a failure there says so first. The tolerance-based
+golden tests cover such a change only where no draw depends on it: the
+log-grid spectra key their perturbations by each frequency's bits, which
+numpy's SIMD dispatch can move (``tests/test_golden.py``'s AVX2 test, an
+expected failure). Re-record the digests only for an intended change of
+outputs::
 
     PYTHONPATH=src python tests/snapshot_outputs.py --digests
 """

@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -248,6 +249,21 @@ def test_smoothing_nan_window_stays_nan():
             assert math.isnan(db)
         else:
             assert db == pytest.approx(10.0, abs=1e-12)
+
+
+def test_smoothing_a_window_of_plus_and_minus_inf_gives_nan_without_a_warning():
+    freqs = 100.0 * 2 ** (np.arange(12) / 12)
+    dbs = np.full(12, 10.0)
+    dbs[5], dbs[7] = math.inf, -math.inf
+    with np.errstate(invalid="ignore"):
+        expected = smoothing_oracle(freqs, dbs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = smooth_db(freqs, dbs)
+    assert np.array_equal(out, expected, equal_nan=True)
+    half = 2 ** (1 / 6)
+    both = np.array([f / half <= freqs[5] and freqs[7] <= f * half for f in freqs])
+    assert both.any() and np.isnan(out[both]).all() and not np.isnan(out[~both]).any()
 
 
 def test_smoothing_equals_literal_mask_oracle_bit_for_bit():

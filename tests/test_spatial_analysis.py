@@ -162,13 +162,12 @@ def test_a_map_run_classifies_each_level_of_each_map_once(tmp_path, monkeypatch,
 def test_a_map_run_computes_the_grid_geometry_once(tmp_path, monkeypatch, capsys):
     # three map frequencies, one set of grid distances and angles
     points = []
-    field = pszsim.spatial_analysis._field
 
-    def counting_field(scene, grid):
+    def counting_response_matrix(scene, grid, frequencies):
         points.append(len(grid))
-        return field(scene, grid)
+        return response_matrix(scene, grid, frequencies)
 
-    monkeypatch.setattr(pszsim.spatial_analysis, "_field", counting_field)
+    monkeypatch.setattr(pszsim.spatial_analysis, "response_matrix", counting_response_matrix)
     cfg = default_config_dict()
     cfg["map"]["resolution_m"] = 0.1
     cfg["output_dir"] = str(tmp_path / "out")

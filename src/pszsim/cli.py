@@ -31,7 +31,6 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -58,9 +57,15 @@ _EVAL_STREAM = "eval"
 
 def _design_filters(config: ExperimentConfig, scene: Scene, h_design, mode: RenderingMode,
                     frequencies):
-    """Filters from the design-set transfer stack: ``solve_stack``'s (filters, kept, failures)."""
+    """Filters from the design-set transfer stack: ``solve_stack``'s (filters, kept, failures).
+
+    Raises RuntimeError naming the mode if a normal matrix overflows.
+    """
     target = target_stack(scene, h_design, mode)
-    return solve_stack(h_design, target, config.beta_at(frequencies), frequencies)
+    try:
+        return solve_stack(h_design, target, config.beta_at(frequencies), frequencies)
+    except ValueError as exc:  # the checked inputs leave only a non-finite normal matrix
+        raise RuntimeError(f"{mode.value} filter design: {exc}") from exc
 
 
 def _perturbed_transfers(config: ExperimentConfig, scenes: dict, streams: dict, freqs) -> dict:
@@ -111,36 +116,32 @@ def _csv_text(header, rows) -> str:
     return ",".join(header) + "\n" + "".join(line % tuple(row) for row in rows)
 
 
-def _json_text(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` nested at ``indent``, NaN as null.
+_GRID = "\0grid"  # a grid's place in a payload; no config string holds a NUL
 
-    With ``indent`` set, ``json`` encodes in pure Python, one value at a
-    time. Here a list of non-empty lists of numbers (polyline vertices) is
-    formatted by one C-level ``repr``, whose numbers are ``json``'s text,
-    and re-indented by ``str.replace``.
+
+def _json_text(payload, grids=()) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, each
+    ``_GRID`` in ``payload`` written as the next of ``grids``.
+
+    A grid is a list of number rows, given as its non-empty rows, each the
+    text of its numbers with ", " between them ("%.9g"'s or ``repr``'s). It
+    is laid out as ``json`` lays out a list of lists, nan as null and inf as
+    Infinity, without ``json``'s pure-Python encoder visiting each number.
+    Grids hold the only non-finite numbers of a run: a NaN elsewhere would
+    be written as ``json`` writes it, NaN. ValueError if the ``_GRID``
+    count is not the grid count.
     """
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    if not isinstance(value, (list, tuple)):
-        return "null" if value != value else json.dumps(value)  # NaN is the only x != x
-    if not value:
-        return "[]"
-    # exact types: a bool is an int, but repr writes True where json writes true
-    if set(map(type, value)) == {list} and all(value) and {int, float}.issuperset(
-            map(type, chain.from_iterable(value))):
-        # "[[a, b], [c, d]]": rows end at "], [", numbers within a row at ", "
-        deeper = inner + "  "
-        text = repr(value)[2:-2].replace("], [", f"\n{inner}],\n{inner}[\n{deeper}")
-        text = text.replace(", ", ",\n" + deeper)
-        if "n" in text:  # repr writes nan, inf and -inf; json writes Infinity and -Infinity
+    parts = (json.dumps(payload, indent=2, sort_keys=True) + "\n").split(json.dumps(_GRID))
+    out = [parts[0]]
+    for rows, tail in zip(grids, parts[1:], strict=True):
+        line = out[-1].rpartition("\n")[2]  # the placeholder's line up to it
+        indent = " " * (len(line) - len(line.lstrip()))
+        inner, deeper = indent + "  ", indent + "    "
+        text = f"\n{inner}],\n{inner}[\n{deeper}".join(rows).replace(", ", ",\n" + deeper)
+        if "n" in text:  # nan, inf and -inf
             text = text.replace("nan", "null").replace("inf", "Infinity")
-        return f"[\n{inner}[\n{deeper}{text}\n{inner}]\n{indent}]"
-    items = [_json_text(v, inner) for v in value]
-    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+        out += ("[\n", inner, "[\n", deeper, text, "\n", inner, "]\n", indent, "]", tail)
+    return "".join(out)
 
 
 def _write_run(config: ExperimentConfig, command: str, files: dict[str, str],
@@ -158,7 +159,7 @@ def _write_run(config: ExperimentConfig, command: str, files: dict[str, str],
         "outputs": sorted(files),
         "skipped_frequencies": skipped,
         "version": __version__,
-    }) + "\n"
+    })
     try:
         config.output_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -249,25 +250,19 @@ def _map_texts(m, values, cap_db: float) -> tuple[str, str]:
     """The ``map_*.csv`` and ``map_*.json`` texts of ``m`` with its capped ``values``.
 
     Each value is formatted once, at "%.9g", a row at a time: that text is
-    its CSV cell and its ``values_db`` number, nan as null and inf as
-    Infinity. The other JSON fields are ``_json_text``'s.
+    its CSV cell and, as a ``_json_text`` grid row, its ``values_db``
+    number (nan as null, inf as Infinity).
     """
-    row_format = ",".join(["%.9g"] * m.nx)
+    row_format = ", ".join(["%.9g"] * m.nx)
     # the CSV template formats each x once; "#" stands for the row's y
     row_text = "".join(f"{x:.9g},#,%s\n" for x in m.x_coords().tolist())
     lines, rows = ["x_m,y_m,ipi_db\n"], []
     for y, row in zip(m.y_coords().tolist(), values.tolist()):
-        cells = row_format % tuple(row)
-        lines.append((row_text % tuple(cells.split(","))).replace("#", f"{y:.9g}"))
-        rows.append(cells.replace(",", ",\n      "))
-    grid = "\n    ],\n    [\n      ".join(rows)
-    if "n" in grid:  # "%.9g" writes nan, inf and -inf
-        grid = grid.replace("nan", "null").replace("inf", "Infinity")
-    # the other fields are numbers, so "[]" is values_db's place
-    json_text = _json_text({"frequency_hz": m.frequency, "x0_m": m.x0, "y0_m": m.y0,
-                            "spacing_m": m.spacing, "nx": m.nx, "ny": m.ny, "cap_db": cap_db,
-                            "values_db": []})
-    return "".join(lines), json_text.replace("[]", f"[\n    [\n      {grid}\n    ]\n  ]") + "\n"
+        rows.append(row_format % tuple(row))
+        lines.append((row_text % tuple(rows[-1].split(", "))).replace("#", f"{y:.9g}"))
+    return "".join(lines), _json_text(
+        {"frequency_hz": m.frequency, "x0_m": m.x0, "y0_m": m.y0, "spacing_m": m.spacing,
+         "nx": m.nx, "ny": m.ny, "cap_db": cap_db, "values_db": _GRID}, [rows])
 
 
 def run_map(config: ExperimentConfig) -> list[Path]:
@@ -291,11 +286,8 @@ def run_map(config: ExperimentConfig) -> list[Path]:
     skipped: dict[str, list] = {}
     _report_skips("map", kept, failures, skipped)
 
-    try:
-        maps = ipi_map(scene, filters, request.region, request.resolution, freqs[kept],
-                       target, interferer)
-    except MemoryError as exc:  # a grid numpy allows but memory cannot hold
-        raise RuntimeError(f"map: {exc}") from exc
+    maps = ipi_map(scene, filters, request.region, request.resolution, freqs[kept],
+                   target, interferer)
 
     files: dict[str, str] = {}
     area_rows = []
@@ -307,11 +299,10 @@ def run_map(config: ExperimentConfig) -> list[Path]:
         contour_sets = [extract_contours(m, level) for level in request.levels_db]
         files[f"contours_{tag}.json"] = _json_text({
             "frequency_hz": m.frequency,
-            "contours": [
-                {"level_db": cs.level_db, "polylines": [line.tolist() for line in cs.polylines]}
-                for cs in contour_sets
-            ],
-        }) + "\n"
+            "contours": [{"level_db": cs.level_db, "polylines": [_GRID] * len(cs.polylines)}
+                         for cs in contour_sets],
+        }, [repr(line.tolist())[2:-2].split("], [") for cs in contour_sets
+            for line in cs.polylines])
         area_rows += [(m.frequency, cs.level_db, cs.area_m2) for cs in contour_sets]
 
     files["area_summary.csv"] = _csv_text(["frequency_hz", "level_db", "area_m2"], area_rows)
@@ -365,6 +356,9 @@ def main(argv=None) -> int:
         return 1
     except RuntimeError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an array numpy allows but memory cannot hold
+        print(f"runtime error: {args.command}: {exc}", file=sys.stderr)
         return 2
 
     for path in outputs:

@@ -357,9 +357,18 @@ def resolve_config(raw: dict, seed_override: int | None = None,
     if "sigma_sq" in model:
         model["sigma_amp_sq"] = model["sigma_phase_sq"] = model.pop("sigma_sq")
     scene = _build_scene(echo["scene"])
+    # a frequency's (trials, amplitude and phase, K, L) float64 normals are one array
+    normals = model["trials"] * 2 * scene.n_points * scene.n_speakers
+    if normals * 8 > MAX_BYTES:
+        problems.append(f"uncertainty.trials: {normals:.3g} normals per frequency, "
+                        "too many for one array")
     beta = echo["beta"]
     if beta == "auto":
-        beta = default_beta(scene.n_points, max(model["sigma_amp_sq"], model["sigma_phase_sq"]))
+        sigma_sq = max(model["sigma_amp_sq"], model["sigma_phase_sq"])
+        beta = default_beta(scene.n_points, sigma_sq)
+        if not math.isfinite(beta):
+            problems.append(f"beta: auto is {scene.n_points} * {sigma_sq:.6g} = {beta}, "
+                            "not a finite number; give beta a value")
     beta_table = [0.0], [beta]  # a number is a one-point table
     if isinstance(beta, dict):
         beta_table = freqs, values = beta["frequencies_hz"], beta["values"]

@@ -149,7 +149,8 @@ def solve_stack(H: np.ndarray, M_T: np.ndarray, betas, frequencies):
 
     Raises ``ValueError`` for a negative beta, for H and M_T of different
     point counts, for inputs that disagree on the frequency count, and for
-    a normal matrix or right hand side that holds an inf or a NaN.
+    a normal matrix or right hand side that holds an inf or a NaN, which
+    an overflow in forming them gives without a warning.
     """
     betas = np.asarray(betas, dtype=float)
     if np.any(betas < 0):
@@ -169,9 +170,10 @@ def solve_stack(H: np.ndarray, M_T: np.ndarray, betas, frequencies):
     for start in range(0, len(betas), _BLOCK_FREQUENCIES):
         block = slice(start, start + _BLOCK_FREQUENCIES)
         h_herm = H[block].conj().swapaxes(-1, -2)
-        normal = h_herm @ H[block]
-        normal[..., diag, diag] += betas[block, None]
-        rhs = h_herm @ M_T[block]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            normal = h_herm @ H[block]
+            normal[..., diag, diag] += betas[block, None]
+            rhs = h_herm @ M_T[block]
         if not (np.isfinite(normal).all() and np.isfinite(rhs).all()):
             raise ValueError("array must not contain infs or NaNs")
         for i, n, b in zip(range(start, len(betas)), normal, rhs):

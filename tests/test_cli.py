@@ -14,6 +14,7 @@ import pszsim.perturbation
 
 from pszsim import ListenerDisplacement
 from pszsim.cli import (
+    _GRID,
     ConfigError,
     default_config_dict,
     load_config,
@@ -24,6 +25,7 @@ from pszsim.cli import (
 from pszsim.config import log_frequency_grid, resolve_config
 from pszsim.spatial_analysis import IpiMap, extract_contours
 from conftest import CLI, run_python
+from snapshot_outputs import runs, snapshot
 from test_metrics import smoothing_oracle
 
 
@@ -271,23 +273,67 @@ JSON_PAYLOADS = {
 }
 
 
+def split_grids(payload):
+    """(``payload`` with a map's values_db and each contour polyline as ``_GRID``,
+    their rows as ``_json_text`` takes them, in file order)."""
+    grids = []
+
+    def grid(rows):
+        grids.append(repr(rows)[2:-2].split("], ["))
+        return _GRID
+
+    if "values_db" in payload:
+        payload = dict(payload, values_db=grid(payload["values_db"]))
+    if "contours" in payload:
+        payload = dict(payload, contours=[
+            dict(c, polylines=[grid(line) for line in c["polylines"]]) for c in payload["contours"]
+        ])
+    return payload, grids
+
+
+def fill_grids(payload, grids):
+    """``payload`` with each ``_GRID`` replaced by the numbers of the next of ``grids``."""
+    grids = iter(grids)
+
+    def fill(value):
+        if value == _GRID:
+            return [[float(x) for x in row.split(", ")] for row in next(grids)]
+        if isinstance(value, dict):  # in json's key order, the order of the grids
+            return {k: fill(v) for k, v in sorted(value.items())}
+        return [fill(v) for v in value] if isinstance(value, list) else value
+
+    filled = fill(payload)
+    assert next(grids, None) is None
+    return filled
+
+
 @pytest.mark.parametrize("name", JSON_PAYLOADS)
 def test_json_writer_writes_the_text_of_json_dump(name):
-    text = pszsim.cli._json_text(JSON_PAYLOADS[name]) + "\n"
-    assert_same_lines(text, json_dump_text(JSON_PAYLOADS[name]))
+    payload, grids = split_grids(JSON_PAYLOADS[name])
+    text = pszsim.cli._json_text(payload, grids)
+    if grids:  # NaN in a grid is null
+        assert_same_lines(text, json_dump_text(JSON_PAYLOADS[name]))
+    else:  # a NaN elsewhere is json's own NaN
+        assert_same_lines(text, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def test_json_writer_raises_unless_each_placeholder_has_one_grid():
+    for payload, grids in (({"a": _GRID, "b": _GRID}, [["1.5"]]), ({"a": _GRID}, [["1"], ["2"]]),
+                           ({"a": [1.0]}, [["1"]]), ({"a": _GRID}, [])):
+        with pytest.raises(ValueError, match="zip"):
+            pszsim.cli._json_text(payload, grids)
 
 
 def test_json_writer_writes_the_text_of_json_dump_for_every_file_of_a_run(tmp_path, monkeypatch):
-    # beta 0 below 1 kHz skips frequencies, so both manifests list skips; a
-    # call at indent "" is a whole file's payload, the others its parts; a
-    # map file is json.dump's layout with its CSV's numbers
-    payloads, maps = [], []
+    # beta 0 below 1 kHz skips frequencies, so both manifests list skips; each
+    # call is a whole file's payload and grids; a map file is json.dump's
+    # layout with its CSV's numbers
+    calls, maps = [], []
     json_text, ipi_map = pszsim.cli._json_text, pszsim.cli.ipi_map
 
-    def recording_json_text(value, indent=""):
-        if indent == "":
-            payloads.append(value)
-        return json_text(value, indent)
+    def recording_json_text(payload, grids=()):
+        calls.append((payload, grids))
+        return json_text(payload, grids)
 
     def recording_ipi_map(*args):
         computed = ipi_map(*args)
@@ -310,15 +356,43 @@ def test_json_writer_writes_the_text_of_json_dump_for_every_file_of_a_run(tmp_pa
     (m,) = maps
     csv_text = (tmp_path / "out" / "map_mono_2000hz.csv").read_text(encoding="utf-8")
     assert_same_lines(grid, map_json_oracle(m, 40.0, csv_text))
-    # the map file's other fields are _json_text's text of a payload whose values_db is []
-    assert len(payloads) == len(files)
-    whole = [payload for payload in payloads if payload.get("values_db") != []]
+    # the manifests and the contours are json.dump's text of their payload with its grids
+    assert len(calls) == len(files)
+    whole = [fill_grids(payload, grids) for payload, grids in calls
+             if payload.get("values_db") != _GRID]
     assert len(whole) == len(others)
     assert sorted(others) == sorted(json_dump_text(payload) for payload in whole)
-    for payload in payloads:
-        assert_same_lines(json_text(payload) + "\n", json_dump_text(payload))
+    assert any(payload.get("contours") for payload in whole)
+    for payload in whole:
         if "command" in payload:  # a manifest
             assert payload["skipped_frequencies"]
+
+
+def test_no_run_writes_a_non_finite_number_outside_values_db(tmp_path):
+    # _json_text writes a NaN outside a grid as json's NaN, not null: no file
+    # of these runs holds one, nor a null, an Infinity or a -Infinity
+    class Constant(str):
+        pass
+
+    def non_finite(value, where):
+        if isinstance(value, dict):
+            return [hit for k, v in value.items() for hit in non_finite(v, f"{where}.{k}")]
+        if isinstance(value, list):
+            return [hit for v in value for hit in non_finite(v, f"{where}[]")]
+        return [where] if value is None or isinstance(value, Constant) else []
+
+    found = {}
+    for name, command, config in runs():
+        if name in ("speaker_grid", "partial_skip"):
+            work = tmp_path / f"{name}-{command}"
+            snapshot(work, command, config, 0)
+            for path in sorted((work / "out").glob("*.json")):
+                data = json.loads(path.read_text(encoding="utf-8"), parse_constant=Constant)
+                found[f"{work.name}/{path.name}"] = set(non_finite(data, ""))
+    assert len(found) == 11
+    assert {where for places in found.values() for where in places} == {".values_db[][]"}
+    # the speaker grid's maps hold NaN cells
+    assert all(found[f"speaker_grid-map/map_mono_{f}hz.json"] for f in (500, 1000, 2000))
 
 
 def test_map_csv_writer_formats_each_point_as_nine_significant_digits():

@@ -315,6 +315,10 @@ def each_command(code, line):
     return {command: (code, line) for command in ("validate", "spectra", "map")}
 
 
+NARROW_GRID = {"start_hz": 1000.0, "stop_hz": 1100.0, "points_per_octave": 3}
+OCTAVE_GRID = {"start_hz": 1000.0, "stop_hz": 2000.0, "points_per_octave": 12}
+
+
 # Configs that validated and then ended in a traceback in spectra or map:
 # name -> (edit, command -> (exit code, its one stderr line)); a command
 # left out exits 0 and prints nothing to stderr.
@@ -334,6 +338,30 @@ RUN_FIXED = {
             "spectra": (2, "runtime error: transfer functions overflow at 100 Hz"),
             "map": (2, "runtime error: transfer functions overflow at 500 Hz"),
         },
+    ),
+    "trials 2**62": (  # numpy: array is too big
+        lambda cfg: cfg.update(frequency_grid=NARROW_GRID,
+                               uncertainty={"sigma_sq": 1e-4, "trials": 2**62}),
+        each_command(1, "config error: uncertainty.trials: 2.95e+20 normals per frequency, "
+                        "too many for one array"),
+    ),
+    "trials 10**15": (  # 455 PiB of normals, beyond any 64-bit address space
+        lambda cfg: cfg.update(frequency_grid=NARROW_GRID,
+                               uncertainty={"sigma_sq": 1e-4, "trials": 10**15}),
+        {command: (2, f"runtime error: {command}: Unable to allocate 455. PiB for an array with "
+                      "shape (1, 1000000000000000, 2, 4, 8) and data type float64")
+         for command in ("spectra", "map")},
+    ),
+    "sigma_sq 1e308 with auto beta": (
+        lambda cfg: cfg.update(frequency_grid=OCTAVE_GRID, uncertainty={"sigma_sq": 1e308}),
+        each_command(1, "config error: beta: auto is 4 * 1e+308 = inf, not a finite number; "
+                        "give beta a value"),
+    ),
+    "sigma_sq 1e308 with beta 1": (  # the normal matrices overflow
+        lambda cfg: cfg.update(frequency_grid=OCTAVE_GRID,
+                               uncertainty={"sigma_sq": 1e308, "trials": 1}, beta=1.0),
+        {command: (2, "runtime error: mono filter design: array must not contain infs or NaNs")
+         for command in ("spectra", "map")},
     ),
 }
 

@@ -48,9 +48,9 @@ _Z1, _Z2 = 1.4681970642123893e1, 4.92184563216946e1
 _THPIO4, _SQ2OPI = 2.356194490192345, 7.978845608028654e-1
 
 
-def _polevl(z, coefs, out=None):
+def _polevl(z, coefs):
     """Cephes's polevl: Horner from coefs[0], each step one multiply, then one add."""
-    out = np.multiply(z, coefs[0], out=out)
+    out = z * coefs[0]
     out += coefs[1]
     for c in coefs[2:]:
         out *= z
@@ -66,34 +66,24 @@ def directivity(x):
     """
     x = np.asarray(x, dtype=float)
     ax = np.abs(x).reshape(-1)  # D is even and J1 odd: 2*J1(|x|)/|x| is 2*J1(x)/x bit for bit
-    out = np.empty_like(ax)
-    z, t = np.empty((2, ax.size))
     with np.errstate(all="ignore"):  # lanes that another branch overwrites may overflow or be 0/0
-        np.multiply(ax, ax, out=z)  # Cephes's J1 for x <= 5, then 2 * J1 / x
-        np.divide(_polevl(z, _RP, out), _polevl(z, _RQ, t), out=out)
+        # J1 for x <= 5 in place: numpy reuses no temporary below 256 KiB; a map block is 262,080 B
+        z = ax * ax
+        out = _polevl(z, _RP)
+        out /= _polevl(z, _RQ)
         out *= ax
-        out *= np.subtract(z, _Z1, out=t)
-        out *= np.subtract(z, _Z2, out=t)
-        out *= 2.0
-        out /= ax
-        # Cephes's J1 for x > 5, Hankel's asymptotic form, then 2 * J1 / x,
-        # on the gathered arguments
+        out *= z - _Z1
+        out *= z - _Z2
         if (large := ax > 5.0).any():
             xl = ax[large]
-            w, zl, p, q, tl = np.empty((5, xl.size))
-            np.divide(5.0, xl, out=w)
-            np.multiply(w, w, out=zl)
-            np.divide(_polevl(zl, _PP, p), _polevl(zl, _PQ, tl), out=p)
-            np.divide(_polevl(zl, _QP, q), _polevl(zl, _QQ, tl), out=q)
-            xn = np.subtract(xl, _THPIO4, out=zl)
-            q *= w  # p = p * cos(xn) - w * q * sin(xn)
-            q *= np.sin(xn, out=tl)
-            p *= np.cos(xn, out=tl)
-            p -= q
-            p *= _SQ2OPI  # J1 = p * SQ2OPI / sqrt(x)
-            p /= np.sqrt(xl, out=tl)
-            p *= 2.0
-            out[large] = p / xl
+            w = 5.0 / xl
+            z = w * w
+            p = _polevl(z, _PP) / _polevl(z, _PQ)
+            q = _polevl(z, _QP) / _polevl(z, _QQ)
+            xn = xl - _THPIO4
+            out[large] = (p * np.cos(xn) - w * q * np.sin(xn)) * _SQ2OPI / np.sqrt(xl)
+        out *= 2.0  # D = 2 * J1 / x
+        out /= ax
     small = ax < _SMALL_ARG
     xs = ax[small]
     out[small] = 1.0 - xs * xs / 8.0 + xs**4 / 192.0
@@ -117,8 +107,8 @@ def response_matrix(scene: Scene, points, frequency) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"points must be (n, 3), got shape {pts.shape}")
     freqs = np.asarray(frequency, dtype=float)
-    if np.any(freqs <= 0):
-        raise ValueError(f"frequency must be positive, got {freqs[freqs <= 0][0]}")
+    if (bad := ~((freqs > 0) & (freqs < np.inf))).any():  # NaN compares false
+        raise ValueError(f"frequency must be finite and positive, got {freqs[bad][0]}")
     diff = pts[:, None, :] - scene.speakers[None, :, :]
     dx, dy, dz = diff[..., 0], diff[..., 1], diff[..., 2]
     r = np.sqrt((dx * dx + dy * dy) + dz * dz)

@@ -121,6 +121,10 @@ def grid_shape(region, resolution: float) -> tuple[int, int]:
             raise ValueError(
                 f"region {name} extent {extent} is not a multiple of resolution {resolution}"
             )
+        if round(steps) < 1:
+            raise ValueError(
+                f"region {name} extent {extent:.3g} is below the resolution {resolution}"
+            )
         counts.append(int(round(steps)) + 1)
     if counts[0] * counts[1] * 8 > MAX_BYTES:
         raise ValueError(f"{float(counts[0]) * counts[1]:.3g} grid points, too many for one array")
@@ -250,7 +254,7 @@ def extract_contours(m: IpiMap, level_db: float) -> ContourSet:
     codes = np.where(finite, mask + 16 * split_saddle, 0)
     terms = np.zeros((codes.size, 2))  # one shoelace term per (cell, walk)
     chord_ends = []  # (processing order, edge id, x, y) arrays
-    for code in np.unique(codes).tolist():
+    for code in np.flatnonzero(np.bincount(codes)).tolist():
         if not _CODE_WALKS[code]:
             continue
         cells = np.flatnonzero(codes == code)

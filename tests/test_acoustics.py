@@ -249,8 +249,9 @@ def test_response_matrix_nan_mode_flags_instead_of_raising():
 
 
 def test_rejects_nonpositive_frequency():
-    for frequency in (0.0, -100.0):
-        with pytest.raises(ValueError, match="frequency"):
+    # NaN compares false with everything and inf is positive: both must still fail
+    for frequency in (0.0, -100.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"frequency must be .*positive, got {frequency}$"):
             one_piston([0, 1, 0], frequency)
 
 

@@ -329,6 +329,11 @@ RUN_FIXED = {
     "xtc map with 2 channels for 3 points": (
         uneven_xtc_map, each_command(1, f"config error: map.mode: {XTC_LINE}"),
     ),
+    "map region below one resolution step": (  # a 1 x 1 grid, whose value no block wrote
+        lambda cfg: cfg["map"].update(resolution_m=1.0, region={
+            "x_min": -0.5, "x_max": -0.4999999, "y_min": 1.0, "y_max": 1.0000001}),
+        each_command(1, "config error: map: region x extent 1e-07 is below the resolution 1.0"),
+    ),
     "frequency grid at 1e308 Hz": (
         set_path("frequency_grid", {"start_hz": 1e308, "stop_hz": 1.7e308}),
         {"spectra": (2, "runtime error: transfer functions overflow at 1e+308 Hz")},

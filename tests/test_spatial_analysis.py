@@ -337,6 +337,12 @@ def test_ipi_map_validates_inputs():
         ipi_map(scene, filters, (-1.0, 0.0, 0.0, 1.0), 0.1, [500.0, 1000.0], target, interferer)
     with pytest.raises(ValueError, match="positive, got 0.0"):
         ipi_map(scene, filters, (-1.0, 0.0, 0.0, 1.0), 0.1, [0.0], target, interferer)
+    # an extent that rounds to no step: a 1 x 1 grid would leave its one value unwritten
+    for region, axis in [((-0.5, -0.4999999, 1.0, 1.0000001), "x"),
+                         ((-1.0, 0.0, 1.0, 1.0000001), "y")]:
+        message = f"^region {axis} extent 1e-07 is below the resolution 1.0$"
+        with pytest.raises(ValueError, match=message):
+            ipi_map(scene, filters, region, 1.0, [500.0], target, interferer)
 
 
 def test_contour_vertices_lie_on_cell_edges():

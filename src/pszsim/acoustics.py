@@ -118,4 +118,5 @@ def response_matrix(scene: Scene, points, frequency) -> np.ndarray:
     k = (2.0 * np.pi * freqs / scene.sound_speed)[..., None, None]
     with np.errstate(invalid="ignore"):  # NaN radii are deliberate here
         d_gain = directivity(k * scene.piston_radius * sin_theta)
-        return d_gain * np.exp(-1j * k * r) / r
+        # the bits of "/ r": numpy divides a complex by a real (Smith) by multiplying by 1 / r
+        return d_gain * np.exp(-1j * k * r) * (1.0 / r)

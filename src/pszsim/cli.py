@@ -55,17 +55,17 @@ _DESIGN_STREAM = "design"
 _EVAL_STREAM = "eval"
 
 
-def _design_filters(config: ExperimentConfig, scene: Scene, h_design, mode: RenderingMode,
-                    frequencies):
-    """Filters from the design-set transfer stack: ``solve_stack``'s (filters, kept, failures).
+def _design_filters(config: ExperimentConfig, scene: Scene, h_design, modes, frequencies):
+    """Filters of each of ``modes`` from one design-set transfer stack:
+    ``solve_stack``'s ([filters per mode], kept, failures).
 
-    Raises RuntimeError naming the mode if a normal matrix overflows.
+    Raises RuntimeError naming the first mode if a normal matrix overflows.
     """
-    target = target_stack(scene, h_design, mode)
+    targets = [target_stack(scene, h_design, mode) for mode in modes]
     try:
-        return solve_stack(h_design, target, config.beta_at(frequencies), frequencies)
+        return solve_stack(h_design, targets, config.beta_at(frequencies), frequencies)
     except ValueError as exc:  # the checked inputs leave only a non-finite normal matrix
-        raise RuntimeError(f"{mode.value} filter design: {exc}") from exc
+        raise RuntimeError(f"{modes[0].value} filter design: {exc}") from exc
 
 
 def _perturbed_transfers(config: ExperimentConfig, scenes: dict, streams: dict, freqs) -> dict:
@@ -195,11 +195,14 @@ def _report_skips(key: str, kept, failures, skipped_log: dict) -> None:
 def run_spectra(config: ExperimentConfig) -> list[Path]:
     """Run all sweep combinations and write CSVs plus a manifest.
 
-    One pipeline over the whole frequency grid: every transfer stack,
-    draw and design is computed once per run and shared by the
-    combinations that use it. The combinations that kept the same
-    frequencies are smoothed by one ``smooth_db`` call on their stacked
-    (4, F_kept) raw dB rows, which gives each row the bits it gets alone.
+    One pipeline over the whole frequency grid: every transfer stack and
+    draw is computed once per run, and one design per design scene serves
+    all modes. Each system, a combination's (mode, design scene, evaluation
+    scene), is evaluated, smoothed and formatted once, and its text is
+    written under every combination that shares it. The systems that kept
+    the same frequencies are smoothed by one ``smooth_db`` call on their
+    stacked (4, F_kept) raw dB rows, which gives each row the bits it gets
+    alone.
     """
     scenes, freqs = config.scenes, config.frequencies
 
@@ -212,37 +215,39 @@ def run_spectra(config: ExperimentConfig) -> list[Path]:
         for case in config.cases
         for strategy in config.filter_positions
     ]
+    design_keys = list(dict.fromkeys(design_key(c, s) for _, c, s in combos))
     h = _perturbed_transfers(config, scenes, {
-        _DESIGN_STREAM: list(dict.fromkeys(design_key(c, s) for _, c, s in combos)),
+        _DESIGN_STREAM: design_keys,
         _EVAL_STREAM: list(dict.fromkeys(c.displacement for c in config.cases)),
     }, freqs)
-    designs = {}
-    raw = {}  # combination key -> (kept mask, (4, F_kept) raw dB)
+    designs = {key: _design_filters(config, scenes[key], h[key, _DESIGN_STREAM], config.modes,
+                                    freqs) for key in design_keys}
+    raw = {}  # system -> (kept mask, (4, F_kept) raw dB)
+    systems = {}  # combination key -> its system
     skipped_log: dict[str, list] = {}
     for mode, case, strategy in combos:
         scene_key = design_key(case, strategy)
-        if (mode, scene_key) not in designs:
-            designs[mode, scene_key] = _design_filters(
-                config, scenes[scene_key], h[scene_key, _DESIGN_STREAM], mode, freqs
-            )
-        filters, kept, failures = designs[mode, scene_key]
+        filters, kept, failures = designs[scene_key]
         key = f"{mode.value}_{case.name}_{strategy}"
         _report_skips(key, kept, failures, skipped_log)
-        m = h[case.displacement, _EVAL_STREAM][kept] @ filters
-        raw[key] = kept, _spectra_db(config.scene, mode, m)
+        system = systems[key] = mode, scene_key, case.displacement
+        if system not in raw:
+            m = h[case.displacement, _EVAL_STREAM][kept] @ filters[config.modes.index(mode)]
+            raw[system] = kept, _spectra_db(config.scene, mode, m)
     # one smooth_db call per set of kept frequencies
-    groups: dict[bytes, list[str]] = {}
-    for key, (kept, _) in raw.items():
-        groups.setdefault(kept.tobytes(), []).append(key)
+    groups: dict[bytes, list] = {}
+    for system, (kept, _) in raw.items():
+        groups.setdefault(kept.tobytes(), []).append(system)
     smooth = {}
-    for keys in groups.values():
-        kept = raw[keys[0]][0]
-        smooth.update(zip(keys, smooth_db(freqs[kept], np.stack([raw[k][1] for k in keys]))))
-    files = {
-        f"spectra_{key}.csv": _csv_text(_SPECTRA_HEADER, np.column_stack(
-            [freqs[kept], db.T, smooth[key].T]).tolist())
-        for key, (kept, db) in raw.items()
+    for group in groups.values():
+        kept = raw[group[0]][0]
+        smooth.update(zip(group, smooth_db(freqs[kept], np.stack([raw[s][1] for s in group]))))
+    texts = {
+        system: _csv_text(_SPECTRA_HEADER, np.column_stack(
+            [freqs[kept], db.T, smooth[system].T]).tolist())
+        for system, (kept, db) in raw.items()
     }
+    files = {f"spectra_{key}.csv": texts[system] for key, system in systems.items()}
     return _write_run(config, "spectra", files, skipped_log)
 
 
@@ -280,8 +285,8 @@ def run_map(config: ExperimentConfig) -> list[Path]:
 
     freqs = np.array(request.frequencies)
     h = _perturbed_transfers(config, {None: scene}, {_DESIGN_STREAM: [None]}, freqs)
-    filters, kept, failures = _design_filters(
-        config, scene, h[None, _DESIGN_STREAM], request.mode, freqs
+    (filters,), kept, failures = _design_filters(
+        config, scene, h[None, _DESIGN_STREAM], [request.mode], freqs
     )
     skipped: dict[str, list] = {}
     _report_skips("map", kept, failures, skipped)

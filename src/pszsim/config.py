@@ -335,19 +335,21 @@ def resolve_config(raw: dict, seed_override: int | None = None,
 
     grid, model, request = echo["frequency_grid"], echo["uncertainty"], echo["map"]
     start, stop, step = grid["start_hz"], grid["stop_hz"], grid.get("step_hz")
-    points = (stop - start) / step if step else grid["points_per_octave"] * math.log2(stop / start)
-    if stop <= start:
+    if stop <= start:  # checked before the log2 below: stop / start may underflow to 0
         problems.append("frequency_grid: stop_hz must exceed start_hz")
-    elif (points + 1) * 8 > MAX_BYTES:  # counted before numpy is asked for the float64 grid
-        problems.append(f"frequency_grid: {points:.3g} points, too many for one array")
     else:
-        if step:
-            del grid["points_per_octave"]
-        try:
-            frequencies = (np.arange(start, stop + 1e-9, step) if step
-                           else log_frequency_grid(start, stop, grid["points_per_octave"]))
-        except MemoryError as exc:  # a grid numpy allows but memory cannot hold
-            problems.append(f"frequency_grid: {points:.3g} points: {exc}")
+        points = ((stop - start) / step if step
+                  else grid["points_per_octave"] * math.log2(stop / start))
+        if (points + 1) * 8 > MAX_BYTES:  # counted before numpy is asked for the float64 grid
+            problems.append(f"frequency_grid: {points:.3g} points, too many for one array")
+        else:
+            if step:
+                del grid["points_per_octave"]
+            try:
+                frequencies = (np.arange(start, stop + 1e-9, step) if step
+                               else log_frequency_grid(start, stop, grid["points_per_octave"]))
+            except MemoryError as exc:  # a grid numpy allows but memory cannot hold
+                problems.append(f"frequency_grid: {points:.3g} points: {exc}")
     if seed_override is not None:
         seed = _fields("uncertainty")["seed"]
         model["seed"] = _check(seed, seed_override, "--seed", problems)

@@ -119,50 +119,58 @@ def target_stack(scene: Scene, H: np.ndarray, mode: RenderingMode) -> np.ndarray
     return np.concatenate(blocks, axis=-1)
 
 
-def solve_stack(H: np.ndarray, M_T: np.ndarray, betas, frequencies):
-    """Regularized pressure matching filters at F frequencies at once.
+def solve_stack(H: np.ndarray, targets, betas, frequencies):
+    """Regularized pressure matching filters at F frequencies at once, for
+    every target of one design.
 
-    ``H`` is an (F, points, speakers) stack, ``M_T`` an (F, points,
-    channels) stack, ``betas`` the F regularization weights and
-    ``frequencies`` the F frequencies that failure messages name. At each
-    frequency the filters C minimize
+    ``H`` is an (F, points, speakers) stack, ``targets`` a sequence of
+    (F, points, channels_i) target stacks M_T, ``betas`` the F
+    regularization weights and ``frequencies`` the F frequencies that
+    failure messages name. At each frequency the filters C of each target
+    minimize
 
         J(C) = ||H C - M_T||_F^2 + beta * ||C||_F^2
 
     for any speaker/point count relation; the closed form is
     C = (H^H H + beta I)^(-1) H^H M_T. The normal matrices and right hand
-    sides are formed for blocks of frequencies at once and checked for
-    infs and NaNs once per block; each frequency is then factorized and
-    solved by one call of LAPACK's ``zposv``, which is ``zpotrf`` then
-    ``zpotrs``, shared by all right hand side columns, with no explicit
-    inverse. It is the f2py wrapper that ``scipy.linalg`` uses, taken from
-    scipy's LAPACK extension alone at the first call (see
-    :func:`_cholesky_solver`); no ``scipy.linalg`` package module is
-    imported. So every filter of a complex stack is bit for bit what a
-    one-frequency ``scipy.linalg.cho_factor``/``cho_solve`` gives. With
-    beta = 0 the normal matrix must be invertible; a frequency where it
-    does not factorize is reported, not raised.
-    Returns ``(filters, kept, failures)``: the (F_kept, speakers, channels)
-    filters of the frequencies whose normal matrix factorized, the (F,)
-    boolean mask of those frequencies, and a ``(frequency, message)`` pair
-    naming every other one, in grid order.
+    sides, each target's H^H M_T in its own columns, are formed for blocks
+    of frequencies at once and checked for infs and NaNs once per block;
+    each frequency is then factorized once for all targets and solved by
+    one call of LAPACK's ``zposv``, which is ``zpotrf`` then ``zpotrs``,
+    shared by all right hand side columns, with no explicit inverse. It is
+    the f2py wrapper that ``scipy.linalg`` uses, taken from scipy's LAPACK
+    extension alone at the first call (see :func:`_cholesky_solver`); no
+    ``scipy.linalg`` package module is imported. So every filter of a
+    complex stack is bit for bit what a one-frequency, one-target
+    ``scipy.linalg.cho_factor``/``cho_solve`` gives. With beta = 0 the
+    normal matrix must be invertible; a frequency where it does not
+    factorize is reported, not raised.
+    Returns ``(filters, kept, failures)``: one (F_kept, speakers,
+    channels_i) filter stack per target (views of one array), of the
+    frequencies whose normal matrix factorized, the (F,) boolean mask of
+    those frequencies, and a ``(frequency, message)`` pair naming every
+    other one, in grid order; the mask and the failures hold for every
+    target.
 
-    Raises ``ValueError`` for a negative beta, for H and M_T of different
-    point counts, for inputs that disagree on the frequency count, and for
-    a normal matrix or right hand side that holds an inf or a NaN, which
-    an overflow in forming them gives without a warning.
+    Raises ``ValueError`` for a negative beta, for H and a target of
+    different point counts, for inputs that disagree on the frequency
+    count, and for a normal matrix or right hand side that holds an inf or
+    a NaN, which an overflow in forming them gives without a warning.
     """
     betas = np.asarray(betas, dtype=float)
     if np.any(betas < 0):
         raise ValueError(f"beta must be >= 0, got {betas[betas < 0][0]}")
-    if H.shape[-2] != M_T.shape[-2]:
-        raise ValueError(f"H has {H.shape[-2]} rows but the target has {M_T.shape[-2]}")
-    if not len(H) == len(M_T) == len(betas) == len(frequencies):
-        raise ValueError(
-            f"frequency counts differ: H {len(H)}, M_T {len(M_T)}, "
-            f"betas {len(betas)}, frequencies {len(frequencies)}"
-        )
-    filters = np.empty((len(betas), H.shape[-1], M_T.shape[-1]), dtype=complex)
+    for M_T in targets:
+        if H.shape[-2] != M_T.shape[-2]:
+            raise ValueError(f"H has {H.shape[-2]} rows but the target has {M_T.shape[-2]}")
+        if not len(H) == len(M_T) == len(betas) == len(frequencies):
+            raise ValueError(
+                f"frequency counts differ: H {len(H)}, M_T {len(M_T)}, "
+                f"betas {len(betas)}, frequencies {len(frequencies)}"
+            )
+    # target i's columns of the right hand side and the solution are cols[i]:cols[i + 1]
+    cols = np.cumsum([0] + [M_T.shape[-1] for M_T in targets]).tolist()
+    filters = np.empty((len(betas), H.shape[-1], cols[-1]), dtype=complex)
     kept = np.ones(len(betas), dtype=bool)
     failures = []
     posv = _cholesky_solver()
@@ -170,10 +178,13 @@ def solve_stack(H: np.ndarray, M_T: np.ndarray, betas, frequencies):
     for start in range(0, len(betas), _BLOCK_FREQUENCIES):
         block = slice(start, start + _BLOCK_FREQUENCIES)
         h_herm = H[block].conj().swapaxes(-1, -2)
+        rhs = np.empty((*h_herm.shape[:-1], cols[-1]), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
             normal = h_herm @ H[block]
             normal[..., diag, diag] += betas[block, None]
-            rhs = h_herm @ M_T[block]
+            # one product per target: H^H of all targets' columns at once moves last bits
+            for M_T, lo, hi in zip(targets, cols, cols[1:]):
+                np.matmul(h_herm, M_T[block], out=rhs[..., lo:hi])
         if not (np.isfinite(normal).all() and np.isfinite(rhs).all()):
             raise ValueError("array must not contain infs or NaNs")
         for i, n, b in zip(range(start, len(betas)), normal, rhs):
@@ -187,7 +198,8 @@ def solve_stack(H: np.ndarray, M_T: np.ndarray, betas, frequencies):
                 continue
             if info != 0:  # a negative info names a bad argument
                 raise ValueError(f"LAPACK: illegal argument {-info} at {frequencies[i]} Hz")
-    return (filters if kept.all() else filters[kept]), kept, failures
+    filters = filters if kept.all() else filters[kept]
+    return [filters[..., lo:hi] for lo, hi in zip(cols, cols[1:])], kept, failures
 
 
 def default_beta(n_points: int, sigma_sq: float) -> float:

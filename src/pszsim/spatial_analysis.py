@@ -285,9 +285,9 @@ def extract_contours(m: IpiMap, level_db: float) -> ContourSet:
                     order = cells * 24 + w * 12 + i * 2
                     chord_ends += [(order, e1, x1, y1), (order + 1, e2, x2, y2)]
             terms[cells, w] = np.abs(acc) / 2.0
-    # cumsum adds in order (np.sum pairs): row-major cells, then walks;
-    # the leading 0.0 is the empty sum
-    area = float(np.cumsum(np.append(0.0, terms))[-1])
+    # cumsum adds in order (np.sum pairs): row-major cells, then walks; the
+    # leading 0.0 is the empty sum; code 0 cells add only +0.0, so they are left out
+    area = float(np.cumsum(np.append(0.0, terms[codes != 0]))[-1])
     if not chord_ends:
         return ContourSet(level, (), area)
 

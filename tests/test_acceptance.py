@@ -48,7 +48,8 @@ def perturbed_transfers(scene, freqs, model, stream_id):
 def design(scene, freqs, mode, model=MODEL):
     """The (F, L, channels) filters designed from the scene's design set at BETA."""
     h = perturbed_transfers(scene, freqs, model, "design")
-    filters, kept, _ = solve_stack(h, target_stack(scene, h, mode), np.full(len(freqs), BETA), freqs)
+    target = target_stack(scene, h, mode)
+    (filters,), kept, _ = solve_stack(h, [target], np.full(len(freqs), BETA), freqs)
     assert kept.all()
     return filters
 

@@ -85,9 +85,12 @@ def test_beta_over_an_array_equals_beta_at_each_frequency(beta):
 
 
 def test_spectra_computes_each_transfer_draw_and_design_once(tmp_path, monkeypatch):
-    # template: 2 scenes, 2 streams x 319 frequencies of keyed draws, and
-    # 3 modes x 2 design scenes x 319 frequencies of designs; a draw is
-    # counted by its key and a design by its LAPACK Cholesky solve
+    # template: 2 scenes, 2 streams x 319 frequencies of keyed draws, one
+    # design per design scene, each factorizing its 319 normal matrices once
+    # for all 3 modes, and 9 distinct systems of 12 combinations, since
+    # centered listeners get the same design under both filter positions;
+    # a draw is counted by its key and a factorization by its LAPACK solve;
+    # a map solves its one mode at its 3 frequencies in one design
     counts = collections.Counter()
 
     def counting(name, fn):
@@ -100,6 +103,8 @@ def test_spectra_computes_each_transfer_draw_and_design_once(tmp_path, monkeypat
     for module, name, label in (
         (pszsim.cli, "response_matrix", "transfers"),
         (pszsim.perturbation, "_key", "draws"),
+        (pszsim.cli, "solve_stack", "designs"),
+        (pszsim.cli, "_spectra_db", "systems"),
     ):
         monkeypatch.setattr(module, name, counting(label, getattr(module, name)))
     monkeypatch.setattr(pszsim.filter_design, "_cholesky_solver",
@@ -109,16 +114,21 @@ def test_spectra_computes_each_transfer_draw_and_design_once(tmp_path, monkeypat
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     assert main(["spectra", str(path)]) == 0
-    assert counts == {"transfers": 2, "draws": 2 * 319, "solves": 3 * 2 * 319}
+    assert counts == {"transfers": 2, "draws": 2 * 319, "designs": 2, "solves": 2 * 319,
+                      "systems": 9}
+    counts.clear()
+    assert main(["map", str(path)]) == 0
+    assert counts == {"transfers": 1, "draws": 3, "designs": 1, "solves": 3}
 
 
 def test_spectra_smooths_each_kept_set_once_against_the_mask_oracle(tmp_path, monkeypatch,
                                                                     capsys):
-    # the template keeps every frequency, so all 12 combinations are smoothed
-    # in one call; with each design dropping a frequency of its own, there
-    # is one call per design, and every CSV's smoothed columns are still the
-    # literal-mask oracle of that combination's own raw dB and frequencies
-    smooth_calls, combos = [], []
+    # the template keeps every frequency, so its 9 distinct systems are
+    # smoothed in one call; with each design scene dropping a frequency of
+    # its own, there is one call per design scene, and every CSV's smoothed
+    # columns are still the literal-mask oracle of its own raw dB (the
+    # recorded evaluation whose "%.9g" text its raw columns hold)
+    smooth_calls, combos, raws = [], [], []
     smooth_db, spectra_db = pszsim.cli.smooth_db, pszsim.cli._spectra_db
     report_skips, solve_stack = pszsim.cli._report_skips, pszsim.cli.solve_stack
 
@@ -127,21 +137,21 @@ def test_spectra_smooths_each_kept_set_once_against_the_mask_oracle(tmp_path, mo
         return smooth_db(freqs, db)
 
     def recording_skips(key, kept, failures, log):
-        combos.append([key, kept.copy()])
+        combos.append((key, kept.copy()))
         return report_skips(key, kept, failures, log)
 
     def recording_db(*args):
-        combos[-1].append(spectra_db(*args))
-        return combos[-1][-1]
+        raws.append(spectra_db(*args))
+        return raws[-1]
 
-    drops = itertools.count(3, 7)  # a frequency of its own for each design
+    drops = itertools.count(3, 7)  # a frequency of its own for each design scene
 
-    def dropping_solve(H, M_T, betas, frequencies):
-        filters, kept, failures = solve_stack(H, M_T, betas, frequencies)
+    def dropping_solve(H, targets, betas, frequencies):
+        filters, kept, failures = solve_stack(H, targets, betas, frequencies)
         assert kept.all() and not failures
         drop = next(drops)
         kept[drop] = False
-        return (np.delete(filters, drop, axis=0), kept,
+        return ([np.delete(c, drop, axis=0) for c in filters], kept,
                 [(float(frequencies[drop]), "dropped by the test")])
 
     for name, fn in (("smooth_db", counting_smooth), ("_report_skips", recording_skips),
@@ -152,24 +162,28 @@ def test_spectra_smooths_each_kept_set_once_against_the_mask_oracle(tmp_path, mo
     for run, wrap in (("template", False), ("dropping", True)):
         if wrap:
             monkeypatch.setattr(pszsim.cli, "solve_stack", dropping_solve)
-        smooth_calls.clear()
-        combos.clear()
+        for log in (smooth_calls, combos, raws):
+            log.clear()
         cfg["output_dir"] = str(tmp_path / run)
         path = tmp_path / f"{run}.json"
         path.write_text(json.dumps(cfg))
         assert main(["spectra", str(path)]) == 0
         assert capsys.readouterr().err.count("dropped by the test") == 12 * wrap
-        distinct = {kept.tobytes() for _, kept, _ in combos}
-        assert len(combos) == 12 and len(smooth_calls) == len(distinct)
-        # per mode, the centered design serves three combinations, a moved one one
-        assert sorted(smooth_calls) == ([(1, 4, 318)] * 3 + [(3, 4, 318)] * 3 if wrap
-                                        else [(12, 4, 319)])
-        for key, kept, raw in combos:
+        assert len(combos) == 12 and len(raws) == 9
+        assert len(smooth_calls) == len({kept.tobytes() for _, kept in combos})
+        # per mode, the centered design scene serves two systems, a moved one one
+        assert sorted(smooth_calls) == ([(3, 4, 318), (6, 4, 318)] if wrap
+                                        else [(9, 4, 319)])
+        raw_text = [[",".join(f"{x:.9g}" for x in col) for col in raw.T] for raw in raws]
+        for key, kept in combos:
             text = (tmp_path / run / f"spectra_{key}.csv").read_text().splitlines()[1:]
             assert len(text) == kept.sum() == 319 - wrap
-            smoothed = np.array([smoothing_oracle(freqs[kept], row) for row in raw])
-            for line, own in zip(text, smoothed.T):
-                assert line.split(",")[5:] == [f"{x:.9g}" for x in own]
+            own = [i for i, t in enumerate(raw_text)
+                   if t == [",".join(line.split(",")[1:5]) for line in text]]
+            assert len(own) == 1
+            smoothed = np.array([smoothing_oracle(freqs[kept], row) for row in raws[own[0]]])
+            for line, row in zip(text, smoothed.T):
+                assert line.split(",")[5:] == [f"{x:.9g}" for x in row]
 
 
 def test_csv_writer_prints_nine_significant_digits():

@@ -334,6 +334,10 @@ RUN_FIXED = {
             "x_min": -0.5, "x_max": -0.4999999, "y_min": 1.0, "y_max": 1.0000001}),
         each_command(1, "config error: map: region x extent 1e-07 is below the resolution 1.0"),
     ),
+    "stop_hz 5e-324": (  # stop / start underflows to 0, which has no log2
+        set_path("frequency_grid.stop_hz", 5e-324),
+        each_command(1, "config error: frequency_grid: stop_hz must exceed start_hz"),
+    ),
     "frequency grid at 1e308 Hz": (
         set_path("frequency_grid", {"start_hz": 1e308, "stop_hz": 1.7e308}),
         {"spectra": (2, "runtime error: transfer functions overflow at 1e+308 Hz")},

@@ -21,7 +21,7 @@ def random_instance(rng, k=4, l_count=8, channels=4):
 
 def solve(h, m_t, beta, frequency=1000.0):
     """The filters of one (points, speakers) H and target, through ``solve_stack``."""
-    filters, kept, failures = solve_stack(h[None], m_t[None], [beta], [frequency])
+    (filters,), kept, failures = solve_stack(h[None], [m_t[None]], [beta], [frequency])
     assert kept.all() and failures == []
     return filters[0]
 
@@ -99,7 +99,7 @@ def test_scaling_target_scales_solution():
 
 def test_singular_normal_matrix_names_frequency():
     h = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    filters, kept, failures = solve_stack(h[None], np.eye(2)[None], [0.0], [432.1])
+    (filters,), kept, failures = solve_stack(h[None], [np.eye(2)[None]], [0.0], [432.1])
     assert filters.shape == (0, 2, 2) and not kept.any()
     assert failures == [(432.1, "normal matrix is singular at 432.1 Hz (beta = 0.0)")]
 
@@ -113,7 +113,7 @@ def test_solve_stack_skips_exactly_the_frequencies_that_fail():
     betas = np.where(np.arange(n) % 7 == 3, 0.0, 1e-3)
     h[betas == 0, :, 2] = 0.0
     freqs = 100.0 + np.arange(n)
-    filters, kept, failures = solve_stack(h, m_t, betas, freqs)
+    (filters,), kept, failures = solve_stack(h, [m_t], betas, freqs)
     assert np.array_equal(kept, betas > 0)
     assert failures == [
         (f, f"normal matrix is singular at {f} Hz (beta = 0.0)")
@@ -139,13 +139,54 @@ def test_solve_stack_equals_scipy_cholesky_bit_for_bit():
     h = rng.normal(size=(300, 4, 8)) + 1j * rng.normal(size=(300, 4, 8))
     m_t = rng.normal(size=(300, 4, 4)) + 1j * rng.normal(size=(300, 4, 4))
     betas = 10.0 ** rng.uniform(-6, 0, size=300)
-    filters, kept, _ = solve_stack(h, m_t, betas, 100.0 + np.arange(300))
+    (filters,), kept, _ = solve_stack(h, [m_t], betas, 100.0 + np.arange(300))
     assert kept.all()
     for c, hf, mf, beta in zip(filters, h, m_t, betas):
         normal = hf.conj().T @ hf
         normal[np.diag_indices(8)] += beta
         factor = scipy.linalg.cho_factor(normal)
         assert np.array_equal(c, scipy.linalg.cho_solve(factor, hf.conj().T @ mf))
+
+
+def test_solve_stack_gives_each_of_several_targets_the_bits_of_its_own_solve():
+    # 300 frequencies span two blocks; targets of 2, 4 and 4 channels (as
+    # mono, stereo and xtc) share one factorization per frequency, in
+    # either order, yet each filter is its one-target solve's and scipy's
+    rng = np.random.default_rng(11)
+    h = rng.normal(size=(300, 4, 8)) + 1j * rng.normal(size=(300, 4, 8))
+    targets = [rng.normal(size=(300, 4, c)) + 1j * rng.normal(size=(300, 4, c))
+               for c in (2, 4, 4)]
+    betas = 10.0 ** rng.uniform(-6, 0, size=300)
+    freqs = 100.0 + np.arange(300)
+    alone = [solve_stack(h, [m_t], betas, freqs)[0][0] for m_t in targets]
+    for order in ([0, 1, 2], [2, 0, 1]):
+        filters, kept, failures = solve_stack(h, [targets[i] for i in order], betas, freqs)
+        assert kept.all() and failures == []
+        assert len(filters) == 3
+        for i, c in zip(order, filters):
+            assert c.shape == alone[i].shape and np.array_equal(c, alone[i])
+    for f, hf, beta in zip(range(300), h, betas):
+        normal = hf.conj().T @ hf
+        normal[np.diag_indices(8)] += beta
+        factor = scipy.linalg.cho_factor(normal)
+        for c, m_t in zip(alone, targets):
+            assert np.array_equal(c[f], scipy.linalg.cho_solve(factor, hf.conj().T @ m_t[f]))
+
+
+def test_solve_stack_keeps_and_skips_the_same_frequencies_for_every_target():
+    rng = np.random.default_rng(8)
+    n = 300
+    h = rng.normal(size=(n, 2, 3)) + 1j * rng.normal(size=(n, 2, 3))
+    targets = [rng.normal(size=(n, 2, c)) + 0j for c in (1, 2)]
+    betas = np.where(np.arange(n) % 7 == 3, 0.0, 1e-3)
+    h[betas == 0, :, 2] = 0.0
+    freqs = 100.0 + np.arange(n)
+    (c1, c2), kept, failures = solve_stack(h, targets, betas, freqs)
+    for m_t, c in zip(targets, (c1, c2)):
+        (own,), own_kept, own_failures = solve_stack(h, [m_t], betas, freqs)
+        assert np.array_equal(own_kept, betas > 0) and np.array_equal(kept, own_kept)
+        assert failures == own_failures and len(failures) == (betas == 0).sum()
+        assert c.shape == (kept.sum(), 3, m_t.shape[-1]) and np.array_equal(c, own)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -160,7 +201,7 @@ def test_solve_stack_rejects_non_finite_input(where, value):
     with np.errstate(invalid="ignore"), pytest.raises(
         ValueError, match="^array must not contain infs or NaNs$"
     ):
-        solve_stack(h, m_t, np.full(300, 1e-3), 100.0 + np.arange(300))
+        solve_stack(h, [m_t], np.full(300, 1e-3), 100.0 + np.arange(300))
 
 
 @pytest.mark.parametrize("h_shape, m_t_shape, betas, match", [
@@ -172,7 +213,7 @@ def test_solve_stack_rejects_non_finite_input(where, value):
 def test_solve_stack_rejects_inconsistent_input(h_shape, m_t_shape, betas, match):
     h, m_t = np.ones(h_shape, dtype=complex), np.ones(m_t_shape, dtype=complex)
     with pytest.raises(ValueError, match=match):
-        solve_stack(h, m_t, betas, 100.0 * np.arange(1, h_shape[0] + 1))
+        solve_stack(h, [m_t], betas, 100.0 * np.arange(1, h_shape[0] + 1))
 
 
 def test_cost_examples():

@@ -182,7 +182,7 @@ def test_a_map_run_computes_the_grid_geometry_once(tmp_path, monkeypatch, capsys
 def designed_filters(scene, frequency, mode=RenderingMode.MONO, beta=4e-4):
     """The (1, speakers, channels) filter stack of the nominal scene at one frequency."""
     h = response_matrix(scene, scene.control_points, [frequency])
-    filters, _, _ = solve_stack(h, target_stack(scene, h, mode), [beta], [frequency])
+    (filters,), _, _ = solve_stack(h, [target_stack(scene, h, mode)], [beta], [frequency])
     return filters
 
 

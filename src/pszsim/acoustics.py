@@ -118,5 +118,14 @@ def response_matrix(scene: Scene, points, frequency) -> np.ndarray:
     k = (2.0 * np.pi * freqs / scene.sound_speed)[..., None, None]
     with np.errstate(invalid="ignore"):  # NaN radii are deliberate here
         d_gain = directivity(k * scene.piston_radius * sin_theta)
+        # exp(-1j * k * r) in real arithmetic: its argument's real part is +0.0, and
+        # numpy's complex exp then gives cos and sin of the imaginary part, bit for bit
+        kr = k * r
+        out = np.empty(kr.shape, dtype=complex)
+        np.cos(kr, out=out.real)
+        np.sin(kr, out=out.imag)
+        np.negative(out.imag, out=out.imag)
+        out *= d_gain
         # the bits of "/ r": numpy divides a complex by a real (Smith) by multiplying by 1 / r
-        return d_gain * np.exp(-1j * k * r) * (1.0 / r)
+        out *= 1.0 / r
+        return out

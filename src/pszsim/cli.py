@@ -301,7 +301,7 @@ def run_map(config: ExperimentConfig) -> list[Path]:
         capped = np.minimum(m.values_db, request.cap_db)
         tag = map_tag(request.mode.value, m.frequency)
         files[f"map_{tag}.csv"], files[f"map_{tag}.json"] = _map_texts(m, capped, request.cap_db)
-        contour_sets = [extract_contours(m, level) for level in request.levels_db]
+        contour_sets = extract_contours(m, request.levels_db)
         files[f"contours_{tag}.json"] = _json_text({
             "frequency_hz": m.frequency,
             "contours": [{"level_db": cs.level_db, "polylines": [_GRID] * len(cs.polylines)}

@@ -359,8 +359,9 @@ def resolve_config(raw: dict, seed_override: int | None = None,
     if "sigma_sq" in model:
         model["sigma_amp_sq"] = model["sigma_phase_sq"] = model.pop("sigma_sq")
     scene = _build_scene(echo["scene"])
-    # a frequency's (trials, amplitude and phase, K, L) float64 normals are one array
-    normals = model["trials"] * 2 * scene.n_points * scene.n_speakers
+    # a frequency's (trials, amplitude and phase, K, L) float64 normals are one array;
+    # counted as a float, which prints as inf where an int would not convert to one
+    normals = float(model["trials"]) * 2 * scene.n_points * scene.n_speakers
     if normals * 8 > MAX_BYTES:
         problems.append(f"uncertainty.trials: {normals:.3g} normals per frequency, "
                         "too many for one array")

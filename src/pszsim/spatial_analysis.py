@@ -15,14 +15,19 @@ and area share one table of per-cell polygon walks, so the area is
 exactly the shoelace area of the polygonized superlevel region and the
 two views can never disagree.
 Cells with any non-finite corner (grid point on a speaker, or an
-unbounded ratio) are excluded from both. Each level is one pass: one
-numpy classification of its cells, then one loop over the walk table that
-computes each walk's vertices once, from two tables of corner offsets and
-edge corners, for its shoelace term and its contour chords. Only the
-chaining of chords into polylines runs in Python, on integer edge ids. An
-edge vertex belongs to at most two finite cells, each giving it one
-chord, so the chords form disjoint paths and cycles, and chaining walks
-each of them once.
+unbounded ratio) are excluded from both. Each map is one call for all of
+its levels. What no level changes is computed once per map: the cells
+with four finite corners, the saddle center means, the cells' corner
+coordinates by column and by row, and the shoelace term of a cell inside
+the region. Each level then takes one numpy classification of its cells;
+a cell inside the region takes the shared term, and only the cells the
+level crosses go through one numpy pass over their (walk, slot)
+vertices, read from per-code tables of the walk table, which gives each
+walk's shoelace term and its contour chords in processing order. Only
+the chaining of chords into polylines runs in Python, on integer edge
+ids. An edge vertex belongs to at most two finite cells, each giving it
+one chord, so the chords form disjoint paths and cycles, and chaining
+walks each of them once.
 """
 
 from __future__ import annotations
@@ -229,77 +234,156 @@ _CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
 _EDGES = {"e0": (0, 1, 0), "e1": (1, 2, 1), "e2": (3, 2, 0), "e3": (0, 3, 1)}
 
 
-def extract_contours(m: IpiMap, level_db: float) -> ContourSet:
-    """Iso-level polylines at ``level_db`` from the untruncated values, and their area.
+def _walk_tables(edges):
+    """``_CODE_WALKS`` as tables by cell code and slot: (lo, hi, vertical, nxt, chord).
 
-    Marching squares with linear interpolation along cell edges; saddle
-    cells are resolved by the side of the cell-center mean, so the result
-    is deterministic. Chord segments from neighboring cells are chained
-    into maximal polylines: open paths first, each from its smaller end
-    key and in the order of those keys, then loops, each from its smallest
-    key, which come back closed (first vertex repeated at the end). An
-    empty set is returned when the level is never crossed.
+    Column ``w * 6 + j`` of a code's row is slot j of its walk w (walks
+    < 2, slots < 6). A slot's token has the low and high corners ``lo`` and
+    ``hi`` and the direction ``vertical`` of its edge in ``edges``; a corner
+    token is its own low and high corner. ``nxt`` is the column of the slot
+    that follows it in its walk, and ``chord`` marks a slot that starts a
+    contour chord: it and the slot after it are edge crossings. A column past
+    the end of its walk is corner 0, followed by itself, so its shoelace term
+    ``x*y - x*y`` is exactly 0.
     """
-    level = float(level_db)
-    v = m.values_db
-    nx, ny, s = m.nx, m.ny, m.spacing
-    corners = [c.ravel() for c in (v[:-1, :-1], v[:-1, 1:], v[1:, 1:], v[1:, :-1])]
-    c0, c1, c2, c3 = corners
-    finite = np.isfinite(c0) & np.isfinite(c1) & np.isfinite(c2) & np.isfinite(c3)
-    mask = sum((c >= level).astype(np.int64) << bit for bit, c in enumerate(corners))
-    with np.errstate(invalid="ignore", over="ignore"):
-        center_inside = (((c0 + c1) + c2) + c3) / 4.0 >= level
-    split_saddle = ((mask == 5) | (mask == 10)) & ~center_inside
-    # each cell's _CODE_WALKS key in row-major order, 0 with a non-finite corner
-    codes = np.where(finite, mask + 16 * split_saddle, 0)
-    terms = np.zeros((codes.size, 2))  # one shoelace term per (cell, walk)
-    chord_ends = []  # (processing order, edge id, x, y) arrays
-    for code in np.flatnonzero(np.bincount(codes)).tolist():
-        if not _CODE_WALKS[code]:
-            continue
-        cells = np.flatnonzero(codes == code)
-        iy, ix = np.divmod(cells, nx - 1)
-        cx, cy = m.x0 + ix * s, m.y0 + iy * s
-        for w, walk in enumerate(_CODE_WALKS[code]):
-            # each vertex's (x, y, edge id or None), by one expression per
-            # token: two cells that share an edge vertex may differ in its
-            # last bit; a corner token is its own low corner, with no crossing
-            verts = []
-            for token in walk:
-                lo, hi, vertical = _EDGES.get(token, (int(token[1]), None, None))
-                dx, dy = _CORNERS[lo]
-                x, y, edge = cx + dx * s, cy + dy * s, None
-                if hi is not None:
-                    a = corners[lo][cells]
-                    ts = (level - a) / (corners[hi][cells] - a) * s
-                    x, y = x + (0.0 if vertical else ts), y + (ts if vertical else 0.0)
-                    # integer order is that of (vertical, ix + dx, iy + dy)
-                    edge = vertical * (nx - 1) * ny + (ix + dx) * (ny - vertical) + iy + dy
-                verts.append((x, y, edge))
-            acc = 0.0
-            for i, ((x1, y1, e1), (x2, y2, e2)) in enumerate(zip(verts, verts[1:] + verts[:1])):
-                acc = acc + (x1 * y2 - x2 * y1)
-                # a chord joins two cyclically consecutive edge vertices;
-                # order by cell, walk (< 2), position (< 6), end (< 2)
-                if e1 is not None and e2 is not None:
-                    order = cells * 24 + w * 12 + i * 2
-                    chord_ends += [(order, e1, x1, y1), (order + 1, e2, x2, y2)]
-            terms[cells, w] = np.abs(acc) / 2.0
-    # cumsum adds in order (np.sum pairs): row-major cells, then walks; the
-    # leading 0.0 is the empty sum; code 0 cells add only +0.0, so they are left out
-    area = float(np.cumsum(np.append(0.0, terms[codes != 0]))[-1])
-    if not chord_ends:
-        return ContourSet(level, (), area)
+    slots = max(len(walk) for walks in _CODE_WALKS.values() for walk in walks)
+    shape = (max(_CODE_WALKS) + 1, 2 * slots)
+    lo, hi, vertical = (np.zeros(shape, dtype=np.int8) for _ in range(3))
+    nxt = np.broadcast_to(np.arange(2 * slots, dtype=np.int8), shape).copy()
+    chord = np.zeros(shape, dtype=bool)
+    for code, walks in _CODE_WALKS.items():
+        for w, walk in enumerate(walks):
+            for j, token in enumerate(walk):
+                col, after, corner = w * slots + j, (j + 1) % len(walk), int(token[1])
+                lo[code, col], hi[code, col], vertical[code, col] = edges.get(
+                    token, (corner, corner, 0))
+                nxt[code, col] = w * slots + after
+                chord[code, col] = token in edges and walk[after] in edges
+    return lo, hi, vertical, nxt, chord
 
-    order, ids, xs, ys = (np.concatenate(c) for c in zip(*chord_ends))
-    by_order = np.argsort(order)  # the two ends of chord n land at 2n and 2n + 1
-    ids = ids[by_order]
+
+_WALK_TABLES = _walk_tables(_EDGES)
+
+
+def extract_contours(m: IpiMap, levels_db) -> list[ContourSet]:
+    """Iso-level polylines at each of ``levels_db`` from the untruncated values, and their area.
+
+    Returns one :class:`ContourSet` per level, in the order given. Marching
+    squares with linear interpolation along cell edges; saddle cells are
+    resolved by the side of the cell-center mean, so the result is
+    deterministic. Chord segments from neighboring cells are chained into
+    maximal polylines: open paths first, each from its smaller end key and
+    in the order of those keys, then loops, each from its smallest key,
+    which come back closed (first vertex repeated at the end). A level
+    that is never crossed gives an empty set.
+    """
+    v = m.values_db
+    nx, ny = m.nx, m.ny
+    x0, y0, s = float(m.x0), float(m.y0), float(m.spacing)
+    c0, c1, c2, c3 = v[:-1, :-1], v[:-1, 1:], v[1:, 1:], v[1:, :-1]
+    # what no level changes, once per map: the cells with four finite corners,
+    # the saddle center means, each cell's bottom-left corner by column and by
+    # row, and the shoelace term of a cell inside the region
+    finite = (np.isfinite(c0) & np.isfinite(c1) & np.isfinite(c2) & np.isfinite(c3)).ravel()
+    with np.errstate(invalid="ignore", over="ignore"):
+        center = ((((c0 + c1) + c2) + c3) / 4.0).ravel()
+    cx, cy = x0 + np.arange(nx - 1) * s, y0 + np.arange(ny - 1) * s
+    interior = _inside_terms(cx, cy, s)
+    dx, dy = np.array(_CORNERS).T
+    flat, corner_offsets = v.ravel(), dy * nx + dx  # a corner's flat index from corner 0's
+
+    def walks(level):
+        """The area at ``level`` and its chord ends' edge ids, x and y, in processing order."""
+        above = (v >= level).view(np.uint8)
+        # each cell's _CODE_WALKS key in row-major order, 0 with a non-finite corner
+        codes = (above[:-1, :-1] | above[:-1, 1:] << 1 | above[1:, 1:] << 2
+                 | above[1:, :-1] << 3).ravel()
+        codes[((codes == 5) | (codes == 10)) & ~(center >= level)] += 16
+        codes *= finite
+        # the cells with a walk, in row-major order, and the ones among them that
+        # the level crosses, one row of (walk, slot) vertices each
+        nonzero = np.flatnonzero(codes)
+        at = np.flatnonzero(codes[nonzero] != 15)
+        cells = nonzero[at]
+        lo, hi, vertical, nxt, chord = (table[codes[cells]] for table in _WALK_TABLES)
+        iy, ix = np.divmod(cells, nx - 1)
+        x = cx[ix, None] + (dx * s)[lo]
+        y = cy[iy, None] + (dy * s)[lo]
+        # an edge crossing starts at its low corner and moves ts along its edge;
+        # two cells that share an edge vertex may differ in its last bit
+        edge = lo != hi
+        base = (iy * nx + ix)[:, None]
+        a = flat[(base + corner_offsets[lo])[edge]]
+        ts = (level - a) / (flat[(base + corner_offsets[hi])[edge]] - a) * s
+        along_y = vertical[edge] == 1
+        x[edge] += np.where(along_y, 0.0, ts)
+        y[edge] += np.where(along_y, ts, 0.0)
+        follow = nxt + nxt.shape[1] * np.arange(cells.size)[:, None]
+        cross = (x * y.take(follow) - x.take(follow) * y).reshape(-1, 2, nxt.shape[1] // 2)
+        acc = 0.0
+        for j in range(cross.shape[2]):
+            acc = acc + cross[:, :, j]
+        walk_terms = np.abs(acc) / 2.0
+        terms = interior[nonzero]  # each cell's first walk's shoelace term
+        terms[at] = walk_terms[:, 0]
+        # cumsum adds in order (np.sum pairs): row-major cells, then walks, the
+        # second walk of a split saddle right after its first; the leading 0.0
+        # is the empty sum, and as no term is -0.0, the 0.0 terms left out or
+        # added move no bit
+        split = codes[cells] >= 16
+        terms = np.insert(terms, at[split] + 1, walk_terms[split, 1])
+        area = float(np.cumsum(np.append(0.0, terms))[-1])
+        # both ends of each chord in processing order: cell, walk, position, end
+        cell, col = np.nonzero(chord)
+        ends = np.repeat(cell, 2), np.column_stack([col, nxt[cell, col]]).ravel()
+        end_lo, end_vertical = lo[ends], vertical[ends].astype(np.intp)
+        # integer order is that of (vertical, ix + dx, iy + dy)
+        ids = (end_vertical * (nx - 1) * ny + (ix[ends[0]] + dx[end_lo]) * (ny - end_vertical)
+               + iy[ends[0]] + dy[end_lo])
+        return area, ids, x[ends], y[ends]
+
+    sets = []
+    # a level's arrays are freed when walks returns, before its chords are chained
+    for level in map(float, levels_db):
+        area, ids, xs, ys = walks(level)
+        sets.append(ContourSet(level, _chain(ids, xs, ys, level), area))
+    return sets
+
+
+def _inside_terms(cx, cy, s) -> np.ndarray:
+    """The shoelace term of each cell's code-15 walk, in row-major cell order.
+
+    The cells' bottom-left corners, ``cx`` by column and ``cy`` by row,
+    broadcast, so every cell runs the expression that a crossing cell's walk
+    runs on its corners. A corner's x depends only on its dx and its y only
+    on its dy, so each of the four products x * y is formed once.
+    """
+    xy = {(dx, dy): (cx + dx * s) * (cy[:, None] + dy * s) for dx in (0, 1) for dy in (0, 1)}
+    walk = [_CORNERS[int(token[1])] for token in _CODE_WALKS[15][0]]
+    acc = 0.0
+    for (dx1, dy1), (dx2, dy2) in zip(walk, walk[1:] + walk[:1]):
+        acc = acc + (xy[dx1, dy2] - xy[dx2, dy1])
+    return (np.abs(acc) / 2.0).ravel()
+
+
+def _chain(ids, xs, ys, level: float) -> tuple[np.ndarray, ...]:
+    """The polylines through chord ends with edge ids ``ids`` at (``xs``, ``ys``).
+
+    Ends 2n and 2n + 1 are chord n's, in processing order; the first end
+    to reach an edge vertex sets its coordinate.
+    """
+    if not ids.size:
+        return ()
     # vertex j: the j-th smallest edge id, reached first at chord end
-    # first[j] and last at last[j]
-    _, first, index = np.unique(ids, return_index=True, return_inverse=True)
-    last = ids.size - 1 - np.unique(ids[::-1], return_index=True)[1]
-    # the first cell to reach a shared edge vertex sets its coordinate
-    xy = np.column_stack([xs[by_order], ys[by_order]])[first]
+    # first[j] and last at last[j]; the stable sort keeps equal ids in chord order
+    by_id = np.argsort(ids, kind="stable")
+    new = np.ones(ids.size, dtype=bool)
+    new[1:] = ids[by_id[1:]] != ids[by_id[:-1]]
+    starts = np.flatnonzero(new)
+    first, last = by_id[starts], by_id[np.append(starts[1:], ids.size) - 1]
+    index = np.empty_like(by_id)
+    index[by_id] = np.cumsum(new) - 1
+    xy = np.column_stack([xs, ys])[first]
     partner = index[np.arange(ids.size) ^ 1]
     # a vertex's neighbors in chord order; the same one twice at a path end
     nbr0, nbr1 = partner[first].tolist(), partner[last].tolist()
@@ -329,4 +413,4 @@ def extract_contours(m: IpiMap, level_db: float) -> ContourSet:
             path = chain(start)
             chained.update(path)
             polylines.append(xy[path])
-    return ContourSet(level, tuple(polylines), area)
+    return tuple(polylines)

@@ -233,7 +233,8 @@ def test_6_isolation_zones_shrink_with_frequency():
     freqs = np.array([500.0, 1000.0, 2000.0])
     filters = design(scene, freqs, RenderingMode.MONO)
     for m in ipi_map(scene, filters, region, 0.02, freqs, prog_a, prog_b):
-        areas.append(extract_contours(m, 20.0).area_m2)
+        (contours,) = extract_contours(m, [20.0])
+        areas.append(contours.area_m2)
     elapsed = time.perf_counter() - t0
 
     ok = areas[0] > areas[1] > areas[2] and elapsed < 60.0

@@ -266,6 +266,29 @@ def test_frequency_stack_equals_one_frequency_calls_bit_for_bit():
     assert np.isnan(stack[:, 4, 2]).all()
 
 
+def test_response_phase_has_the_bits_of_the_complex_exponential():
+    # the complex-exp form of H is the oracle: a 0.02 m grid over the template
+    # region, a point on speaker 0 (its NaNs compare as NaNs) and random
+    # points, at the template's 319 grid frequencies and at 20 kHz
+    scene = default_scene()
+    iy, ix = np.divmod(np.arange(51 * 101), 51)
+    grid = np.column_stack([-1.0 + ix * 0.02, iy * 0.02, np.zeros(ix.size)])
+    rng = np.random.default_rng(11)
+    points = np.vstack([grid, scene.speakers[0], rng.uniform(-3.0, 3.0, (200, 3))])
+    freqs = np.append(100.0 * 2.0 ** (np.arange(319) / 48), 20000.0)
+    diff = points[:, None, :] - scene.speakers[None, :, :]
+    r = np.linalg.norm(diff, axis=-1)
+    r[r == 0.0] = np.nan
+    sin_theta = np.hypot(diff[..., 0], diff[..., 2]) / r
+    k = (2.0 * np.pi * freqs / scene.sound_speed)[:, None, None]
+    with np.errstate(invalid="ignore"):
+        d_gain = directivity(k * scene.piston_radius * sin_theta)
+        want = d_gain * np.exp(-1j * k * r) * (1.0 / r)
+    got = response_matrix(scene, points, freqs)
+    assert np.isnan(want).any()
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("shape", [(3,), (2, 2), (1, 3, 1)])
 def test_response_matrix_rejects_points_that_are_not_n_by_3(shape):
     with pytest.raises(ValueError) as caught:

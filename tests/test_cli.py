@@ -608,7 +608,7 @@ def test_map_files_are_capped_and_contours_are_not(tmp_path, monkeypatch):
 
         contours = json.loads((config.output_dir / f"contours_{tag}.json").read_text())
         at_30 = [c["polylines"] for c in contours["contours"] if c["level_db"] == 30.0][0]
-        assert at_30 and at_30 == [line.tolist() for line in extract_contours(m, 30.0).polylines]
+        assert at_30 and at_30 == [line.tolist() for line in extract_contours(m, [30.0])[0].polylines]
         assert areas[(areas[:, 0] == m.frequency) & (areas[:, 1] == 30.0)][0, 2] > 0.0
 
     # a -inf cell, which no run above holds

@@ -9,18 +9,37 @@ exit 0 or 2 (numerical failure) but never raise.
 The fixed cases are configs that ended in a traceback, or were silently
 accepted, before the config format became one table of fields.
 
+A sweep puts every numeric field of ``FIELDS`` at the float extremes and
+runs each config through ``validate``, and through ``spectra`` and ``map``
+when it validates and stays narrow, in one child process under an
+address-space limit; the maps it writes are checked against cells
+recomputed outside ``ipi_map``.
+
 The mutants come from stdlib ``random`` with a fixed seed, so every run
 checks the same configs.
 """
 
+import contextlib
 import copy
+import io
 import json
+import math
 import random
+import resource
+import sys
+import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import pszsim.cli
+from conftest import run_python
+from pszsim.acoustics import response_matrix
 from pszsim.cli import ConfigError, default_config_dict, main
-from pszsim.config import resolve_config
+from pszsim.config import FIELDS, _Invalid, map_tag, resolve_config
+from pszsim.metrics import ipi_ratios, min_db
+from pszsim.spatial_analysis import grid_shape
 
 SEED = 2022
 N_MUTANTS = 300
@@ -354,6 +373,12 @@ RUN_FIXED = {
         each_command(1, "config error: uncertainty.trials: 2.95e+20 normals per frequency, "
                         "too many for one array"),
     ),
+    "trials at the float maximum": (  # its normals count overflowed a float as it printed
+        lambda cfg: cfg.update(frequency_grid=NARROW_GRID,
+                               uncertainty={"sigma_sq": 1e-4, "trials": sys.float_info.max}),
+        each_command(1, "config error: uncertainty.trials: inf normals per frequency, "
+                        "too many for one array"),
+    ),
     "trials 10**15": (  # 455 PiB of normals, beyond any 64-bit address space
         lambda cfg: cfg.update(frequency_grid=NARROW_GRID,
                                uncertainty={"sigma_sq": 1e-4, "trials": 10**15}),
@@ -393,3 +418,172 @@ def test_fixed_config_that_raised_in_a_run_prints_one_error_line(tmp_path, capsy
     assert err.splitlines() == ([line] if line else [])
     # a failed run writes nothing, not even its directory
     assert (tmp_path / "out").exists() == (code == 0 and command != "validate")
+
+
+# Every numeric field at the float extremes, each config through validate, and
+# through spectra and map when it validates and stays as narrow as its base.
+EXTREMES = [5e-324, -5e-324, 1e-300, -1e-300, 1e-12, 1e-6, 1e6, 1e12, 1e300,
+            sys.float_info.max, -sys.float_info.max, 0.0, -0.0]
+# the form of its section that a field needs, where the narrow base has another
+FORMS = {
+    "frequency_grid.step_hz": {"start_hz": 1000.0, "stop_hz": 2000.0, "step_hz": 500.0},
+    "uncertainty.sigma_amp_sq": {"sigma_amp_sq": 1e-4, "sigma_phase_sq": 2e-4, "trials": 3},
+    "uncertainty.sigma_phase_sq": {"sigma_amp_sq": 1e-4, "sigma_phase_sq": 2e-4, "trials": 3},
+    "beta.frequencies_hz": {"frequencies_hz": [100.0, 10000.0], "values": [1e-3, 1e-4]},
+    "beta.values": {"frequencies_hz": [100.0, 10000.0], "values": [1e-3, 1e-4]},
+}
+SWEEP_AS_BYTES = 2**30  # the sweep's address space: no config may take gigabytes of memory
+SWEEP_CELLS = 3  # map cells recomputed per map file
+
+
+def narrow_base():
+    """The template on a custom scene, 3 frequencies and a 0.1 m map of 11 x 21 points."""
+    cfg = default_config_dict()
+    cfg["scene"] = dict(copy.deepcopy(CUSTOM_SCENE), sound_speed=343.0, piston_radius=0.05)
+    cfg["frequency_grid"] = {"start_hz": 1000.0, "stop_hz": 2000.0, "points_per_octave": 2}
+    cfg["uncertainty"]["trials"] = 3
+    cfg["map"]["resolution_m"] = 0.1
+    return cfg
+
+
+def numeric_fields():
+    """(path, sample) of each field of FIELDS whose kind takes a number, a
+    list of numbers or a list of points, with the sample it takes."""
+    for f in FIELDS:
+        for sample in (1.0, [1.0], [[1.0, 1.0, 1.0]]):
+            try:
+                if f.kind is not None:
+                    f.kind(copy.deepcopy(sample))
+                    yield f.path, sample
+                    break
+            except _Invalid:
+                pass
+
+
+def extreme_configs():
+    """(name, config) for each numeric field at each extreme: the field's
+    number, its list's first entry or its first point's x; the last object
+    of a list of objects."""
+    for path, sample in numeric_fields():
+        for value in EXTREMES:
+            cfg = narrow_base()
+            *parents, leaf = path.split(".")
+            node = cfg
+            for key in parents:
+                node = node[key[:-2]][-1] if key.endswith("[]") else node[key]
+            if path in FORMS:
+                node = cfg[parents[0]] = copy.deepcopy(FORMS[path])
+            if sample == 1.0:
+                node[leaf] = value
+            elif sample == [1.0]:
+                node[leaf][0] = value
+            else:
+                node[leaf][0][0] = value
+            yield f"{path}={value!r}", cfg
+
+
+def is_narrow(config):
+    """No more work than the narrow base: 3 frequencies, 3 trials, 3 maps of 231 points."""
+    request = config.map_request
+    nx, ny = grid_shape(request.region, request.resolution)
+    return (len(config.frequencies) <= 3 and config.model.trials <= 3
+            and len(request.frequencies) <= 3 and nx * ny <= 11 * 21)
+
+
+def recompute_cells(captured, out_dir, cap_db):
+    """Problems found by recomputing SWEEP_CELLS cells of each map CSV from the
+    filters that ``ipi_map`` was given, outside ``ipi_map``."""
+    problems = []
+    (scene, filters, region, resolution, freqs, target, interferer), mode = captured
+    nx, ny = grid_shape(region, resolution)
+    flat = np.unique(np.linspace(0, nx * ny - 1, SWEEP_CELLS).astype(int))
+    iy, ix = np.divmod(flat, nx)
+    points = np.column_stack([region[0] + ix * resolution, region[2] + iy * resolution,
+                              np.zeros(flat.size)])
+    for f, c in zip(freqs, filters):
+        rows = response_matrix(scene, points, [f]) @ c
+        _, want = min_db(*ipi_ratios(rows[:, :, None, :], (0,), target, interferer))
+        want = np.minimum(want[0], cap_db)
+        lines = (out_dir / f"map_{map_tag(mode, f)}.csv").read_text().splitlines()
+        got = [float(lines[1 + j].split(",")[2]) for j in flat]
+        for j, g, w in zip(flat.tolist(), got, want.tolist()):
+            same = (math.isnan(g) and math.isnan(w)) or math.isclose(g, w, rel_tol=1e-8,
+                                                                     abs_tol=1e-9)
+            if not same:
+                problems.append(f"map at {f} Hz, cell {j}: {g} in the CSV, {w} recomputed")
+    return problems
+
+
+def sweep(cases_path):
+    """Run every (name, config) of ``cases_path``; print the problems found and
+    the counts of configs validated and run, as one JSON object.
+
+    validate must exit 0, or 1 with only ``config error:`` lines and no output
+    directory; spectra and map, 0, or 2 with one ``runtime error:`` line.
+    """
+    resource.setrlimit(resource.RLIMIT_AS, (SWEEP_AS_BYTES, SWEEP_AS_BYTES))
+    warnings.simplefilter("error", RuntimeWarning)  # a numpy warning fails the sweep
+    ipi_map, captured = pszsim.cli.ipi_map, []
+
+    def capturing_ipi_map(*args):
+        captured.append(args)
+        return ipi_map(*args)
+
+    pszsim.cli.ipi_map = capturing_ipi_map
+    problems, counts = [], {"validated": 0, "ran": 0, "recomputed": 0}
+    for i, (name, cfg) in enumerate(json.loads(Path(cases_path).read_text())):
+        out_dir = Path(f"out{i}")
+        cfg["output_dir"] = str(out_dir)
+        Path("config.json").write_text(json.dumps(cfg))
+        for command in ("validate", "spectra", "map"):
+            captured.clear()
+            err = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = pszsim.cli.main([command, "config.json"])
+            except Exception as exc:  # any raise is a failure the sweep looks for
+                problems.append(f"{name}: {command} raised {exc!r}")
+                break
+            # skipped frequencies print warning lines, whatever the exit code
+            lines = [x for x in err.getvalue().splitlines() if not x.startswith("warning: ")]
+            if command == "validate":
+                if code == 1 and lines and all(x.startswith("config error: ") for x in lines):
+                    if out_dir.exists():
+                        problems.append(f"{name}: validate exited 1 and left {out_dir}")
+                    break
+                if code != 0 or lines or out_dir.exists():
+                    problems.append(f"{name}: validate exited {code}: {lines}")
+                    break
+                counts["validated"] += 1
+                if not is_narrow(resolve_config(cfg)):
+                    break
+                counts["ran"] += 1
+            elif code == 2 and len(lines) == 1 and lines[0].startswith("runtime error: "):
+                continue
+            elif code != 0 or lines:
+                problems.append(f"{name}: {command} exited {code}: {lines}")
+            elif command == "map":
+                counts["recomputed"] += len(captured[0][1])
+                problems += [f"{name}: {p}" for p in recompute_cells(
+                    (captured[0], cfg["map"]["mode"]), out_dir, cfg["map"]["cap_db"])]
+    print(json.dumps({"problems": problems, **counts}))
+
+
+def test_every_numeric_field_at_the_float_extremes_runs_or_fails_cleanly(tmp_path):
+    cases = list(extreme_configs())
+    fields = {name.partition("=")[0] for name, _ in cases}
+    assert len(cases) == len(fields) * len(EXTREMES)
+    assert {"scene.speakers", "frequency_grid.step_hz", "beta", "beta.values",
+            "listener_cases[].dx", "map.levels_db", "map.region.y_max"} <= fields
+    (tmp_path / "cases.json").write_text(json.dumps(cases))
+    # one child holds the sweep, under an address-space limit that acts on it alone
+    done = run_python([__file__, "cases.json"], tmp_path, OPENBLAS_NUM_THREADS="1")
+    assert done.returncode == 0 and not done.stderr, done.stderr
+    result = json.loads(done.stdout)
+    assert result["problems"] == []
+    assert result["validated"] > len(cases) // 3
+    assert result["ran"] > len(fields) * 3 and result["recomputed"] >= 3 * result["ran"] // 2
+
+
+if __name__ == "__main__":
+    sweep(sys.argv[1])

@@ -51,7 +51,7 @@ def test_contour_of_radial_field_is_a_circle():
     m = radial_map()
     level = 20.0
     expected_radius = (40.0 - level) / 25.0  # 0.8 m
-    cs = extract_contours(m, level)
+    (cs,) = extract_contours(m, [level])
     assert len(cs.polylines) == 1
     line = cs.polylines[0]
     assert polyline_is_closed(line)
@@ -61,7 +61,7 @@ def test_contour_of_radial_field_is_a_circle():
 
 def test_enclosed_area_approximates_circle_area():
     m = radial_map()
-    cs = extract_contours(m, 20.0)
+    (cs,) = extract_contours(m, [20.0])
     area = cs.area_m2
     exact = np.pi * 0.8**2
     assert abs(area - exact) / exact < 0.05
@@ -69,13 +69,13 @@ def test_enclosed_area_approximates_circle_area():
 
 def test_enclosed_area_equals_contour_shoelace_away_from_border():
     m = radial_map()
-    cs = extract_contours(m, 20.0)
+    (cs,) = extract_contours(m, [20.0])
     assert cs.area_m2 == pytest.approx(shoelace(cs.polylines[0]), rel=1e-9)
 
 
 def test_area_non_increasing_in_level():
     m = radial_map()
-    areas = [extract_contours(m, lv).area_m2 for lv in (10.0, 15.0, 20.0, 25.0, 30.0)]
+    areas = [cs.area_m2 for cs in extract_contours(m, [10.0, 15.0, 20.0, 25.0, 30.0])]
     assert all(a >= b for a, b in zip(areas, areas[1:]))
 
 
@@ -83,7 +83,7 @@ def test_area_converges_with_resolution():
     areas = {}
     for res in (0.08, 0.04, 0.02):
         m = radial_map(resolution=res)
-        areas[res] = extract_contours(m, 20.0).area_m2
+        areas[res] = extract_contours(m, [20.0])[0].area_m2
     step1 = abs(areas[0.04] - areas[0.08])
     step2 = abs(areas[0.02] - areas[0.04])
     assert step2 < step1
@@ -91,21 +91,21 @@ def test_area_converges_with_resolution():
 
 def test_constant_map_below_level_has_no_contours():
     m = IpiMap(1000.0, 0.0, 0.0, 0.1, np.full((5, 5), 3.0))
-    cs = extract_contours(m, 20.0)
+    (cs,) = extract_contours(m, [20.0])
     assert cs.polylines == ()
     assert cs.area_m2 == 0.0
 
 
 def test_level_above_all_values_is_empty():
     m = radial_map()  # peak value 40
-    cs = extract_contours(m, 45.0)
+    (cs,) = extract_contours(m, [45.0])
     assert cs.polylines == ()
     assert cs.area_m2 == 0.0
 
 
 def test_map_uniformly_above_level_covers_whole_region():
     m = IpiMap(1000.0, 0.0, 0.0, 0.25, np.full((5, 9), 35.0))
-    area = extract_contours(m, 20.0).area_m2
+    area = extract_contours(m, [20.0])[0].area_m2
     assert area == pytest.approx(2.0 * 1.0, rel=1e-12)
 
 
@@ -115,8 +115,7 @@ def test_saddle_resolution_follows_cell_center():
     m = IpiMap(1000.0, 0.0, 0.0, 1.0, values)
     # center mean 15: at level 10 the region is connected (one chord pair
     # forming a band), at level 20 it splits into two corner triangles
-    connected = extract_contours(m, 10.0)
-    split = extract_contours(m, 20.0)
+    connected, split = extract_contours(m, [10.0, 20.0])
     assert len(connected.polylines) == 2
     assert len(split.polylines) == 2
     assert connected.area_m2 > split.area_m2
@@ -126,7 +125,7 @@ def test_nan_cells_are_excluded():
     values = np.full((3, 3), 30.0)
     values[0, 0] = np.nan
     m = IpiMap(1000.0, 0.0, 0.0, 0.5, values)
-    area = extract_contours(m, 20.0).area_m2
+    area = extract_contours(m, [20.0])[0].area_m2
     # three of four cells contribute
     assert area == pytest.approx(3 * 0.25, rel=1e-12)
 
@@ -135,19 +134,20 @@ def test_contour_set_holds_its_level_polylines_and_area_only():
     # nothing of the map it came from: sets from two maps with no crossing
     # compare and print alike
     assert [f.name for f in dataclasses.fields(ContourSet)] == ["level_db", "polylines", "area_m2"]
-    below = extract_contours(IpiMap(1000.0, 0.0, 0.0, 0.1, np.full((5, 5), 3.0)), 20.0)
-    other = extract_contours(IpiMap(500.0, 1.0, 0.0, 0.2, np.full((4, 6), 5.0)), 20.0)
+    (below,) = extract_contours(IpiMap(1000.0, 0.0, 0.0, 0.1, np.full((5, 5), 3.0)), [20.0])
+    (other,) = extract_contours(IpiMap(500.0, 1.0, 0.0, 0.2, np.full((4, 6), 5.0)), [20.0])
     assert below == other == ContourSet(20.0, (), 0.0)
     assert repr(below) == repr(other) == "ContourSet(level_db=20.0, polylines=(), area_m2=0.0)"
 
 
 def test_a_map_run_classifies_each_level_of_each_map_once(tmp_path, monkeypatch, capsys):
+    # one call per map carries all its levels
     calls = collections.Counter()
     contours = pszsim.cli.extract_contours
 
-    def counting_contours(m, level):
-        calls[m.frequency, level] += 1
-        return contours(m, level)
+    def counting_contours(m, levels):
+        calls[m.frequency, tuple(levels)] += 1
+        return contours(m, levels)
 
     monkeypatch.setattr(pszsim.cli, "extract_contours", counting_contours)
     cfg = default_config_dict()
@@ -156,7 +156,7 @@ def test_a_map_run_classifies_each_level_of_each_map_once(tmp_path, monkeypatch,
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     assert main(["map", str(path)]) == 0
-    assert calls == {(f, level): 1 for f in (500.0, 1000.0, 2000.0) for level in (20.0, 30.0)}
+    assert calls == {(f, (20.0, 30.0)): 1 for f in (500.0, 1000.0, 2000.0)}
 
 
 def test_a_map_run_computes_the_grid_geometry_once(tmp_path, monkeypatch, capsys):
@@ -324,6 +324,21 @@ def test_ipi_map_memory_is_bounded_by_its_maps_not_by_the_grid():
     assert peak <= 3 * values + 4 * 2**20
 
 
+def test_contours_at_all_levels_of_a_map_peak_below_its_one_level_pass(map_fine_run):
+    # one call per map_fine map at its three levels; the one-level pass that
+    # it replaced peaked at 3.27 MB for a single level
+    _, maps = map_fine_run
+    for m in maps:
+        tracemalloc.start()
+        try:
+            sets = extract_contours(m, [10.0, 20.0, 30.0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sets) == 3 and any(cs.polylines for cs in sets)
+        assert peak < 2.5e6
+
+
 def test_ipi_map_validates_inputs():
     scene = default_scene()
     filters = designed_filters(scene, 500.0)
@@ -347,7 +362,7 @@ def test_ipi_map_validates_inputs():
 
 def test_contour_vertices_lie_on_cell_edges():
     m = radial_map(resolution=0.1)
-    cs = extract_contours(m, 20.0)
+    (cs,) = extract_contours(m, [20.0])
     for line in cs.polylines:
         for x, y in line:
             on_x = abs((x - m.x0) / m.spacing - round((x - m.x0) / m.spacing)) < 1e-9
@@ -537,18 +552,21 @@ def oracle_area(m, level_db):
     return total
 
 
-def assert_matches_oracle(m, level, saddles=None):
-    """Contours and area of ``m`` at ``level`` equal the oracle's bit for bit."""
-    cs = extract_contours(m, level)
-    want = oracle_contours(m, level, saddles)
-    assert len(cs.polylines) == len(want)
-    for got, line in zip(cs.polylines, want):
-        # bytes, so the sign of a zero coordinate counts too
-        assert got.shape == line.shape and got.tobytes() == line.tobytes()
-    area = cs.area_m2
-    assert type(area) is float
-    assert area == oracle_area(m, level)
-    return cs
+def assert_matches_oracle(m, levels, saddles=None):
+    """Contours and area of ``m`` at each of ``levels``, from one call, equal the
+    oracle's level by level, bit for bit; returns the contour sets."""
+    sets = extract_contours(m, levels)
+    assert [cs.level_db for cs in sets] == [float(level) for level in levels]
+    for cs, level in zip(sets, levels):
+        want = oracle_contours(m, level, saddles)
+        assert len(cs.polylines) == len(want)
+        for got, line in zip(cs.polylines, want):
+            # bytes, so the sign of a zero coordinate counts too
+            assert got.shape == line.shape and got.tobytes() == line.tobytes()
+        area = cs.area_m2
+        assert type(area) is float
+        assert area == oracle_area(m, level)
+    return sets
 
 
 def grid_map(values, x0=-0.3, y0=-0.7, spacing=0.1):
@@ -570,8 +588,18 @@ def random_maps(seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_random_maps_with_nonfinite_corners_match_the_cell_walk(seed):
     for m in random_maps(seed):
-        for level in (12.5, 20.0, 27.0):
-            assert_matches_oracle(m, level)
+        assert_matches_oracle(m, [12.5, 20.0, 27.0])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_unsorted_repeated_and_out_of_range_levels_match_the_cell_walk(seed):
+    # each level in the order given, a repeated one each time, and levels
+    # above and below every value, which cross no cell
+    for m in random_maps(seed):
+        finite = m.values_db[np.isfinite(m.values_db)]
+        high, low = finite.max() + 1.0, finite.min() - 1.0
+        sets = assert_matches_oracle(m, [27.0, 12.5, high, 20.0, 12.5, low, 27.0])
+        assert sets[2].polylines == sets[5].polylines == () and sets[2].area_m2 == 0.0
 
 
 def test_a_vertex_with_over_two_chords_raises_instead_of_looping(monkeypatch):
@@ -580,10 +608,11 @@ def test_a_vertex_with_over_two_chords_raises_instead_of_looping(monkeypatch):
     # and chaining must fail rather than walk forever
     high_corner = {k: (hi, lo, vertical)
                    for k, (lo, hi, vertical) in pszsim.spatial_analysis._EDGES.items()}
-    monkeypatch.setattr(pszsim.spatial_analysis, "_EDGES", high_corner)
+    monkeypatch.setattr(pszsim.spatial_analysis, "_WALK_TABLES",
+                        pszsim.spatial_analysis._walk_tables(high_corner))
     m = next(random_maps(4))
     with pytest.raises(RuntimeError, match="^contour at 27.0 dB does not close"):
-        extract_contours(m, 27.0)
+        extract_contours(m, [27.0])
 
 
 def test_values_equal_to_the_level_match_the_cell_walk():
@@ -593,8 +622,7 @@ def test_values_equal_to_the_level_match_the_cell_walk():
     m = grid_map(values)
     assert np.count_nonzero(values == 20.0) > 50
     saddles = collections.Counter()
-    for level in (19.0, 20.0, 21.0):
-        assert_matches_oracle(m, level, saddles)
+    assert_matches_oracle(m, [19.0, 20.0, 21.0], saddles)
     assert saddles[5, True] and saddles[10, True]
 
 
@@ -606,8 +634,7 @@ def test_both_saddle_resolutions_match_the_cell_walk():
     values = 20.0 + 10.0 * (-1.0) ** (ix + iy) + noise
     m = grid_map(values)
     saddles = collections.Counter()
-    for level in (19.0, 20.0, 21.0):
-        assert_matches_oracle(m, level, saddles)
+    assert_matches_oracle(m, [19.0, 20.0, 21.0], saddles)
     assert sorted(saddles) == [(5, False), (5, True), (10, False), (10, True)]
 
 
@@ -618,8 +645,7 @@ def test_region_touching_the_border_matches_the_cell_walk():
     ys = -0.7 + np.arange(23) * 0.1
     gx, gy = np.meshgrid(xs, ys)
     m = grid_map(40.0 - 25.0 * np.hypot(gx - 2.6, gy - 0.4))
-    for level in (10.0, 20.0, 30.0):
-        cs = assert_matches_oracle(m, level)
+    for cs in assert_matches_oracle(m, [10.0, 20.0, 30.0]):
         assert cs.polylines and not any(polyline_is_closed(line) for line in cs.polylines)
 
 
@@ -627,5 +653,4 @@ def test_map_fine_maps_match_the_cell_walk(map_fine_run):
     _, maps = map_fine_run
     assert [m.frequency for m in maps] == [500.0, 1000.0, 2000.0]
     for m in maps:
-        for level in (10.0, 20.0, 30.0):
-            assert_matches_oracle(m, level)
+        assert_matches_oracle(m, [10.0, 20.0, 30.0])

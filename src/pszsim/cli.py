@@ -37,46 +37,40 @@ import numpy as np
 
 from . import __version__
 from .acoustics import response_matrix
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    ListenerCase,
-    default_config_dict,
-    load_config,
-    map_tag,
-)
+from .config import ConfigError, ExperimentConfig, default_config_dict, load_config, map_tag
 from .filter_design import RenderingMode, program_channels, solve_stack, target_stack
 from .metrics import ipi_ratios, izi_ratios, min_db, smooth_db
 from .perturbation import averaged_perturbed_stacks
-from .scene import Scene
 from .spatial_analysis import extract_contours, ipi_map
 
 _DESIGN_STREAM = "design"
 _EVAL_STREAM = "eval"
 
 
-def _design_filters(config: ExperimentConfig, scene: Scene, h_design, modes, frequencies):
-    """Filters of each of ``modes`` from one design-set transfer stack:
-    ``solve_stack``'s ([filters per mode], kept, failures).
+def _design_filters(config: ExperimentConfig, key, h_design, modes, frequencies):
+    """Filters of each of ``modes`` from the design-set transfer stack of the
+    scene ``config.scenes[key]``: ``solve_stack``'s ([filters per mode], kept,
+    failures).
 
     Raises RuntimeError naming the first mode if a normal matrix overflows.
     """
-    targets = [target_stack(scene, h_design, mode) for mode in modes]
+    targets = [target_stack(config.scenes[key], h_design, mode) for mode in modes]
     try:
         return solve_stack(h_design, targets, config.beta_at(frequencies), frequencies)
     except ValueError as exc:  # the checked inputs leave only a non-finite normal matrix
         raise RuntimeError(f"{modes[0].value} filter design: {exc}") from exc
 
 
-def _perturbed_transfers(config: ExperimentConfig, scenes: dict, streams: dict, freqs) -> dict:
+def _perturbed_transfers(config: ExperimentConfig, streams: dict, freqs) -> dict:
     """(scene key, stream) -> averaged perturbed (F, K, L) transfer stack at ``freqs``.
 
-    ``streams`` maps each stream to the keys of the scenes it perturbs. Each
-    scene's nominal stack is computed once over all frequencies, and each
-    stream's draws once for all of its scenes. Raises RuntimeError naming
-    the first frequency at which a stack holds an inf or a NaN.
+    ``streams`` maps each stream to the keys in ``config.scenes`` of the
+    scenes it perturbs. Each scene's nominal stack is computed once over all
+    frequencies, and each stream's draws once for all of its scenes. Raises
+    RuntimeError naming the first frequency at which a stack holds an inf
+    or a NaN.
     """
-    stacks = {}
+    scenes, stacks = config.scenes, {}
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         nominal = {
             key: response_matrix(scenes[key], scenes[key].control_points, freqs)
@@ -92,8 +86,9 @@ def _perturbed_transfers(config: ExperimentConfig, scenes: dict, streams: dict, 
     return stacks
 
 
-def _spectra_db(scene: Scene, mode: RenderingMode, m):
+def _spectra_db(config: ExperimentConfig, mode: RenderingMode, m):
     """(4, F) raw dB of IZI_A, IZI_B, IPI_A and IPI_B from an (F, K, C) system stack."""
+    scene = config.scene
     prog_a, prog_b = program_channels(scene, mode)
     zone_a, zone_b = scene.zone_a, scene.zone_b
     ratios = (
@@ -195,45 +190,41 @@ def _report_skips(key: str, kept, failures, skipped_log: dict) -> None:
 def run_spectra(config: ExperimentConfig) -> list[Path]:
     """Run all sweep combinations and write CSVs plus a manifest.
 
-    One pipeline over the whole frequency grid: every transfer stack and
-    draw is computed once per run, and one design per design scene serves
-    all modes. Each system, a combination's (mode, design scene, evaluation
-    scene), is evaluated, smoothed and formatted once, and its text is
-    written under every combination that shares it. The systems that kept
-    the same frequencies are smoothed by one ``smooth_db`` call on their
-    stacked (4, F_kept) raw dB rows, which gives each row the bits it gets
-    alone.
+    The plan maps each combination to its system: (mode, design scene key,
+    evaluation scene key), keys of ``config.scenes``. A ``matched`` filter
+    is designed on its evaluation scene, a ``centered`` one on the base
+    scene (key None). One pipeline over the whole frequency grid:
+    every transfer stack and draw is computed once per run, and one design
+    per design scene serves all modes. Each system is evaluated, smoothed
+    and formatted once, and its text is written under every combination
+    that shares it. The systems that kept the same frequencies are smoothed
+    by one ``smooth_db`` call on their stacked (4, F_kept) raw dB rows,
+    which gives each row the bits it gets alone.
     """
-    scenes, freqs = config.scenes, config.frequencies
-
-    def design_key(case: ListenerCase, strategy: str):
-        return case.displacement if strategy == "matched" else None
-
-    combos = [
-        (mode, case, strategy)
+    freqs = config.frequencies
+    plan = {
+        f"{mode.value}_{case.name}_{strategy}":
+            (mode, case.displacement if strategy == "matched" else None, case.displacement)
         for mode in config.modes
         for case in config.cases
         for strategy in config.filter_positions
-    ]
-    design_keys = list(dict.fromkeys(design_key(c, s) for _, c, s in combos))
-    h = _perturbed_transfers(config, scenes, {
+    }
+    design_keys = list(dict.fromkeys(design for _, design, _ in plan.values()))
+    h = _perturbed_transfers(config, {
         _DESIGN_STREAM: design_keys,
-        _EVAL_STREAM: list(dict.fromkeys(c.displacement for c in config.cases)),
+        _EVAL_STREAM: list(dict.fromkeys(evaluation for _, _, evaluation in plan.values())),
     }, freqs)
-    designs = {key: _design_filters(config, scenes[key], h[key, _DESIGN_STREAM], config.modes,
-                                    freqs) for key in design_keys}
+    designs = {key: _design_filters(config, key, h[key, _DESIGN_STREAM], config.modes, freqs)
+               for key in design_keys}
     raw = {}  # system -> (kept mask, (4, F_kept) raw dB)
-    systems = {}  # combination key -> its system
     skipped_log: dict[str, list] = {}
-    for mode, case, strategy in combos:
-        scene_key = design_key(case, strategy)
-        filters, kept, failures = designs[scene_key]
-        key = f"{mode.value}_{case.name}_{strategy}"
+    for key, system in plan.items():
+        mode, design, evaluation = system
+        filters, kept, failures = designs[design]
         _report_skips(key, kept, failures, skipped_log)
-        system = systems[key] = mode, scene_key, case.displacement
         if system not in raw:
-            m = h[case.displacement, _EVAL_STREAM][kept] @ filters[config.modes.index(mode)]
-            raw[system] = kept, _spectra_db(config.scene, mode, m)
+            m = h[evaluation, _EVAL_STREAM][kept] @ filters[config.modes.index(mode)]
+            raw[system] = kept, _spectra_db(config, mode, m)
     # one smooth_db call per set of kept frequencies
     groups: dict[bytes, list] = {}
     for system, (kept, _) in raw.items():
@@ -247,7 +238,7 @@ def run_spectra(config: ExperimentConfig) -> list[Path]:
             [freqs[kept], db.T, smooth[system].T]).tolist())
         for system, (kept, db) in raw.items()
     }
-    files = {f"spectra_{key}.csv": texts[system] for key, system in systems.items()}
+    files = {f"spectra_{key}.csv": texts[system] for key, system in plan.items()}
     return _write_run(config, "spectra", files, skipped_log)
 
 
@@ -284,9 +275,9 @@ def run_map(config: ExperimentConfig) -> list[Path]:
     target, interferer = (prog_a, prog_b) if request.bright_zone == "A" else (prog_b, prog_a)
 
     freqs = np.array(request.frequencies)
-    h = _perturbed_transfers(config, {None: scene}, {_DESIGN_STREAM: [None]}, freqs)
+    h = _perturbed_transfers(config, {_DESIGN_STREAM: [None]}, freqs)
     (filters,), kept, failures = _design_filters(
-        config, scene, h[None, _DESIGN_STREAM], [request.mode], freqs
+        config, None, h[None, _DESIGN_STREAM], [request.mode], freqs
     )
     skipped: dict[str, list] = {}
     _report_skips("map", kept, failures, skipped)

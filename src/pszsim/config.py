@@ -39,10 +39,10 @@ class ConfigError(Exception):
 
 
 def log_frequency_grid(start_hz: float, stop_hz: float, points_per_octave: int) -> np.ndarray:
-    """Log-spaced grid start * 2^(i/ppo), ending at or below stop."""
+    """Log-spaced grid start * 2^(i/ppo) up to stop plus 1e-9 of a step: an on-grid stop stays."""
     if start_hz <= 0 or stop_hz <= start_hz:
         raise ValueError("need 0 < start_hz < stop_hz")
-    n = int(math.floor(points_per_octave * math.log2(stop_hz / start_hz))) + 1
+    n = int(math.floor(points_per_octave * math.log2(stop_hz / start_hz) + 1e-9)) + 1
     return start_hz * 2.0 ** (np.arange(n) / points_per_octave)
 
 
@@ -346,7 +346,7 @@ def resolve_config(raw: dict, seed_override: int | None = None,
             if step:
                 del grid["points_per_octave"]
             try:
-                frequencies = (np.arange(start, stop + 1e-9, step) if step
+                frequencies = (np.arange(start, stop + 1e-9 * step, step) if step
                                else log_frequency_grid(start, stop, grid["points_per_octave"]))
             except MemoryError as exc:  # a grid numpy allows but memory cannot hold
                 problems.append(f"frequency_grid: {points:.3g} points: {exc}")

@@ -60,6 +60,28 @@ def test_log_frequency_grid():
     assert grid[0] == 100.0
     assert grid[-1] <= 10000.0
     assert np.allclose(np.diff(np.log2(grid)), 1 / 48)
+    for start, stop in [(0.0, 100.0), (100.0, 100.0)]:
+        with pytest.raises(ValueError, match="^need 0 < start_hz < stop_hz$"):
+            log_frequency_grid(start, stop, 3)
+
+
+@pytest.mark.parametrize("grid, count", [
+    # 100 * 2^(2/3) is the third point, though 3 * log2 of the ratio reads 1.999...
+    ({"start_hz": 100.0, "stop_hz": 100 * 2 ** (2 / 3), "points_per_octave": 3}, 3),
+    # 10 steps of 1e8 Hz: 1e-9 Hz past 2e9 Hz is below one ulp of it
+    ({"start_hz": 1e9, "stop_hz": 2e9, "step_hz": 1e8}, 11),
+    # 100 steps of 1e-12 Hz: 1e-9 Hz past the stop would be 1000 steps more
+    ({"start_hz": 1.0, "stop_hz": 1 + 1e-10, "step_hz": 1e-12}, 101),
+], ids=["log", "linear_large", "linear_tiny_step"])
+def test_frequency_grids_keep_an_on_grid_stop_and_end_there(grid, count):
+    raw = default_config_dict()
+    raw["frequency_grid"] = grid
+    freqs = resolve_config(raw).frequencies
+    assert len(freqs) == count
+    assert freqs[0] == grid["start_hz"]
+    # the last point is the stop up to the rounding of its own arithmetic
+    assert np.all(freqs[:-1] < grid["stop_hz"])
+    assert freqs[-1] == pytest.approx(grid["stop_hz"], rel=1e-13, abs=0)
 
 
 def test_template_round_trips_through_validate(capsys):

@@ -293,6 +293,15 @@ def test_xtc_requires_matching_channel_and_point_counts():
         target_stack(lopsided, h, RenderingMode.XTC)
 
 
+def test_target_stack_rejects_a_foreign_h_and_an_unknown_mode():
+    scene = default_scene()
+    h = response_matrix(scene, scene.control_points, 800.0)
+    with pytest.raises(ValueError, match="^H has 3 rows but the scene has 4 control points$"):
+        target_stack(scene, h[:3], RenderingMode.MONO)
+    with pytest.raises(ValueError, match="^unknown rendering mode: 'mono'$"):
+        target_stack(scene, h, "mono")
+
+
 def test_program_channels_per_mode():
     scene = default_scene()
     assert program_channels(scene, RenderingMode.MONO) == ((0,), (1,))

@@ -19,6 +19,7 @@ from pszsim.spatial_analysis import (
     ContourSet,
     IpiMap,
     extract_contours,
+    grid_shape,
     ipi_map,
 )
 
@@ -343,6 +344,9 @@ def test_ipi_map_validates_inputs():
     scene = default_scene()
     filters = designed_filters(scene, 500.0)
     target, interferer = program_channels(scene, RenderingMode.MONO)
+    for resolution in (0.0, -0.1):
+        with pytest.raises(ValueError, match=f"^resolution must be positive, got {resolution}$"):
+            grid_shape((-1.0, 0.0, 0.0, 1.0), resolution)
     with pytest.raises(ValueError, match="multiple of resolution"):
         ipi_map(scene, filters, (-1.0, 0.0, 0.0, 0.95), 0.1, [500.0], target, interferer)
     with pytest.raises(ValueError, match="overlap"):

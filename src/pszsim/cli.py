@@ -203,10 +203,10 @@ def run_spectra(config: ExperimentConfig) -> list[Path]:
     """
     freqs = config.frequencies
     plan = {
-        f"{mode.value}_{case.name}_{strategy}":
-            (mode, case.displacement if strategy == "matched" else None, case.displacement)
+        f"{mode.value}_{name}_{strategy}":
+            (mode, displacement if strategy == "matched" else None, displacement)
         for mode in config.modes
-        for case in config.cases
+        for name, displacement in config.cases.items()
         for strategy in config.filter_positions
     }
     design_keys = list(dict.fromkeys(design for _, design, _ in plan.values()))

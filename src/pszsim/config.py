@@ -38,23 +38,9 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.problems))
 
 
-def log_frequency_grid(start_hz: float, stop_hz: float, points_per_octave: int) -> np.ndarray:
-    """Log-spaced grid start * 2^(i/ppo) up to stop plus 1e-9 of a step: an on-grid stop stays."""
-    if start_hz <= 0 or stop_hz <= start_hz:
-        raise ValueError("need 0 < start_hz < stop_hz")
-    n = int(math.floor(points_per_octave * math.log2(stop_hz / start_hz) + 1e-9)) + 1
-    return start_hz * 2.0 ** (np.arange(n) / points_per_octave)
-
-
 def map_tag(mode: str, frequency: float) -> str:
     """The tag in the file names of one map; no two map frequencies may share one."""
     return f"{mode}_{frequency:g}hz"
-
-
-@dataclass(frozen=True)
-class ListenerCase:
-    name: str
-    displacement: ListenerDisplacement | None
 
 
 @dataclass(frozen=True)
@@ -70,12 +56,16 @@ class MapRequest:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Each fact of a run, resolved once by :func:`resolve_config`: a grid
+    ``start_hz + i * step_hz`` or ``start_hz * 2 ** (i / points_per_octave)``
+    that strictly increases, and each listener case's name -> its scene key."""
+
     scenes: dict  # the scene of each listener displacement; None is the base scene
     frequencies: np.ndarray
     modes: tuple[RenderingMode, ...]
     model: UncertaintyModel
     beta_table: tuple[list, list]  # (frequencies, values), interpolated linearly
-    cases: tuple[ListenerCase, ...]
+    cases: dict  # name -> ListenerDisplacement, None for the base scene
     filter_positions: tuple[str, ...]
     map_request: MapRequest | None
     output_dir: Path
@@ -318,8 +308,8 @@ def _build_scene(spec) -> Scene:
 
 def resolve_config(raw: dict, seed_override: int | None = None,
                    output_override: str | None = None) -> ExperimentConfig:
-    """Check against FIELDS and the cross-field rules, fill defaults;
-    raises ConfigError listing every problem."""
+    """Check against FIELDS and the cross-field rules, fill defaults, build the
+    grid from one point count; raises ConfigError listing every problem."""
     if not isinstance(raw, dict):
         raise ConfigError(["config root must be a JSON object"])
     problems: list[str] = []
@@ -345,11 +335,18 @@ def resolve_config(raw: dict, seed_override: int | None = None,
         else:
             if step:
                 del grid["points_per_octave"]
-            try:
-                frequencies = (np.arange(start, stop + 1e-9 * step, step) if step
-                               else log_frequency_grid(start, stop, grid["points_per_octave"]))
+            try:  # the points up to the stop plus 1e-9 of a step: an on-grid stop stays
+                i = np.arange(math.floor(points + 1e-9) + 1, dtype=float)
+                with np.errstate(over="ignore"):  # a point past the float maximum is inf
+                    frequencies = (start + step * i if step
+                                   else start * 2.0 ** (i / grid["points_per_octave"]))
             except MemoryError as exc:  # a grid numpy allows but memory cannot hold
                 problems.append(f"frequency_grid: {points:.3g} points: {exc}")
+            else:  # a step below one ulp repeats points
+                if not (frequencies[1:] > frequencies[:-1]).all() or frequencies[-1] == np.inf:
+                    distinct = len(np.unique(frequencies[frequencies < np.inf]))
+                    problems.append(f"frequency_grid: {len(frequencies)} points hold only "
+                                    f"{distinct} distinct finite frequencies")
     if seed_override is not None:
         seed = _fields("uncertainty")["seed"]
         model["seed"] = _check(seed, seed_override, "--seed", problems)
@@ -379,16 +376,17 @@ def resolve_config(raw: dict, seed_override: int | None = None,
             problems.append("beta: frequencies_hz and values must have the same length")
         if any(b <= a for a, b in pairwise(freqs)):
             problems.append(f"beta.frequencies_hz: must increase, got {freqs}")
-    cases = []
+    cases, moves = {}, []  # moves: (index, displacement) of each case that moves a listener
     for i, case in enumerate(echo["listener_cases"]):
         displacement = None
         if "listener" in case:
             displacement = ListenerDisplacement(case["listener"], case["dx"], case["dy"])
+            moves.append((i, displacement))
         else:  # an offset without a listener moves nobody
             del case["dx"], case["dy"]
-        if any(c.name == case["name"] for c in cases):
+        if case["name"] in cases:
             problems.append(f"listener_cases[{i}].name: duplicate name {case['name']!r}")
-        cases.append(ListenerCase(case["name"], displacement))
+        cases[case["name"]] = displacement
     violations = validate_scene(scene)
     # xtc cancels each channel at the zone's other points: one channel per point
     uneven = [f"xtc needs one channel per zone point, got {len(channels)} channels for "
@@ -401,10 +399,9 @@ def resolve_config(raw: dict, seed_override: int | None = None,
     # invalid scene would only repeat its violations
     scenes = {None: scene}
     if not violations:
-        for i, case in enumerate(cases):
-            if case.displacement is not None:
-                moved = scenes[case.displacement] = move_listener(scene, case.displacement)
-                problems += [f"listener_cases[{i}]: {v}" for v in validate_scene(moved)]
+        for i, displacement in moves:
+            moved = scenes[displacement] = move_listener(scene, displacement)
+            problems += [f"listener_cases[{i}]: {v}" for v in validate_scene(moved)]
     map_request = None
     if request is None:
         del echo["map"]
@@ -435,7 +432,7 @@ def resolve_config(raw: dict, seed_override: int | None = None,
         modes=tuple(RenderingMode(mode) for mode in echo["modes"]),
         model=UncertaintyModel(**model),
         beta_table=beta_table,
-        cases=tuple(cases),
+        cases=cases,
         filter_positions=tuple(echo["filter_positions"]),
         map_request=map_request,
         output_dir=Path(echo["output_dir"]),

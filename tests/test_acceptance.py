@@ -20,7 +20,7 @@ import numpy as np
 
 from pszsim.acoustics import response_matrix
 from pszsim.cli import default_config_dict
-from pszsim.config import log_frequency_grid
+from pszsim.config import resolve_config
 from pszsim.cli import main as cli_main
 from pszsim.filter_design import RenderingMode, program_channels, solve_stack, target_stack
 from pszsim.metrics import ipi_ratios, izi_ratios, min_db, smooth_db
@@ -30,7 +30,7 @@ from pszsim.spatial_analysis import extract_contours, ipi_map
 from test_filter_design import objective, solve
 from test_metrics import acoustic_contrast
 
-GRID = log_frequency_grid(100.0, 10000.0, 48)
+GRID = resolve_config(default_config_dict()).frequencies  # the template grid
 MODEL = UncertaintyModel(sigma_amp_sq=1e-4, sigma_phase_sq=1e-4, trials=10, seed=0)
 NO_NOISE = UncertaintyModel(0.0, 0.0)
 BETA = 4e-4

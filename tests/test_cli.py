@@ -22,7 +22,7 @@ from pszsim.cli import (
     run_map,
     run_spectra,
 )
-from pszsim.config import log_frequency_grid, resolve_config
+from pszsim.config import resolve_config
 from pszsim.spatial_analysis import IpiMap, extract_contours
 from conftest import CLI, run_python
 from snapshot_outputs import runs, snapshot
@@ -54,15 +54,19 @@ def read_csv(path):
     return header, rows
 
 
-def test_log_frequency_grid():
-    grid = log_frequency_grid(100.0, 10000.0, 48)
+def test_template_frequency_grid_is_48_points_per_octave():
+    grid = resolve_config(default_config_dict()).frequencies
     assert len(grid) == 319
     assert grid[0] == 100.0
     assert grid[-1] <= 10000.0
     assert np.allclose(np.diff(np.log2(grid)), 1 / 48)
-    for start, stop in [(0.0, 100.0), (100.0, 100.0)]:
-        with pytest.raises(ValueError, match="^need 0 < start_hz < stop_hz$"):
-            log_frequency_grid(start, stop, 3)
+    for start, stop, problem in [(0.0, 100.0, "frequency_grid.start_hz: must be > 0"),
+                                 (100.0, 100.0, "frequency_grid: stop_hz must exceed start_hz")]:
+        raw = default_config_dict()
+        raw["frequency_grid"] = {"start_hz": start, "stop_hz": stop, "points_per_octave": 3}
+        with pytest.raises(ConfigError) as err:
+            resolve_config(raw)
+        assert [p.partition(",")[0] for p in err.value.problems] == [problem]
 
 
 @pytest.mark.parametrize("grid, count", [
@@ -82,6 +86,9 @@ def test_frequency_grids_keep_an_on_grid_stop_and_end_there(grid, count):
     # the last point is the stop up to the rounding of its own arithmetic
     assert np.all(freqs[:-1] < grid["stop_hz"])
     assert freqs[-1] == pytest.approx(grid["stop_hz"], rel=1e-13, abs=0)
+    if "step_hz" in grid:  # each point is start + i * step, bit for bit, so these end at the stop
+        assert freqs.tolist() == (grid["start_hz"] + grid["step_hz"] * np.arange(count)).tolist()
+        assert freqs[-1] == grid["stop_hz"]
 
 
 def test_template_round_trips_through_validate(capsys):
@@ -180,7 +187,7 @@ def test_spectra_smooths_each_kept_set_once_against_the_mask_oracle(tmp_path, mo
                      ("_spectra_db", recording_db)):
         monkeypatch.setattr(pszsim.cli, name, fn)
     cfg = default_config_dict()
-    freqs = log_frequency_grid(100.0, 10000.0, 48)
+    freqs = resolve_config(cfg).frequencies
     for run, wrap in (("template", False), ("dropping", True)):
         if wrap:
             monkeypatch.setattr(pszsim.cli, "solve_stack", dropping_solve)
@@ -485,9 +492,25 @@ def test_zone_letters_are_case_insensitive(tmp_path):
         map={"bright_zone": "b"},
     )
     config = load_config(str(path))
-    assert config.cases[0].displacement == ListenerDisplacement("B", 0.1, 0.0)
+    assert config.cases == {"moved_b": ListenerDisplacement("B", 0.1, 0.0)}
     assert config.map_request.bright_zone == "B"
     assert config.echo["listener_cases"][0]["listener"] == "B"
+
+
+def test_repeated_case_names_keep_every_problem_in_order():
+    # every listed case is checked under its own index, though its name repeats
+    raw = default_config_dict()
+    raw["listener_cases"] = [{"name": "c", "listener": "A", "dx": 1e200},
+                             {"name": "c", "listener": "B", "dx": 1e200},
+                             {"name": "d"}, {"name": "c", "dy": 2.0}]
+    with pytest.raises(ConfigError) as err:
+        resolve_config(raw)
+    assert err.value.problems == [
+        "listener_cases[1].name: duplicate name 'c'",
+        "listener_cases[3].name: duplicate name 'c'",
+        "listener_cases[0]: control point(s) [0, 1]: distance to a speaker overflows",
+        "listener_cases[1]: control point(s) [2, 3]: distance to a speaker overflows",
+    ]
 
 
 def test_spectra_symmetry_without_noise(tmp_path):

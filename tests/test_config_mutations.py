@@ -13,7 +13,8 @@ A sweep puts every numeric field of ``FIELDS`` at the float extremes and
 runs each config through ``validate``, and through ``spectra`` and ``map``
 when it validates and stays narrow, in one child process under an
 address-space limit; the maps it writes are checked against cells
-recomputed outside ``ipi_map``.
+recomputed outside ``ipi_map``, and each spectra CSV must hold a row for
+every grid frequency that was not skipped, in increasing order.
 
 The mutants come from stdlib ``random`` with a fixed seed, so every run
 checks the same configs.
@@ -262,6 +263,20 @@ FIXED = {
     "step_hz 1e-13": (  # 7.9e17 bytes: numpy allows them, no 64-bit address space holds them
         set_path("frequency_grid", {"start_hz": 100.0, "stop_hz": 10000.0, "step_hz": 1e-13}),
         "frequency_grid: 9.9e+16 points: Unable to allocate",
+    ),
+    "step_hz below one ulp of start_hz": (  # start + i * step rounds to 10 floats
+        set_path("frequency_grid", {"start_hz": 1e6, "stop_hz": 1e6 + 1e-9, "step_hz": 1e-11}),
+        "frequency_grid: 105 points hold only 10 distinct finite frequencies",
+    ),
+    "points_per_octave 1e17 over one ulp": (  # 2 ** (i / 1e17) rounds to 1 or its next float
+        set_path("frequency_grid", {"start_hz": 100.0, "stop_hz": 100.00000000000003,
+                                    "points_per_octave": 1e17}),
+        "frequency_grid: 33 points hold only 2 distinct finite frequencies",
+    ),
+    "linear grid past the float maximum": (  # 3 steps of max / 3 round past it, to inf
+        set_path("frequency_grid", {"start_hz": 1.0, "stop_hz": sys.float_info.max,
+                                    "step_hz": sys.float_info.max / 3}),
+        "frequency_grid: 4 points hold only 3 distinct finite frequencies",
     ),
     "points_per_octave 1e30": (
         set_path("frequency_grid.points_per_octave", 1e30), "frequency_grid: 6.64e+30 points",
@@ -514,6 +529,23 @@ def recompute_cells(captured, out_dir, cap_db):
     return problems
 
 
+def check_spectra(out_dir, frequencies):
+    """Problems found in the ``frequency_hz`` column of each spectra CSV: it must
+    hold, in increasing order, every grid frequency that the manifest does not
+    list as skipped; and the count of CSVs checked."""
+    skipped = json.loads((out_dir / "manifest_spectra.json").read_text())["skipped_frequencies"]
+    paths = sorted(out_dir.glob("spectra_*.csv"))
+    problems = []
+    for path in paths:
+        key = path.stem.removeprefix("spectra_")
+        gone = {entry["frequency_hz"] for entry in skipped.get(key, [])}
+        want = [float(f"{f:.9g}") for f in frequencies if f not in gone]
+        got = [float(line.partition(",")[0]) for line in path.read_text().splitlines()[1:]]
+        if got != want or any(b <= a for a, b in zip(got, got[1:])):
+            problems.append(f"{path.name}: frequency_hz {got}, want {want} in increasing order")
+    return problems, len(paths)
+
+
 def sweep(cases_path):
     """Run every (name, config) of ``cases_path``; print the problems found and
     the counts of configs validated and run, as one JSON object.
@@ -530,7 +562,7 @@ def sweep(cases_path):
         return ipi_map(*args)
 
     pszsim.cli.ipi_map = capturing_ipi_map
-    problems, counts = [], {"validated": 0, "ran": 0, "recomputed": 0}
+    problems, counts = [], {"validated": 0, "ran": 0, "recomputed": 0, "spectra_checked": 0}
     for i, (name, cfg) in enumerate(json.loads(Path(cases_path).read_text())):
         out_dir = Path(f"out{i}")
         cfg["output_dir"] = str(out_dir)
@@ -555,14 +587,19 @@ def sweep(cases_path):
                     problems.append(f"{name}: validate exited {code}: {lines}")
                     break
                 counts["validated"] += 1
-                if not is_narrow(resolve_config(cfg)):
+                config = resolve_config(cfg)
+                if not is_narrow(config):
                     break
                 counts["ran"] += 1
             elif code == 2 and len(lines) == 1 and lines[0].startswith("runtime error: "):
                 continue
             elif code != 0 or lines:
                 problems.append(f"{name}: {command} exited {code}: {lines}")
-            elif command == "map":
+            elif command == "spectra":
+                found, checked = check_spectra(out_dir, config.frequencies.tolist())
+                problems += [f"{name}: {p}" for p in found]
+                counts["spectra_checked"] += checked
+            else:
                 counts["recomputed"] += len(captured[0][1])
                 problems += [f"{name}: {p}" for p in recompute_cells(
                     (captured[0], cfg["map"]["mode"]), out_dir, cfg["map"]["cap_db"])]
@@ -583,6 +620,7 @@ def test_every_numeric_field_at_the_float_extremes_runs_or_fails_cleanly(tmp_pat
     assert result["problems"] == []
     assert result["validated"] > len(cases) // 3
     assert result["ran"] > len(fields) * 3 and result["recomputed"] >= 3 * result["ran"] // 2
+    assert result["spectra_checked"] >= result["ran"]
 
 
 if __name__ == "__main__":

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import pszsim.filter_design
+
 from pszsim.acoustics import response_matrix
 from pszsim.filter_design import (
     RenderingMode,
@@ -214,6 +216,17 @@ def test_solve_stack_rejects_inconsistent_input(h_shape, m_t_shape, betas, match
     h, m_t = np.ones(h_shape, dtype=complex), np.ones(m_t_shape, dtype=complex)
     with pytest.raises(ValueError, match=match):
         solve_stack(h, [m_t], betas, 100.0 * np.arange(1, h_shape[0] + 1))
+
+
+def test_solve_stack_raises_on_an_illegal_lapack_argument(monkeypatch):
+    # no valid input makes zposv return a negative info: a stand-in returns -3
+    def zposv(a, b, lower):
+        return a, b, -3
+
+    monkeypatch.setattr(pszsim.filter_design, "_cholesky_solver", lambda: zposv)
+    h = np.eye(2, dtype=complex)[None]
+    with pytest.raises(ValueError, match=r"^LAPACK: illegal argument 3 at 250\.0 Hz$"):
+        solve_stack(h, [h], [1e-3], np.array([250.0]))
 
 
 def test_cost_examples():

@@ -170,9 +170,9 @@ ABOVE_AVX2 = ("AVX512_ICL", "AVX512_SPR", "X86_V4")
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "log_frequency_grid takes numpy's SIMD power, whose last bits depend on the "
-    "dispatch, and the draws are keyed by each frequency's bits; the fix builds the "
-    "grid in scalar arithmetic"))
+    "resolve_config builds the log grid with numpy's SIMD power, whose last bits depend "
+    "on the dispatch, and the draws are keyed by each frequency's bits; the fix builds "
+    "the grid in scalar arithmetic"))
 def test_spectra_default_is_the_same_with_numpy_on_its_avx2_loops(tmp_path):
     found = numpy.show_config(mode="dicts")["SIMD Extensions"]["found"]
     disabled = [target for target in ABOVE_AVX2 if target in found]

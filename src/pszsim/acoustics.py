@@ -16,6 +16,8 @@ outward propagation carries exp(-1j*k*r). Pressures are normalized: unit
 magnitude on axis at 1 m. ``response_matrix`` evaluates H, with the distances
 and angles of its points computed once for all of its frequencies; a point
 exactly on a speaker has a NaN distance, so its responses from it are NaN.
+Its arithmetic on the point-to-speaker offsets (dx, dy, dz) is one private
+kernel that ``ipi_map`` shares; dx enters it only as dx*dx and hypot(dx, dz).
 
 J1 is evaluated by the rational approximations of the Cephes library
 (S. L. Moshier, ``j1.c``) in Cephes's operation order, so it equals
@@ -67,7 +69,7 @@ def directivity(x):
     x = np.asarray(x, dtype=float)
     ax = np.abs(x).reshape(-1)  # D is even and J1 odd: 2*J1(|x|)/|x| is 2*J1(x)/x bit for bit
     with np.errstate(all="ignore"):  # lanes that another branch overwrites may overflow or be 0/0
-        # J1 for x <= 5 in place: numpy reuses no temporary below 256 KiB; a map block is 262,080 B
+        # J1 for x <= 5 in place: numpy reuses no temporary below 256 KiB; map_fine's tables: 85 kB
         z = ax * ax
         out = _polevl(z, _RP)
         out /= _polevl(z, _RQ)
@@ -106,11 +108,15 @@ def response_matrix(scene: Scene, points, frequency) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"points must be (n, 3), got shape {pts.shape}")
+    diff = pts[:, None, :] - scene.speakers[None, :, :]
+    return _piston(scene, frequency, diff[..., 0], diff[..., 1], diff[..., 2])
+
+
+def _piston(scene: Scene, frequency, dx, dy, dz) -> np.ndarray:
+    """``response_matrix``'s arithmetic on offsets (dx, dy, dz) that broadcast to 2-D."""
     freqs = np.asarray(frequency, dtype=float)
     if (bad := ~((freqs > 0) & (freqs < np.inf))).any():  # NaN compares false
         raise ValueError(f"frequency must be finite and positive, got {freqs[bad][0]}")
-    diff = pts[:, None, :] - scene.speakers[None, :, :]
-    dx, dy, dz = diff[..., 0], diff[..., 1], diff[..., 2]
     r = np.sqrt((dx * dx + dy * dy) + dz * dz)
     r[r == 0.0] = np.nan
     # speakers face +y: sin(theta) = sqrt(dx^2 + dz^2) / r

@@ -8,9 +8,11 @@ larger the area, the more a listener can move before isolation drops
 below the level.
 
 The maps of all frequencies are evaluated together, one block of grid
-points at a time: a block's distances and angles to the speakers are
-computed once for every frequency, so the memory that ``ipi_map`` needs
-beside the maps' values is bounded by a block, not by the grid. Contours
+points at a time, so the memory that ``ipi_map`` needs beside the maps'
+values is bounded by a block and a grid row, not by the grid. A block's
+responses are those of its rows at the distinct |dx| of grid columns from
+speakers: dx enters a response only as dx*dx and hypot(dx, dz), and dy and
+dz are fixed by the row and the speakers' (y, z). Contours
 and area share one table of per-cell polygon walks, so the area is
 exactly the shoelace area of the polygonized superlevel region and the
 two views can never disagree.
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acoustics import response_matrix
+from .acoustics import _piston
 from .metrics import ipi_ratios, min_db
 from .scene import Scene, _frozen
 
@@ -164,8 +166,10 @@ def ipi_map(
     point exactly on a speaker yields NaN for that cell instead of failing
     the whole map. The grid is evaluated in row-major blocks of points, all
     frequencies at once, with about ``_BLOCK_ENTRIES`` (frequency, point,
-    speaker) entries per block; every value has the bits of a whole-grid
-    evaluation.
+    speaker) entries per block. Speakers that share (y, z) share each row's dy
+    and dz, and dx enters a response only as dx*dx and hypot(dx, dz), so each
+    (row, distinct |dx|, speaker (y, z)) is evaluated once per block, with
+    the bits of :func:`~pszsim.acoustics.response_matrix` on the grid's points.
     """
     if len(filters) != len(frequencies):
         raise ValueError(f"{len(filters)} filter sets for {len(frequencies)} frequencies")
@@ -177,17 +181,31 @@ def ipi_map(
     # one allocation before any work; x varies fastest along the flat index
     n = ny * nx
     values = [np.empty(n) for _ in freqs]
+    xs, ys = x_min + np.arange(nx) * resolution, y_min + np.arange(ny) * resolution
+    # per group of speakers at one (y, z), by its bits: the distinct |dx| to the
+    # grid columns, and each (column, speaker)'s index among them
+    keys = [s[1:].tobytes() for s in scene.speakers]
+    groups = []
+    for key in dict.fromkeys(keys):
+        cols = [col for col, other in enumerate(keys) if other == key]
+        (_, y, z), x = scene.speakers[cols[0]], scene.speakers[cols, 0]
+        adx, inverse = np.unique(np.abs(xs[:, None] - x), return_inverse=True)
+        groups.append((cols, y, 0.0 - z, adx, inverse.reshape(nx, len(cols))))
     # no block holds a single point: numpy multiplies one row by another BLAS
     # routine, whose last bits differ from those of the many-row product
     step = max(2, _BLOCK_ENTRIES // max(1, freqs.size * len(scene.speakers)))
     for start in range(0, n - 1, step):
         stop = start + step if start + step < n - 1 else n
         iy, ix = np.divmod(np.arange(start, stop), nx)
-        points = np.zeros((ix.size, 3))
-        points[:, 0] = x_min + ix * resolution
-        points[:, 1] = y_min + iy * resolution
+        h = np.empty((freqs.size, ix.size, len(scene.speakers)), dtype=complex)
+        for cols, y, dz, adx, inverse in groups:
+            at = inverse[ix]  # the |dx| the block uses: a table of at most about 3 blocks
+            used = np.zeros(adx.size, dtype=bool)
+            used[at] = True
+            table = _piston(scene, freqs, adx[used], (ys[iy[0]:iy[-1] + 1] - y)[:, None], dz)
+            h[:, :, cols] = table[:, (iy - iy[0])[:, None], (np.cumsum(used) - 1)[at]]
         # one single-point zone per grid point: (F, n_points, 1, n_channels)
-        m = (response_matrix(scene, points, freqs) @ filters)[:, :, None, :]  # NaN rows propagate
+        m = (h @ filters)[:, :, None, :]  # NaN rows propagate
         _, values_db = min_db(*ipi_ratios(m, (0,), target_channels, interferer_channels))
         for v, block in zip(values, values_db):
             v[start:stop] = block

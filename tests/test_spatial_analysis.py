@@ -22,6 +22,8 @@ from pszsim.spatial_analysis import (
     grid_shape,
     ipi_map,
 )
+from conftest import run_python
+from test_golden import ABOVE_AVX2
 
 
 def radial_map(resolution=0.02, half=1.0, peak=40.0, slope=25.0):
@@ -161,14 +163,19 @@ def test_a_map_run_classifies_each_level_of_each_map_once(tmp_path, monkeypatch,
 
 
 def test_a_map_run_computes_the_grid_geometry_once(tmp_path, monkeypatch, capsys):
-    # three map frequencies, one set of grid distances and angles
-    points = []
+    # three map frequencies, one response table: the 0.1 m grid is 11 x 21
+    # points, its one block spans all 21 rows, and the 8 speakers, all at
+    # y = z = 0, see 50 distinct |dx| where the 11 x 8 (column, speaker)
+    # pairs would need 88
+    shapes = []
+    piston = pszsim.spatial_analysis._piston
 
-    def counting_response_matrix(scene, grid, frequencies):
-        points.append(len(grid))
-        return response_matrix(scene, grid, frequencies)
+    def counting_piston(*args):
+        out = piston(*args)
+        shapes.append(out.shape)
+        return out
 
-    monkeypatch.setattr(pszsim.spatial_analysis, "response_matrix", counting_response_matrix)
+    monkeypatch.setattr(pszsim.spatial_analysis, "_piston", counting_piston)
     cfg = default_config_dict()
     cfg["map"]["resolution_m"] = 0.1
     cfg["output_dir"] = str(tmp_path / "out")
@@ -176,7 +183,7 @@ def test_a_map_run_computes_the_grid_geometry_once(tmp_path, monkeypatch, capsys
     path.write_text(json.dumps(cfg))
     assert cfg["map"]["frequencies_hz"] == [500.0, 1000.0, 2000.0]
     assert main(["map", str(path)]) == 0
-    assert points == [11 * 21]
+    assert shapes == [(3, 21, 50)]
     assert len(list((tmp_path / "out").glob("map_*.csv"))) == 3
 
 
@@ -268,22 +275,82 @@ def test_ipi_map_speaker_coincidence_marks_cell_invalid():
     assert np.isfinite(m.values_db[2]).all()
 
 
-def test_ipi_map_values_are_min_db_of_the_grid_ipi_ratios():
-    # the map's dB values come from the one dB kernel, bit for bit; the grid
-    # lands on speaker 0, so a NaN cell goes through it too
+def varied_scene():
+    """The template with speakers off the line y = z = 0, in four (y, z) groups:
+    speaker 1 sits at y = -0.0, a group apart from y = 0.0."""
     scene = default_scene()
-    frequency = 500.0
-    filters = designed_filters(scene, frequency)
+    speakers = scene.speakers.copy()
+    speakers[1, 1] = -0.0
+    speakers[[2, 5], 1] = 0.03
+    speakers[[3, 6], 2] = -0.02
+    return dataclasses.replace(scene, speakers=speakers)
+
+
+# (scene, region, resolution, frequencies, NaN cells per map)
+ORACLE_CASES = {
+    # the grid lands on speaker 0
+    "on_a_speaker": (default_scene, (-1.0, -0.75, 0.0, 0.25), 0.125, [500.0], 1),
+    # mirrored columns share their |dx| entries; 8 kHz takes the far J1 form
+    "straddling_x_0": (default_scene, (-0.5, 0.5, 0.25, 1.75), 0.0625, [500.0, 8000.0], 0),
+    # the grid lands on speaker 0 at y = 0.0 and speaker 1 at y = -0.0
+    "four_speaker_groups": (varied_scene, (-1.0, 0.0, 0.0, 0.5), 0.125, [1000.0, 8000.0], 2),
+    "two_columns": (default_scene, (-0.5, -0.49, 0.0, 1.0), 0.01, [2000.0], 0),
+    # 10001 columns: no block holds a whole row
+    "wider_than_a_block": (default_scene, (-0.5, 0.5, 1.0, 1.0001), 1e-4, [500.0], 0),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_ipi_map_values_are_min_db_of_the_grid_ipi_ratios(case):
+    # the map's dB values are those of the grid points' own responses through
+    # the one dB kernel, bit for bit, NaN cells included
+    make_scene, region, resolution, frequencies, nan_cells = ORACLE_CASES[case]
+    scene = make_scene()
+    filters = np.concatenate([designed_filters(scene, f) for f in frequencies])
     target, interferer = program_channels(scene, RenderingMode.MONO)
-    (m,) = ipi_map(
-        scene, filters, (-1.0, -0.75, 0.0, 0.25), 0.125, [frequency], target, interferer
-    )
-    gx, gy = np.meshgrid(m.x_coords(), m.y_coords())
+    maps = ipi_map(scene, filters, region, resolution, frequencies, target, interferer)
+    gx, gy = np.meshgrid(maps[0].x_coords(), maps[0].y_coords())
     points = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
-    rows = (response_matrix(scene, points, frequency) @ filters[0])[:, None, :]
+    rows = (response_matrix(scene, points, frequencies) @ filters)[:, :, None, :]
     _, want = min_db(*ipi_ratios(rows, (0,), target, interferer))
-    assert np.isnan(want).any()
-    assert m.values_db.tobytes() == want.reshape(m.ny, m.nx).tobytes()
+    for m, w in zip(maps, want, strict=True):
+        assert np.isnan(w).sum() == nan_cells
+        assert m.values_db.tobytes() == w.reshape(m.ny, m.nx).tobytes()
+
+
+def test_ipi_map_values_are_min_db_of_the_grid_ipi_ratios_on_numpys_avx2_loops(tmp_path):
+    found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    disabled = [target for target in ABOVE_AVX2 if target in found]
+    if not disabled:
+        pytest.skip(f"numpy finds none of {', '.join(ABOVE_AVX2)} here: "
+                    "the oracle already ran on the AVX2 loops")
+    oracle = f"{__file__}::test_ipi_map_values_are_min_db_of_the_grid_ipi_ratios"
+    done = run_python(["-m", "pytest", "-q", "-p", "no:cacheprovider", oracle], tmp_path,
+                      NPY_DISABLE_CPU_FEATURES=" ".join(disabled))
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert f"{len(ORACLE_CASES)} passed" in done.stdout
+
+
+def test_ipi_map_evaluates_only_the_dx_a_block_uses(monkeypatch):
+    # the 10001 x 2 grid has 26,036 distinct |dx| to the speakers, and no
+    # block of 1,365 points holds a row: a table of a block's rows at all of
+    # them would be up to 4.8 blocks, one at the |dx| the block uses is 2 at most
+    sizes = []
+    piston = pszsim.spatial_analysis._piston
+
+    def recording_piston(*args):
+        out = piston(*args)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(pszsim.spatial_analysis, "_piston", recording_piston)
+    frequencies = [500.0, 1000.0, 2000.0]
+    scene = default_scene()
+    filters = np.concatenate([designed_filters(scene, f) for f in frequencies])
+    target, interferer = program_channels(scene, RenderingMode.MONO)
+    ipi_map(scene, filters, (-0.5, 0.5, 1.0, 1.0001), 1e-4, frequencies, target, interferer)
+    assert len(sizes) == 15
+    assert max(sizes) <= 2 * 3 * 1365 * 8
 
 
 @pytest.mark.parametrize("points_per_block", [2, 7, 40])
@@ -356,6 +423,9 @@ def test_ipi_map_validates_inputs():
         ipi_map(scene, filters, (-1.0, 0.0, 0.0, 1.0), 0.1, [500.0, 1000.0], target, interferer)
     with pytest.raises(ValueError, match="positive, got 0.0"):
         ipi_map(scene, filters, (-1.0, 0.0, 0.0, 1.0), 0.1, [0.0], target, interferer)
+    for bad in ("nan", "inf"):
+        with pytest.raises(ValueError, match=f"^frequency must be finite and positive, got {bad}$"):
+            ipi_map(scene, filters, (-1.0, 0.0, 0.0, 1.0), 0.1, [float(bad)], target, interferer)
     # an extent that rounds to no step: a 1 x 1 grid would leave its one value unwritten
     for region, axis in [((-0.5, -0.4999999, 1.0, 1.0000001), "x"),
                          ((-1.0, 0.0, 1.0, 1.0000001), "y")]:

@@ -6,7 +6,7 @@ from the transfer stack H (control points x speakers), and
 :func:`solve_stack` designs the filters C (speakers x program channels).
 The system matrix M = H C maps program channels directly to control point
 pressures and is what all isolation metrics consume. Each frequency's
-filters take one LAPACK ``zposv`` call.
+filters take one LAPACK ``zposv`` call, in place, on column-major operands.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .scene import Scene
 
-_BLOCK_FREQUENCIES = 256  # normal matrices formed at once; bounds the temporaries
+_BLOCK_FREQUENCIES = 128  # normal matrices formed at once; bounds the temporaries
 _FLAPACK = "scipy.linalg._flapack"
 
 
@@ -137,8 +137,9 @@ def solve_stack(H: np.ndarray, targets, betas, frequencies):
     of frequencies at once and checked for infs and NaNs once per block;
     each frequency is then factorized once for all targets and solved by
     one call of LAPACK's ``zposv``, which is ``zpotrf`` then ``zpotrs``,
-    shared by all right hand side columns, with no explicit inverse. It is
-    the f2py wrapper that ``scipy.linalg`` uses, taken from scipy's LAPACK
+    shared by all right hand side columns, with no explicit inverse, in
+    place on a Fortran-ordered copy of each block, so f2py copies none. It
+    is the f2py wrapper that ``scipy.linalg`` uses, taken from scipy's LAPACK
     extension alone at the first call (see :func:`_cholesky_solver`); no
     ``scipy.linalg`` package module is imported. So every filter of a
     complex stack is bit for bit what a one-frequency, one-target
@@ -187,8 +188,12 @@ def solve_stack(H: np.ndarray, targets, betas, frequencies):
                 np.matmul(h_herm, M_T[block], out=rhs[..., lo:hi])
         if not (np.isfinite(normal).all() and np.isfinite(rhs).all()):
             raise ValueError("array must not contain infs or NaNs")
+        # each matrix in LAPACK's column-major layout, so that f2py copies none
+        normal = normal.swapaxes(-1, -2).copy().swapaxes(-1, -2)
+        rhs = rhs.swapaxes(-1, -2).copy().swapaxes(-1, -2)
         for i, n, b in zip(range(start, len(betas)), normal, rhs):
-            _, filters[i], info = posv(n, b, lower=False)
+            # lower, overwrite_a, overwrite_b: by position, which f2py parses faster
+            _, _, info = posv(n, b, False, True, True)
             if info > 0:  # a leading minor is not positive definite
                 frequency, beta = float(frequencies[i]), float(betas[i])
                 failures.append(
@@ -198,6 +203,8 @@ def solve_stack(H: np.ndarray, targets, betas, frequencies):
                 continue
             if info != 0:  # a negative info names a bad argument
                 raise ValueError(f"LAPACK: illegal argument {-info} at {frequencies[i]} Hz")
+        filters[block] = rhs  # solved in place; C-ordered again for the H C products
+        del n, b  # the loop's views would hold this block's operands through the next
     filters = filters if kept.all() else filters[kept]
     return [filters[..., lo:hi] for lo, hi in zip(cols, cols[1:])], kept, failures
 

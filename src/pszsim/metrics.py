@@ -136,19 +136,20 @@ def smooth_db(frequencies: np.ndarray, db: np.ndarray) -> np.ndarray:
 
     Bin i averages the bins whose frequency lies in [f_i * 2^(-1/6),
     f_i * 2^(1/6)]; on an increasing grid they are one contiguous slice,
-    found by binary search. Each mean is the window's sum over its length,
-    the arithmetic ``np.mean`` does, without its per-call overhead: one
-    division per call, of all windows' sums. An empty grid gives (..., 0). Each
-    row is smoothed on its own: a row of a stacked (..., F) array gets the
-    bits it gets alone, whatever rows share the array, so many spectra on
-    one grid can be smoothed in one call. A window that holds NaN, or both
-    +inf and -inf dB, averages to NaN, without a warning.
+    found by binary search. One ``np.add.reduceat`` over all (lo, hi) edges,
+    of the rows with a zero column appended, sums each window as its first
+    bin plus numpy's pairwise sum of the rest, not in ``np.mean``'s order,
+    and the sums are divided once by the window lengths. An empty grid gives
+    (..., 0). Each row is smoothed on its own: a row of a stacked (..., F)
+    array gets the bits it gets alone, whatever rows share the array, so
+    many spectra on one grid can be smoothed in one call. A window that
+    holds NaN, or both +inf and -inf dB, averages to NaN, without a warning.
     """
     lo = np.searchsorted(frequencies, frequencies / _THIRD_OCTAVE_HALF_WIDTH, "left")
     hi = np.searchsorted(frequencies, frequencies * _THIRD_OCTAVE_HALF_WIDTH, "right")
-    sums = np.empty(db.shape)
+    padded = np.concatenate((db, np.zeros((*db.shape[:-1], 1))), axis=-1)
     with np.errstate(invalid="ignore"):  # inf - inf is NaN
-        for i, (a, b) in enumerate(zip(lo, hi)):
-            np.add.reduce(db[..., a:b], axis=-1, out=sums[..., i])
+        # as lo_(i+1) <= hi_i, each odd entry is the one bin at hi_i: dropped
+        sums = np.add.reduceat(padded, np.column_stack([lo, hi]).ravel(), axis=-1)[..., ::2]
     return sums / (hi - lo)
 

@@ -203,7 +203,9 @@ def ipi_map(
             used = np.zeros(adx.size, dtype=bool)
             used[at] = True
             table = _piston(scene, freqs, adx[used], (ys[iy[0]:iy[-1] + 1] - y)[:, None], dz)
-            h[:, :, cols] = table[:, (iy - iy[0])[:, None], (np.cumsum(used) - 1)[at]]
+            flat = (np.cumsum(used) - 1)[at]  # each point's flat (row, |dx|) table index
+            flat += (iy - iy[0])[:, None] * table.shape[-1]  # in place: no second temporary
+            h[:, :, cols] = np.take(table.reshape(freqs.size, -1), flat, axis=1)
         # one single-point zone per grid point: (F, n_points, 1, n_channels)
         m = (h @ filters)[:, :, None, :]  # NaN rows propagate
         _, values_db = min_db(*ipi_ratios(m, (0,), target_channels, interferer_channels))

@@ -107,7 +107,7 @@ def test_singular_normal_matrix_names_frequency():
 
 
 def test_solve_stack_skips_exactly_the_frequencies_that_fail():
-    # 300 frequencies span two blocks; beta 0 with a silent speaker fails
+    # 300 frequencies span three blocks; beta 0 with a silent speaker fails
     rng = np.random.default_rng(8)
     n = 300
     h = rng.normal(size=(n, 2, 3)) + 1j * rng.normal(size=(n, 2, 3))
@@ -135,7 +135,7 @@ def test_solve_stack_skips_exactly_the_frequencies_that_fail():
 
 
 def test_solve_stack_equals_scipy_cholesky_bit_for_bit():
-    # 300 frequencies span two blocks; each filter is what scipy's
+    # 300 frequencies span three blocks; each filter is what scipy's
     # one-matrix Cholesky factorization and solve give, to the last bit
     rng = np.random.default_rng(5)
     h = rng.normal(size=(300, 4, 8)) + 1j * rng.normal(size=(300, 4, 8))
@@ -151,7 +151,7 @@ def test_solve_stack_equals_scipy_cholesky_bit_for_bit():
 
 
 def test_solve_stack_gives_each_of_several_targets_the_bits_of_its_own_solve():
-    # 300 frequencies span two blocks; targets of 2, 4 and 4 channels (as
+    # 300 frequencies span three blocks; targets of 2, 4 and 4 channels (as
     # mono, stereo and xtc) share one factorization per frequency, in
     # either order, yet each filter is its one-target solve's and scipy's
     rng = np.random.default_rng(11)
@@ -194,7 +194,7 @@ def test_solve_stack_keeps_and_skips_the_same_frequencies_for_every_target():
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", ["H", "M_T"])
 def test_solve_stack_rejects_non_finite_input(where, value):
-    # the bad entry sits at the 260th of 300 frequencies, in the second block
+    # the bad entry sits at the 260th of 300 frequencies, in the third block
     rng = np.random.default_rng(2)
     h = rng.normal(size=(300, 4, 8)) + 1j * rng.normal(size=(300, 4, 8))
     m_t = rng.normal(size=(300, 4, 4)) + 0j
@@ -220,13 +220,35 @@ def test_solve_stack_rejects_inconsistent_input(h_shape, m_t_shape, betas, match
 
 def test_solve_stack_raises_on_an_illegal_lapack_argument(monkeypatch):
     # no valid input makes zposv return a negative info: a stand-in returns -3
-    def zposv(a, b, lower):
+    def zposv(a, b, lower, overwrite_a, overwrite_b):
         return a, b, -3
 
     monkeypatch.setattr(pszsim.filter_design, "_cholesky_solver", lambda: zposv)
     h = np.eye(2, dtype=complex)[None]
     with pytest.raises(ValueError, match=r"^LAPACK: illegal argument 3 at 250\.0 Hz$"):
         solve_stack(h, [h], [1e-3], np.array([250.0]))
+
+
+def test_solve_stack_hands_zposv_its_own_layout_to_solve_in_place(monkeypatch):
+    # f2py copies every operand that is not Fortran-ordered before LAPACK sees
+    # it: each call must get column-major operands that it may overwrite, and
+    # return the right hand side it was given, solved in place; the filters
+    # come back C-ordered, for the H C products that follow
+    posv, calls = pszsim.filter_design._cholesky_solver(), []
+
+    def checking(a, b, lower=False, overwrite_a=False, overwrite_b=False):
+        result = posv(a, b, lower, overwrite_a, overwrite_b)
+        calls.append((a.flags.f_contiguous, b.flags.f_contiguous, lower, overwrite_a,
+                      overwrite_b, result[1] is b))
+        return result
+
+    monkeypatch.setattr(pszsim.filter_design, "_cholesky_solver", lambda: checking)
+    rng = np.random.default_rng(4)
+    h = rng.normal(size=(300, 4, 8)) + 1j * rng.normal(size=(300, 4, 8))
+    m_t = rng.normal(size=(300, 4, 3)) + 1j * rng.normal(size=(300, 4, 3))
+    (c,), kept, _ = solve_stack(h, [m_t], np.full(300, 1e-3), 100.0 + np.arange(300))
+    assert kept.all() and c.flags.c_contiguous
+    assert calls == [(True, True, False, True, True, True)] * 300
 
 
 def test_cost_examples():

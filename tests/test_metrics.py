@@ -35,10 +35,16 @@ def acoustic_contrast(h_a, h_b, q):
     return num / den
 
 
-def smoothing_oracle(freqs, db):
-    """1/3-octave smoothing of one (F,) row by a literal frequency mask per bin."""
+def smoothing_windows(freqs, db):
+    """The 1/3-octave window of each bin of one (F,) row, by a literal frequency mask."""
     half = 2.0 ** (1.0 / 6.0)
-    return np.array([np.mean(db[(freqs >= f / half) & (freqs <= f * half)]) for f in freqs])
+    return [db[(freqs >= f / half) & (freqs <= f * half)] for f in freqs]
+
+
+def smoothing_oracle(freqs, db):
+    """1/3-octave smoothing of one (F,) row: each window's first bin plus
+    numpy's sum of the rest, over the window's size."""
+    return np.array([(w[0] + np.sum(w[1:])) / w.size for w in smoothing_windows(freqs, db)])
 
 
 def test_izi_single_channel_hand_ratio():
@@ -286,7 +292,26 @@ def test_smoothing_equals_literal_mask_oracle_bit_for_bit():
         expected = smoothing_oracle(freqs, row)
         assert np.array_equal(smoothed, expected, equal_nan=True)
         assert np.isinf(expected).any() or np.isnan(expected).any()
+        # windows of 3 or more bins tell this order from np.mean's pairwise
+        # sum of the whole window, so a smoother that takes that sum fails
+        means = np.array([np.mean(w) for w in smoothing_windows(freqs, row)])
+        assert not np.array_equal(expected, means, equal_nan=True)
     assert np.array_equal(smooth_db(freqs, dbs[2]), smoothing_oracle(freqs, dbs[2]), equal_nan=True)
+
+
+def test_smoothing_moves_only_the_last_bits_of_np_mean():
+    # a window's sum is not np.mean's, yet each smoothed value lies within
+    # 1e-13 of its window's mean |dB| of np.mean's value; not relative to
+    # the value, which a window of mixed signs can make tiny
+    rng = np.random.default_rng(7)
+    freqs = np.arange(100.0, 10000.0 + 1e-9, 5.0)  # windows of 3 to ~900 bins
+    db = rng.uniform(-20.0, 60.0, size=freqs.size)
+    windows = smoothing_windows(freqs, db)
+    means = np.array([np.mean(w) for w in windows])
+    scale = np.array([np.mean(np.abs(w)) for w in windows])
+    out = smooth_db(freqs, db)
+    assert np.all(np.abs(out - means) <= 1e-13 * scale)
+    assert not np.array_equal(out, means)
 
 
 @pytest.mark.parametrize("shape", [(0,), (3, 0), (2, 4, 0)])

@@ -114,28 +114,35 @@ def _csv_text(header, rows) -> str:
 _GRID = "\0grid"  # a grid's place in a payload; no config string holds a NUL
 
 
+def _grid_seps(indent: int) -> tuple[str, str]:
+    """What ``json.dumps(indent=2)`` writes between two numbers of a row and
+    between two rows of a list of number lists on a line indented by ``indent``."""
+    inner, deeper = " " * (indent + 2), " " * (indent + 4)
+    return ",\n" + deeper, f"\n{inner}],\n{inner}[\n{deeper}"
+
+
 def _json_text(payload, grids=()) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, each
     ``_GRID`` in ``payload`` written as the next of ``grids``.
 
-    A grid is a list of number rows, given as its non-empty rows, each the
-    text of its numbers with ", " between them ("%.9g"'s or ``repr``'s). It
-    is laid out as ``json`` lays out a list of lists, nan as null and inf as
-    Infinity, without ``json``'s pure-Python encoder visiting each number.
-    Grids hold the only non-finite numbers of a run: a NaN elsewhere would
-    be written as ``json`` writes it, NaN. ValueError if the ``_GRID``
-    count is not the grid count.
+    A grid is a list of non-empty number lists, given as (indent, body): its
+    placeholder line's indent, and its numbers' text ("%.9g"'s or ``repr``'s)
+    joined by the two texts of ``_grid_seps(indent)``, nan as null and inf as
+    Infinity; ``json``'s pure-Python encoder visits no number. Grids hold the
+    only non-finite numbers of a run: a NaN elsewhere would be written as
+    ``json`` writes it, NaN. ValueError if the ``_GRID`` count is not the
+    grid count, or a grid's indent is not its placeholder's.
     """
     parts = (json.dumps(payload, indent=2, sort_keys=True) + "\n").split(json.dumps(_GRID))
     out = [parts[0]]
-    for rows, tail in zip(grids, parts[1:], strict=True):
+    for (indent, body), tail in zip(grids, parts[1:], strict=True):
         line = out[-1].rpartition("\n")[2]  # the placeholder's line up to it
-        indent = " " * (len(line) - len(line.lstrip()))
-        inner, deeper = indent + "  ", indent + "    "
-        text = f"\n{inner}],\n{inner}[\n{deeper}".join(rows).replace(", ", ",\n" + deeper)
-        if "n" in text:  # nan, inf and -inf
-            text = text.replace("nan", "null").replace("inf", "Infinity")
-        out += ("[\n", inner, "[\n", deeper, text, "\n", inner, "]\n", indent, "]", tail)
+        if len(line) - len(line.lstrip()) != indent:
+            raise ValueError(f"a grid laid out at indent {indent} is on the line {line!r}")
+        if "n" in body:  # nan, inf and -inf
+            body = body.replace("nan", "null").replace("inf", "Infinity")
+        pad = " " * indent
+        out += ("[\n", pad, "  [\n", pad, "    ", body, "\n", pad, "  ]\n", pad, "]", tail)
     return "".join(out)
 
 
@@ -242,23 +249,26 @@ def run_spectra(config: ExperimentConfig) -> list[Path]:
     return _write_run(config, "spectra", files, skipped_log)
 
 
-def _map_texts(m, values, cap_db: float) -> tuple[str, str]:
-    """The ``map_*.csv`` and ``map_*.json`` texts of ``m`` with its capped ``values``.
-
-    Each value is formatted once, at "%.9g", a row at a time: that text is
-    its CSV cell and, as a ``_json_text`` grid row, its ``values_db``
-    number (nan as null, inf as Infinity).
-    """
-    row_format = ", ".join(["%.9g"] * m.nx)
-    # the CSV template formats each x once; "#" stands for the row's y
-    row_text = "".join(f"{x:.9g},#,%s\n" for x in m.x_coords().tolist())
-    lines, rows = ["x_m,y_m,ipi_db\n"], []
-    for y, row in zip(m.y_coords().tolist(), values.tolist()):
-        rows.append(row_format % tuple(row))
-        lines.append((row_text % tuple(rows[-1].split(", "))).replace("#", f"{y:.9g}"))
-    return "".join(lines), _json_text(
-        {"frequency_hz": m.frequency, "x0_m": m.x0, "y0_m": m.y0, "spacing_m": m.spacing,
-         "nx": m.nx, "ny": m.ny, "cap_db": cap_db, "values_db": _GRID}, [rows])
+def _map_texts(maps, cap_db: float) -> list[tuple[str, str]]:
+    """The ``map_*.csv`` and ``map_*.json`` texts of each of ``maps`` (one grid),
+    capped at ``cap_db``. The CSV row templates format each x and y once; each
+    value row is formatted once, at "%.9g", in the JSON layout of ``values_db``
+    (a top-level key), and that text, split, fills its CSV row template."""
+    xs = [f"{x:.9g}" for x in maps[0].x_coords().tolist()]
+    templates = [tail.join(xs) + tail for tail in map(",{:.9g},%s\n".format,
+                                                       maps[0].y_coords().tolist())]
+    sep, row_sep = _grid_seps(2)
+    row_format = sep.join(["%.9g"] * maps[0].nx)
+    texts = []
+    for m in maps:
+        rows = [row_format % tuple(row) for row in np.minimum(m.values_db, cap_db).tolist()]
+        csv_text = "x_m,y_m,ipi_db\n" + "".join(
+            [template % tuple(row.split(sep)) for template, row in zip(templates, rows)])
+        texts.append((csv_text, _json_text(
+            {"frequency_hz": m.frequency, "x0_m": m.x0, "y0_m": m.y0, "spacing_m": m.spacing,
+             "nx": m.nx, "ny": m.ny, "cap_db": cap_db, "values_db": _GRID},
+            [(2, row_sep.join(rows))])))
+    return texts
 
 
 def run_map(config: ExperimentConfig) -> list[Path]:
@@ -287,18 +297,19 @@ def run_map(config: ExperimentConfig) -> list[Path]:
 
     files: dict[str, str] = {}
     area_rows = []
-    for m in maps:
-        # the files are capped; the contours and area below use the untruncated values
-        capped = np.minimum(m.values_db, request.cap_db)
+    # a polyline's vertices in its layout as contours[i].polylines[j]
+    sep, row_sep = _grid_seps(8)
+    # the files are capped; the contours and area below use the untruncated values
+    for m, texts in zip(maps, _map_texts(maps, request.cap_db)):
         tag = map_tag(request.mode.value, m.frequency)
-        files[f"map_{tag}.csv"], files[f"map_{tag}.json"] = _map_texts(m, capped, request.cap_db)
+        files[f"map_{tag}.csv"], files[f"map_{tag}.json"] = texts
         contour_sets = extract_contours(m, request.levels_db)
         files[f"contours_{tag}.json"] = _json_text({
             "frequency_hz": m.frequency,
             "contours": [{"level_db": cs.level_db, "polylines": [_GRID] * len(cs.polylines)}
                          for cs in contour_sets],
-        }, [repr(line.tolist())[2:-2].split("], [") for cs in contour_sets
-            for line in cs.polylines])
+        }, [(8, row_sep.join([f"%r{sep}%r"] * len(line)) % tuple(line.ravel().tolist()))
+            for cs in contour_sets for line in cs.polylines])
         area_rows += [(m.frequency, cs.level_db, cs.area_m2) for cs in contour_sets]
 
     files["area_summary.csv"] = _csv_text(["frequency_hz", "level_db", "area_m2"], area_rows)

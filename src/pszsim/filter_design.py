@@ -176,22 +176,28 @@ def solve_stack(H: np.ndarray, targets, betas, frequencies):
     failures = []
     posv = _cholesky_solver()
     diag = np.arange(H.shape[-1])
+    # one block's normal matrices and right hand sides, allocated once per call,
+    # and their copies in LAPACK's column-major layout, so that f2py copies none
+    size = min(len(betas), _BLOCK_FREQUENCIES)
+    normal_c = np.empty((size, H.shape[-1], H.shape[-1]), dtype=complex)
+    rhs_c = np.empty((size, H.shape[-1], cols[-1]), dtype=complex)
+    normal_f, rhs_f = (np.empty_like(a.swapaxes(-1, -2), order="C").swapaxes(-1, -2)
+                       for a in (normal_c, rhs_c))
     for start in range(0, len(betas), _BLOCK_FREQUENCIES):
         block = slice(start, start + _BLOCK_FREQUENCIES)
         h_herm = H[block].conj().swapaxes(-1, -2)
-        rhs = np.empty((*h_herm.shape[:-1], cols[-1]), dtype=complex)
+        n_block = len(h_herm)
+        normal, rhs = normal_c[:n_block], rhs_c[:n_block]
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-            normal = h_herm @ H[block]
+            np.matmul(h_herm, H[block], out=normal)
             normal[..., diag, diag] += betas[block, None]
             # one product per target: H^H of all targets' columns at once moves last bits
             for M_T, lo, hi in zip(targets, cols, cols[1:]):
                 np.matmul(h_herm, M_T[block], out=rhs[..., lo:hi])
         if not (np.isfinite(normal).all() and np.isfinite(rhs).all()):
             raise ValueError("array must not contain infs or NaNs")
-        # each matrix in LAPACK's column-major layout, so that f2py copies none
-        normal = normal.swapaxes(-1, -2).copy().swapaxes(-1, -2)
-        rhs = rhs.swapaxes(-1, -2).copy().swapaxes(-1, -2)
-        for i, n, b in zip(range(start, len(betas)), normal, rhs):
+        normal_f[:n_block], rhs_f[:n_block] = normal, rhs
+        for i, n, b in zip(range(start, len(betas)), normal_f[:n_block], rhs_f[:n_block]):
             # lower, overwrite_a, overwrite_b: by position, which f2py parses faster
             _, _, info = posv(n, b, False, True, True)
             if info > 0:  # a leading minor is not positive definite
@@ -203,8 +209,7 @@ def solve_stack(H: np.ndarray, targets, betas, frequencies):
                 continue
             if info != 0:  # a negative info names a bad argument
                 raise ValueError(f"LAPACK: illegal argument {-info} at {frequencies[i]} Hz")
-        filters[block] = rhs  # solved in place; C-ordered again for the H C products
-        del n, b  # the loop's views would hold this block's operands through the next
+        filters[block] = rhs_f[:n_block]  # solved in place; C-ordered again for the H C products
     filters = filters if kept.all() else filters[kept]
     return [filters[..., lo:hi] for lo, hi in zip(cols, cols[1:])], kept, failures
 

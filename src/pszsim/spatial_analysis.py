@@ -7,14 +7,14 @@ regions, and the area they enclose is a scalar robustness proxy: the
 larger the area, the more a listener can move before isolation drops
 below the level.
 
-The maps of all frequencies are evaluated together, one block of grid
-points at a time, so the memory that ``ipi_map`` needs beside the maps'
-values is bounded by a block and a grid row, not by the grid. A block's
-responses are those of its rows at the distinct |dx| of grid columns from
-speakers: dx enters a response only as dx*dx and hypot(dx, dz), and dy and
-dz are fixed by the row and the speakers' (y, z). Contours
-and area share one table of per-cell polygon walks, so the area is
-exactly the shoelace area of the polygonized superlevel region and the
+The maps of all frequencies are evaluated together, one block of whole
+grid rows (or of a segment of one row) at a time, so the memory that
+``ipi_map`` needs beside the maps' values is bounded by a block and a grid
+row, not by the grid. Each row is evaluated once, at the distinct |dx| of
+grid columns from speakers: dx enters a response only as dx*dx and
+hypot(dx, dz), and dy and dz are fixed by the row and the speakers' (y, z).
+Contours and area share one table of per-cell polygon walks, so the area
+is exactly the shoelace area of the polygonized superlevel region and the
 two views can never disagree.
 Cells with any non-finite corner (grid point on a speaker, or an
 unbounded ratio) are excluded from both. Each map is one call for all of
@@ -164,12 +164,13 @@ def ipi_map(
     the filters; the resulting channel row is a one-point zone whose IPI
     is :func:`~pszsim.metrics.ipi_ratios`, with its channel checks. A grid
     point exactly on a speaker yields NaN for that cell instead of failing
-    the whole map. The grid is evaluated in row-major blocks of points, all
-    frequencies at once, with about ``_BLOCK_ENTRIES`` (frequency, point,
-    speaker) entries per block. Speakers that share (y, z) share each row's dy
-    and dz, and dx enters a response only as dx*dx and hypot(dx, dz), so each
-    (row, distinct |dx|, speaker (y, z)) is evaluated once per block, with
-    the bits of :func:`~pszsim.acoustics.response_matrix` on the grid's points.
+    the whole map. The grid is evaluated in blocks of whole rows (segments of
+    one row when a row is over the budget), all frequencies at once, with
+    about ``_BLOCK_ENTRIES`` (frequency, point, speaker) entries per block.
+    Speakers that share (y, z) share each row's dy and dz, and dx enters a
+    response only as dx*dx and hypot(dx, dz), so each (row, distinct |dx|,
+    speaker (y, z)) is evaluated once per row (or segment), with the bits
+    of :func:`~pszsim.acoustics.response_matrix` on the grid's points.
     """
     if len(filters) != len(frequencies):
         raise ValueError(f"{len(filters)} filter sets for {len(frequencies)} frequencies")
@@ -178,43 +179,51 @@ def ipi_map(
     freqs = np.asarray(frequencies, dtype=float)
 
     # each map's values come first, so a grid too large for memory fails in
-    # one allocation before any work; x varies fastest along the flat index
-    n = ny * nx
-    values = [np.empty(n) for _ in freqs]
+    # one allocation before any work
+    values = [np.empty((ny, nx)) for _ in freqs]
     xs, ys = x_min + np.arange(nx) * resolution, y_min + np.arange(ny) * resolution
-    # per group of speakers at one (y, z), by its bits: the distinct |dx| to the
-    # grid columns, and each (column, speaker)'s index among them
+    # a block is whole grid rows, or a segment of one row when a row is over the
+    # budget; no block holds a single point: numpy multiplies one row by another
+    # BLAS routine, whose last bits differ from those of the many-row product
+    step = max(2, _BLOCK_ENTRIES // max(1, freqs.size * len(scene.speakers)))
+    rows = max(1, min(step // nx, ny))
+    # per group of speakers at one (y, z), by its bits: their x, and each run of
+    # adjacent speakers as its slices of a block's stack and of the group
     keys = [s[1:].tobytes() for s in scene.speakers]
     groups = []
     for key in dict.fromkeys(keys):
         cols = [col for col, other in enumerate(keys) if other == key]
+        edges = [0, *(np.flatnonzero(np.diff(cols) != 1) + 1).tolist(), len(cols)]
+        runs = [(slice(cols[i], cols[j - 1] + 1), slice(i, j)) for i, j in zip(edges, edges[1:])]
         (_, y, z), x = scene.speakers[cols[0]], scene.speakers[cols, 0]
-        adx, inverse = np.unique(np.abs(xs[:, None] - x), return_inverse=True)
-        groups.append((cols, y, 0.0 - z, adx, inverse.reshape(nx, len(cols))))
-    # no block holds a single point: numpy multiplies one row by another BLAS
-    # routine, whose last bits differ from those of the many-row product
-    step = max(2, _BLOCK_ENTRIES // max(1, freqs.size * len(scene.speakers)))
-    for start in range(0, n - 1, step):
-        stop = start + step if start + step < n - 1 else n
-        iy, ix = np.divmod(np.arange(start, stop), nx)
-        h = np.empty((freqs.size, ix.size, len(scene.speakers)), dtype=complex)
-        for cols, y, dz, adx, inverse in groups:
-            at = inverse[ix]  # the |dx| the block uses: a table of at most about 3 blocks
-            used = np.zeros(adx.size, dtype=bool)
-            used[at] = True
-            table = _piston(scene, freqs, adx[used], (ys[iy[0]:iy[-1] + 1] - y)[:, None], dz)
-            flat = (np.cumsum(used) - 1)[at]  # each point's flat (row, |dx|) table index
-            flat += (iy - iy[0])[:, None] * table.shape[-1]  # in place: no second temporary
-            h[:, :, cols] = np.take(table.reshape(freqs.size, -1), flat, axis=1)
-        # one single-point zone per grid point: (F, n_points, 1, n_channels)
-        m = (h @ filters)[:, :, None, :]  # NaN rows propagate
-        _, values_db = min_db(*ipi_ratios(m, (0,), target_channels, interferer_channels))
-        for v, block in zip(values, values_db):
-            v[start:stop] = block
+        groups.append((runs, y, 0.0 - z, x))
+    for a in range(0, nx - 1, step):
+        b = a + step if a + step < nx - 1 else nx
+        # per group, once per segment: its columns' distinct |dx| to the group, and
+        # each (row, column, speaker)'s flat index into a block's (row, |dx|) table
+        parts = []
+        for runs, y, dz, x in groups:
+            adx, at = np.unique(np.abs(xs[a:b, None] - x), return_inverse=True)
+            index = np.arange(rows)[:, None, None] * adx.size + at.reshape(b - a, x.size)
+            parts.append((runs, y, dz, adx, index.reshape(-1, x.size)))
+        for r0 in range(0, ny, rows):
+            r1 = min(r0 + rows, ny)
+            size = (r1 - r0) * (b - a)
+            h = np.empty((freqs.size, size, len(scene.speakers)), dtype=complex)
+            for runs, y, dz, adx, index in parts:
+                table = _piston(scene, freqs, adx, (ys[r0:r1] - y)[:, None], dz)
+                for speakers, at in runs:  # every index is valid: "clip" writes out unbuffered
+                    np.take(table.reshape(freqs.size, -1), index[:size, at], axis=1,
+                            out=h[:, :, speakers], mode="clip")
+            # one single-point zone per grid point: (F, n_points, 1, n_channels)
+            m = (h @ filters)[:, :, None, :]  # NaN rows propagate
+            _, values_db = min_db(*ipi_ratios(m, (0,), target_channels, interferer_channels))
+            for v, block in zip(values, values_db):
+                v[r0:r1, a:b] = block.reshape(r1 - r0, b - a)
     # each map copies its values, and the pop frees the original right after
     return [
         IpiMap(frequency=float(f), x0=x_min, y0=y_min, spacing=float(resolution),
-               values_db=values.pop(0).reshape(ny, nx))
+               values_db=values.pop(0))
         for f in freqs
     ]
 

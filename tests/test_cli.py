@@ -23,7 +23,7 @@ from pszsim.cli import (
     run_spectra,
 )
 from pszsim.config import resolve_config
-from pszsim.spatial_analysis import IpiMap, extract_contours
+from pszsim.spatial_analysis import ContourSet, IpiMap, extract_contours
 from conftest import CLI, run_python
 from snapshot_outputs import runs, snapshot
 from test_metrics import smoothing_oracle
@@ -316,20 +316,27 @@ JSON_PAYLOADS = {
 }
 
 
+# a grid's indent in its file: values_db is a key of the top-level object, a
+# polyline is an item of contours[i].polylines
+GRID_INDENT = {"values_db": 2, "polylines": 8}
+
+
 def split_grids(payload):
     """(``payload`` with a map's values_db and each contour polyline as ``_GRID``,
-    their rows as ``_json_text`` takes them, in file order)."""
+    their (indent, body) as ``_json_text`` takes them, in file order)."""
     grids = []
 
-    def grid(rows):
-        grids.append(repr(rows)[2:-2].split("], ["))
+    def grid(rows, key):
+        sep, row_sep = pszsim.cli._grid_seps(GRID_INDENT[key])
+        grids.append((GRID_INDENT[key], row_sep.join(sep.join(map(repr, row)) for row in rows)))
         return _GRID
 
     if "values_db" in payload:
-        payload = dict(payload, values_db=grid(payload["values_db"]))
+        payload = dict(payload, values_db=grid(payload["values_db"], "values_db"))
     if "contours" in payload:
         payload = dict(payload, contours=[
-            dict(c, polylines=[grid(line) for line in c["polylines"]]) for c in payload["contours"]
+            dict(c, polylines=[grid(line, "polylines") for line in c["polylines"]])
+            for c in payload["contours"]
         ])
     return payload, grids
 
@@ -340,7 +347,9 @@ def fill_grids(payload, grids):
 
     def fill(value):
         if value == _GRID:
-            return [[float(x) for x in row.split(", ")] for row in next(grids)]
+            indent, body = next(grids)
+            sep, row_sep = pszsim.cli._grid_seps(indent)
+            return [[float(x) for x in row.split(sep)] for row in body.split(row_sep)]
         if isinstance(value, dict):  # in json's key order, the order of the grids
             return {k: fill(v) for k, v in sorted(value.items())}
         return [fill(v) for v in value] if isinstance(value, list) else value
@@ -361,10 +370,15 @@ def test_json_writer_writes_the_text_of_json_dump(name):
 
 
 def test_json_writer_raises_unless_each_placeholder_has_one_grid():
-    for payload, grids in (({"a": _GRID, "b": _GRID}, [["1.5"]]), ({"a": _GRID}, [["1"], ["2"]]),
-                           ({"a": [1.0]}, [["1"]]), ({"a": _GRID}, [])):
+    for payload, grids in (({"a": _GRID, "b": _GRID}, [(2, "1.5")]),
+                           ({"a": _GRID}, [(2, "1"), (2, "2")]),
+                           ({"a": [1.0]}, [(2, "1")]), ({"a": _GRID}, [])):
         with pytest.raises(ValueError, match="zip"):
             pszsim.cli._json_text(payload, grids)
+    # a body laid out for another depth
+    for payload, indent in (({"a": _GRID}, 4), ({"a": [_GRID]}, 2)):
+        with pytest.raises(ValueError, match=f"^a grid laid out at indent {indent} is on "):
+            pszsim.cli._json_text(payload, [(indent, "1")])
 
 
 def test_json_writer_writes_the_text_of_json_dump_for_every_file_of_a_run(tmp_path, monkeypatch):
@@ -444,12 +458,63 @@ def test_map_csv_writer_formats_each_point_as_nine_significant_digits():
         m = IpiMap(1000.0, -1.0, 0.0, 0.01, values)
         expected = ["x_m,y_m,ipi_db"] + [
             f"{x:.9g},{y:.9g},{v:.9g}"
-            for y, row in zip(m.y_coords().tolist(), values.tolist())
+            for y, row in zip(m.y_coords().tolist(), np.minimum(values, 40.0).tolist())
             for x, v in zip(m.x_coords().tolist(), row)
         ]
-        csv_text, json_text = pszsim.cli._map_texts(m, values, 40.0)
+        ((csv_text, json_text),) = pszsim.cli._map_texts([m], 40.0)
         assert_same_lines(csv_text, "\n".join(expected) + "\n")
         assert_same_lines(json_text, map_json_oracle(m, 40.0, csv_text))
+
+
+def map_csv_oracle(m, values):
+    """The map_*.csv text of ``m`` with ``values``, each number an f-string's "%.9g"."""
+    return "x_m,y_m,ipi_db\n" + "".join(
+        f"{x:.9g},{y:.9g},{v:.9g}\n"
+        for y, row in zip(m.y_coords().tolist(), values.tolist())
+        for x, v in zip(m.x_coords().tolist(), row)
+    )
+
+
+@pytest.mark.parametrize("cap_db", [40.0, np.inf])
+def test_maps_on_one_grid_share_its_csv_row_templates(cap_db):
+    # one set of row templates serves every map of the grid: each map's CSV is
+    # the f-string oracle of its capped values and its JSON json.dump's layout
+    # with the CSV's cells
+    first = np.array([[np.nan, np.inf, -np.inf, -0.0], [0.0, 1 / 3, 40.0, 5e-324],
+                      [-12.889413447005644, 1e300, 0.1, 2.2250738585072014e-308]])
+    second = np.array([[-0.0, np.nan, 12.5, np.inf], [np.nan, -np.inf, 0.0, -0.0],
+                       [7.0, 1e-07, np.nan, -1e-300]])
+    maps = [IpiMap(f, -0.5, 1.25, 0.05, v) for f, v in ((500.0, first), (2000.0, second))]
+    texts = pszsim.cli._map_texts(maps, cap_db)
+    for m, (csv_text, json_text) in zip(maps, texts, strict=True):
+        assert_same_lines(csv_text, map_csv_oracle(m, np.minimum(m.values_db, cap_db)))
+        assert_same_lines(json_text, map_json_oracle(m, cap_db, csv_text))
+        cells = set(map_csv_cells(csv_text))
+        assert {"null", "-Infinity", "-0"} <= cells
+        assert ("Infinity" in cells) == (cap_db == np.inf)
+
+
+@pytest.mark.parametrize("name", ["edge", "bits"])
+def test_contour_file_rows_are_the_reprs_of_the_polyline_vertices(tmp_path, monkeypatch, name):
+    # a map run whose contours are polylines of extreme and random floats; real
+    # contours never hold a non-finite vertex, but the writer's layout does not
+    # depend on that: nan is null and inf Infinity, as json.dump writes them
+    flat = np.array(EDGE_FLOATS) if name == "edge" else BIT_FLOATS.ravel()[:2 * 1050]
+    lines = [flat.reshape(-1, 2), flat[:4].reshape(2, 2), flat[::-1].reshape(-1, 2)]
+    sets = [ContourSet(10.0, tuple(lines[:2]), 1.5), ContourSet(20.0, (), 0.0),
+            ContourSet(30.0, tuple(lines[2:]), 0.25)]
+    monkeypatch.setattr(pszsim.cli, "extract_contours", lambda m, levels: sets)
+    assert main(["map", str(small_config(tmp_path))]) == 0
+    text = (tmp_path / "out" / "contours_mono_500hz.json").read_text(encoding="utf-8")
+    payload = {"frequency_hz": 500.0, "contours": [
+        {"level_db": cs.level_db, "polylines": [line.tolist() for line in cs.polylines]}
+        for cs in sets]}
+    assert_same_lines(text, json_dump_text(payload))
+    # each vertex is one row of the file, its two numbers on the only lines 12 deep
+    numbers = [line.strip().rstrip(",") for line in text.splitlines() if line.startswith(" " * 12)]
+    rows = [f"{x}, {y}" for x, y in zip(numbers[::2], numbers[1::2])]
+    want = [row for line in lines for row in repr(line.tolist())[2:-2].split("], [")]
+    assert [row.replace("null", "nan").replace("Infinity", "inf") for row in rows] == want
 
 
 def test_validate_command(tmp_path, capsys):
@@ -659,7 +724,7 @@ def test_map_files_are_capped_and_contours_are_not(tmp_path, monkeypatch):
     # a -inf cell, which no run above holds
     values = np.array([[-np.inf, 12.5, 1 / 3], [np.nan, 40.0, -0.0]])
     m = IpiMap(1000.0, -1.0, 0.0, 0.01, values)
-    csv_text, json_text = pszsim.cli._map_texts(m, values, 40.0)
+    ((csv_text, json_text),) = pszsim.cli._map_texts([m], 40.0)
     assert map_csv_cells(csv_text) == ["-Infinity", "12.5", "0.333333333", "null", "40", "-0"]
     assert map_json_cells(json_text) == map_csv_cells(csv_text)
     assert_same_lines(json_text, map_json_oracle(m, 40.0, csv_text))

@@ -333,8 +333,9 @@ def test_ipi_map_values_are_min_db_of_the_grid_ipi_ratios_on_numpys_avx2_loops(t
 
 def test_ipi_map_evaluates_only_the_dx_a_block_uses(monkeypatch):
     # the 10001 x 2 grid has 26,036 distinct |dx| to the speakers, and no
-    # block of 1,365 points holds a row: a table of a block's rows at all of
-    # them would be up to 4.8 blocks, one at the |dx| the block uses is 2 at most
+    # block of 1,365 points holds a row: each row is 7 segments of 1,365
+    # points and one of 446; a table of a block's row at all |dx| would be up
+    # to 4.8 blocks, one at the |dx| the segment uses is 2 at most
     sizes = []
     piston = pszsim.spatial_analysis._piston
 
@@ -349,15 +350,44 @@ def test_ipi_map_evaluates_only_the_dx_a_block_uses(monkeypatch):
     filters = np.concatenate([designed_filters(scene, f) for f in frequencies])
     target, interferer = program_channels(scene, RenderingMode.MONO)
     ipi_map(scene, filters, (-0.5, 0.5, 1.0, 1.0001), 1e-4, frequencies, target, interferer)
-    assert len(sizes) == 15
+    assert len(sizes) == 16
     assert max(sizes) <= 2 * 3 * 1365 * 8
 
 
-@pytest.mark.parametrize("points_per_block", [2, 7, 40])
+def test_ipi_map_evaluates_each_row_once_at_each_of_its_dx(monkeypatch):
+    # a budget of 130 points is 3 whole rows of the 41 x 81 grid: 27 blocks,
+    # each row of the grid in one of them, at each distinct |dx| of the grid's
+    # columns to the 8 speakers (all at y = z = 0), so F x ny x n_dx responses
+    # in all; blocks of 130 points would share rows and evaluate them twice
+    shapes = []
+    piston = pszsim.spatial_analysis._piston
+
+    def recording_piston(*args):
+        out = piston(*args)
+        shapes.append(out.shape)
+        return out
+
+    frequencies = [500.0, 4000.0]
+    scene = default_scene()
+    filters = np.concatenate([designed_filters(scene, f) for f in frequencies])
+    target, interferer = program_channels(scene, RenderingMode.MONO)
+    monkeypatch.setattr(pszsim.spatial_analysis, "_piston", recording_piston)
+    monkeypatch.setattr(pszsim.spatial_analysis, "_BLOCK_ENTRIES", 130 * 2 * 8)
+    (m, _) = ipi_map(scene, filters, (-1.0, 0.0, 0.0, 2.0), 0.025, frequencies,
+                     target, interferer)
+    n_dx = np.unique(np.abs(m.x_coords()[:, None] - scene.speakers[:, 0])).size
+    assert (m.nx, m.ny, n_dx) == (41, 81, 109)
+    assert shapes == [(2, 3, n_dx)] * 27
+    assert sum(np.prod(shape) for shape in shapes) == 2 * 81 * n_dx
+
+
+@pytest.mark.parametrize("points_per_block", [2, 7, 20, 40, 100, 123])
 def test_ipi_map_block_edges_move_no_bits(monkeypatch, points_per_block):
     # the 0.025 m grid is 41 x 81 points and lands on speakers (NaN cells);
-    # 7 and 40 points split grid rows, and 3321 points leave one point over
-    # after blocks of 2 and 40
+    # below a row (41 points) a block is a segment of one row: 2, 20 and 40
+    # leave one point over in each row, which joins the segment before it, so
+    # no block holds a single point; 100 and 123 points hold 2 and 3 whole
+    # rows, and blocks of 2 rows leave one row over
     frequencies = [500.0, 4000.0]
     scene = default_scene()
     filters = np.concatenate([designed_filters(scene, f) for f in frequencies])
@@ -366,8 +396,18 @@ def test_ipi_map_block_edges_move_no_bits(monkeypatch, points_per_block):
     want = ipi_map(*args)
     assert all(np.isnan(m.values_db).any() for m in want)
     entries = len(frequencies) * len(scene.speakers)
+    sizes = []
+    kernel = pszsim.spatial_analysis.min_db
+
+    def recording_min_db(corr, uncorr):
+        sizes.append(corr.shape[1])
+        return kernel(corr, uncorr)
+
+    monkeypatch.setattr(pszsim.spatial_analysis, "min_db", recording_min_db)
     monkeypatch.setattr(pszsim.spatial_analysis, "_BLOCK_ENTRIES", points_per_block * entries)
     got = ipi_map(*args)
+    assert sum(sizes) == 41 * 81 and min(sizes) >= 2
+    assert max(sizes) <= points_per_block + 1
     for g, w in zip(got, want, strict=True):
         assert g.frequency == w.frequency
         assert np.array_equal(g.values_db.view(np.uint64), w.values_db.view(np.uint64))
@@ -390,6 +430,27 @@ def test_ipi_map_memory_is_bounded_by_its_maps_not_by_the_grid():
     values = sum(m.values_db.nbytes for m in maps)
     assert values == 3 * 201 * 401 * 8
     assert peak <= 3 * values + 4 * 2**20
+
+
+def test_ipi_map_block_budget_above_the_grid_holds_no_more_than_the_grid(monkeypatch):
+    # a budget of 100,000 points on the 41 x 81 grid is one block of its 81
+    # rows, which must take what a budget of exactly the grid's 3,321 points
+    # takes, not an index for 2,439 rows
+    frequencies = [500.0, 4000.0]
+    scene = default_scene()
+    filters = np.concatenate([designed_filters(scene, f) for f in frequencies])
+    target, interferer = program_channels(scene, RenderingMode.MONO)
+    peaks = []
+    for points in (3321, 100_000):
+        entries = points * len(frequencies) * len(scene.speakers)
+        monkeypatch.setattr(pszsim.spatial_analysis, "_BLOCK_ENTRIES", entries)
+        tracemalloc.start()
+        try:
+            ipi_map(scene, filters, (-1.0, 0.0, 0.0, 2.0), 0.025, frequencies, target, interferer)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0]
 
 
 def test_contours_at_all_levels_of_a_map_peak_below_its_one_level_pass(map_fine_run):

@@ -28,6 +28,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -87,7 +88,8 @@ def _perturbed_transfers(config: ExperimentConfig, streams: dict, freqs) -> dict
 
 
 def _spectra_db(config: ExperimentConfig, mode: RenderingMode, m):
-    """(4, F) raw dB of IZI_A, IZI_B, IPI_A and IPI_B from an (F, K, C) system stack."""
+    """(..., 4, F) raw dB of IZI_A, IZI_B, IPI_A and IPI_B from (..., F, K, C) system
+    stacks. The kernels reduce only trailing axes: each system keeps its own bits."""
     scene = config.scene
     prog_a, prog_b = program_channels(scene, mode)
     zone_a, zone_b = scene.zone_a, scene.zone_b
@@ -97,7 +99,7 @@ def _spectra_db(config: ExperimentConfig, mode: RenderingMode, m):
         ipi_ratios(m, zone_a, prog_a, prog_b),
         ipi_ratios(m, zone_b, prog_b, prog_a),
     )
-    return np.array([min_db(corr, uncorr)[1] for corr, uncorr in ratios])
+    return np.stack([min_db(corr, uncorr)[1] for corr, uncorr in ratios], axis=-2)
 
 
 _SPECTRA_HEADER = ["frequency_hz"] + [
@@ -106,9 +108,10 @@ _SPECTRA_HEADER = ["frequency_hz"] + [
 
 
 def _csv_text(header, rows) -> str:
-    # one "%.9g" template formats a whole row
+    # one "%.9g" template of all the rows (a 2-D array or row tuples), one %
+    values = np.asarray(rows, dtype=float).ravel().tolist()
     line = ",".join(["%.9g"] * len(header)) + "\n"
-    return ",".join(header) + "\n" + "".join(line % tuple(row) for row in rows)
+    return ",".join(header) + "\n" + line * (len(values) // len(header)) % tuple(values)
 
 
 _GRID = "\0grid"  # a grid's place in a payload; no config string holds a NUL
@@ -204,9 +207,10 @@ def run_spectra(config: ExperimentConfig) -> list[Path]:
     every transfer stack and draw is computed once per run, and one design
     per design scene serves all modes. Each system is evaluated, smoothed
     and formatted once, and its text is written under every combination
-    that shares it. The systems that kept the same frequencies are smoothed
-    by one ``smooth_db`` call on their stacked (4, F_kept) raw dB rows,
-    which gives each row the bits it gets alone.
+    that shares it. The systems that kept the same frequencies are evaluated
+    by one ``_spectra_db`` call per mode on their stacked (S, F_kept, K, C)
+    system matrices and smoothed by one ``smooth_db`` call on their stacked
+    (S, 4, F_kept) raw dB rows, which give each system the bits it gets alone.
     """
     freqs = config.frequencies
     plan = {
@@ -223,28 +227,25 @@ def run_spectra(config: ExperimentConfig) -> list[Path]:
     }, freqs)
     designs = {key: _design_filters(config, key, h[key, _DESIGN_STREAM], config.modes, freqs)
                for key in design_keys}
-    raw = {}  # system -> (kept mask, (4, F_kept) raw dB)
     skipped_log: dict[str, list] = {}
-    for key, system in plan.items():
-        mode, design, evaluation = system
-        filters, kept, failures = designs[design]
-        _report_skips(key, kept, failures, skipped_log)
-        if system not in raw:
-            m = h[evaluation, _EVAL_STREAM][kept] @ filters[config.modes.index(mode)]
-            raw[system] = kept, _spectra_db(config, mode, m)
-    # one smooth_db call per set of kept frequencies
-    groups: dict[bytes, list] = {}
-    for system, (kept, _) in raw.items():
-        groups.setdefault(kept.tobytes(), []).append(system)
-    smooth = {}
-    for group in groups.values():
-        kept = raw[group[0]][0]
-        smooth.update(zip(group, smooth_db(freqs[kept], np.stack([raw[s][1] for s in group]))))
-    texts = {
-        system: _csv_text(_SPECTRA_HEADER, np.column_stack(
-            [freqs[kept], db.T, smooth[system].T]).tolist())
-        for system, (kept, db) in raw.items()
-    }
+    for key, (_, design, _) in plan.items():
+        _report_skips(key, *designs[design][1:], skipped_log)
+    # kept set -> mode -> its systems: one _spectra_db call per mode on the
+    # systems' stacked M = H_eval C, one smooth_db call per kept set
+    groups: dict[bytes, dict] = {}
+    for system in dict.fromkeys(plan.values()):
+        kept_set = designs[system[1]][1].tobytes()
+        groups.setdefault(kept_set, {}).setdefault(system[0], []).append(system)
+    texts = {}
+    for by_mode in groups.values():
+        systems = sum(by_mode.values(), [])
+        kept = designs[systems[0][1]][1]
+        raw = np.concatenate([_spectra_db(config, mode, np.stack(
+            [h[evaluation, _EVAL_STREAM][kept] @ designs[design][0][config.modes.index(mode)]
+             for _, design, evaluation in group])) for mode, group in by_mode.items()])
+        for system, db, smooth in zip(systems, raw, smooth_db(freqs[kept], raw)):
+            texts[system] = _csv_text(_SPECTRA_HEADER,
+                                      np.column_stack([freqs[kept], db.T, smooth.T]))
     files = {f"spectra_{key}.csv": texts[system] for key, system in plan.items()}
     return _write_run(config, "spectra", files, skipped_log)
 
@@ -316,7 +317,9 @@ def run_map(config: ExperimentConfig) -> list[Path]:
     return _write_run(config, "map", files, skipped)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process for back-to-back ``main`` calls."""
     parser = argparse.ArgumentParser(
         prog="pszsim",
         description="Sound zone simulation: filter design, isolation metrics, maps.",
@@ -337,9 +340,12 @@ def main(argv=None) -> int:
             p.add_argument(
                 "-o", "--output-dir", default=None, help="override the output directory"
             )
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # --help exits 0; a usage error exits 1, not argparse's 2
         return 1 if exc.code else 0
 

@@ -99,12 +99,19 @@ def averaged_perturbed_stacks(stacks, frequencies, model: UncertaintyModel, stre
     normals, which bounds the temporaries. Zero variance returns the stacks
     themselves, for any trial count.
 
-    The arithmetic is real: |H| and arg H once per stack, the draws scaled
-    in place once per block for all stacks, then A * cos(phi) and
-    A * sin(phi) summed over the trials and divided the way numpy divides a
-    complex sum by trials + 0j. So each average is bit for bit the complex
-    mean of A * exp(1j*phi), signed zeros of clamped entries included,
-    without a complex temporary.
+    So a point row of a later stack with the bits of the same point's row
+    in an earlier stack has its average, and is copied from the first stack
+    that holds it (zone B's 2 of 4 points of the template's moved scene).
+    A one-stack call compares no rows. A stack left with one own entry (one
+    point, one speaker) computes all its points: numpy would sum a lone
+    entry's trials pairwise, not in order, and move its bits.
+
+    The arithmetic is real: |H| and arg H once per stack, on its own rows,
+    the draws scaled in place once per block for all stacks, then
+    A * cos(phi) and A * sin(phi) summed over the trials and divided the
+    way numpy divides a complex sum by trials + 0j. So each average is bit
+    for bit the complex mean of A * exp(1j*phi), signed zeros of clamped
+    entries included, without a complex temporary.
     """
     stacks = list(stacks)
     if model.sigma_amp_sq == model.sigma_phase_sq == 0.0:
@@ -112,7 +119,22 @@ def averaged_perturbed_stacks(stacks, frequencies, model: UncertaintyModel, stre
     shape = (model.trials, 2, *stacks[0].shape[-2:])
     step = max(1, _BLOCK_NORMALS // math.prod(shape))
     scale = np.sqrt([model.sigma_amp_sq, model.sigma_phase_sq])[:, None, None]
-    nominal = [(np.abs(h), np.angle(h)) for h in stacks]
+    points, speakers = shape[2:]
+    rows = [slice(None)] * len(stacks)  # the points each stack computes
+    copies = []  # (stack, point, the earlier stack whose average it takes)
+    if len(stacks) > 1:
+        first = {}  # (point, its nominal row's bits) -> the first stack holding it
+        for s, h in enumerate(stacks):
+            source = [first.setdefault((k, h[:, k].tobytes()), s) for k in range(points)]
+            own = [k for k, t in enumerate(source) if t == s]
+            # a single own entry would leave the trials innermost, summed pairwise
+            if len(own) < points and len(own) * speakers != 1:
+                rows[s] = own
+                copies += [(s, k, t) for k, t in enumerate(source) if t != s]
+        del first  # the rows' bytes
+    # own rows in C order, as a whole stack's, so that the trials are summed in order
+    nominal = [(np.abs(h), np.angle(h))
+               for h in (np.ascontiguousarray(h[:, own]) for h, own in zip(stacks, rows))]
     averaged = [np.empty_like(h, dtype=complex) for h in stacks]
     bits = np.random.Philox(key=0)
     rng = np.random.Generator(bits)
@@ -135,11 +157,14 @@ def averaged_perturbed_stacks(stacks, frequencies, model: UncertaintyModel, stre
             rng.standard_normal(out=z[i])
         draws = z[:n]
         draws *= scale  # (amplitude, phase) deviations for every stack of the block
-        for (mag, arg), out in zip(nominal, averaged):
-            amp = np.maximum(mag[block, None] + draws[:, :, 0], 0.0)
-            phase = arg[block, None] + draws[:, :, 1]
+        for (mag, arg), own, out in zip(nominal, rows, averaged):
+            z_own = draws if isinstance(own, slice) else draws.take(own, axis=3)  # C order
+            amp = np.maximum(mag[block, None] + z_own[:, :, 0], 0.0)
+            phase = arg[block, None] + z_own[:, :, 1]
             re_sum, im_sum = (amp * np.cos(phase)).sum(axis=1), (amp * np.sin(phase)).sum(axis=1)
             # numpy's complex mean divides by trials + 0j, which is this
-            out.real[block] = (re_sum + im_sum * 0.0) * inv
-            out.imag[block] = (im_sum - re_sum * 0.0) * inv
+            out.real[block, own] = (re_sum + im_sum * 0.0) * inv
+            out.imag[block, own] = (im_sum - re_sum * 0.0) * inv
+    for s, k, t in copies:
+        averaged[s][:, k] = averaged[t][:, k]
     return averaged

@@ -117,10 +117,13 @@ def test_spectra_computes_each_transfer_draw_and_design_once(tmp_path, monkeypat
     # template: 2 scenes, 2 streams x 319 frequencies of keyed draws, one
     # design per design scene, each factorizing its 319 normal matrices once
     # for all 3 modes, and 9 distinct systems of 12 combinations, since
-    # centered listeners get the same design under both filter positions;
+    # centered listeners get the same design under both filter positions,
+    # evaluated by one call per mode on the mode's 3 stacked systems;
     # a draw is counted by its key and a factorization by its LAPACK solve;
     # a map solves its one mode at its 3 frequencies in one design
     counts = collections.Counter()
+    stacked = []
+    spectra_db = pszsim.cli._spectra_db
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -133,18 +136,25 @@ def test_spectra_computes_each_transfer_draw_and_design_once(tmp_path, monkeypat
         (pszsim.cli, "response_matrix", "transfers"),
         (pszsim.perturbation, "_key", "draws"),
         (pszsim.cli, "solve_stack", "designs"),
-        (pszsim.cli, "_spectra_db", "systems"),
     ):
         monkeypatch.setattr(module, name, counting(label, getattr(module, name)))
     monkeypatch.setattr(pszsim.filter_design, "_cholesky_solver",
                         lambda: counting("solves", posv))
+
+    def recording_db(config, mode, m):
+        stacked.append(m.shape)
+        return spectra_db(config, mode, m)
+
+    monkeypatch.setattr(pszsim.cli, "_spectra_db", counting("evaluations", recording_db))
     cfg = default_config_dict()
     cfg["output_dir"] = str(tmp_path / "out")
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     assert main(["spectra", str(path)]) == 0
     assert counts == {"transfers": 2, "draws": 2 * 319, "designs": 2, "solves": 2 * 319,
-                      "systems": 9}
+                      "evaluations": 3}
+    # M is points x channels: 2 channels for mono, 4 for stereo and xtc
+    assert stacked == [(3, 319, 4, 2), (3, 319, 4, 4), (3, 319, 4, 4)]
     counts.clear()
     assert main(["map", str(path)]) == 0
     assert counts == {"transfers": 1, "draws": 3, "designs": 1, "solves": 3}
@@ -153,11 +163,13 @@ def test_spectra_computes_each_transfer_draw_and_design_once(tmp_path, monkeypat
 def test_spectra_smooths_each_kept_set_once_against_the_mask_oracle(tmp_path, monkeypatch,
                                                                     capsys):
     # the template keeps every frequency, so its 9 distinct systems are
-    # smoothed in one call; with each design scene dropping a frequency of
-    # its own, there is one call per design scene, and every CSV's smoothed
-    # columns are still the literal-mask oracle of its own raw dB (the
-    # recorded evaluation whose "%.9g" text its raw columns hold)
-    smooth_calls, combos, raws = [], [], []
+    # evaluated in one call per mode and smoothed in one call; with each
+    # design scene dropping a frequency of its own, there is one evaluation
+    # per mode and design scene, one smoothing per design scene, and every
+    # CSV's smoothed columns are still the literal-mask oracle of its own
+    # raw dB (the recorded, unstacked evaluation whose "%.9g" text its raw
+    # columns hold)
+    smooth_calls, combos, raws, db_calls = [], [], [], []
     smooth_db, spectra_db = pszsim.cli.smooth_db, pszsim.cli._spectra_db
     report_skips, solve_stack = pszsim.cli._report_skips, pszsim.cli.solve_stack
 
@@ -170,8 +182,10 @@ def test_spectra_smooths_each_kept_set_once_against_the_mask_oracle(tmp_path, mo
         return report_skips(key, kept, failures, log)
 
     def recording_db(*args):
-        raws.append(spectra_db(*args))
-        return raws[-1]
+        db = spectra_db(*args)
+        db_calls.append(db.shape)
+        raws.extend(db)
+        return db
 
     drops = itertools.count(3, 7)  # a frequency of its own for each design scene
 
@@ -191,7 +205,7 @@ def test_spectra_smooths_each_kept_set_once_against_the_mask_oracle(tmp_path, mo
     for run, wrap in (("template", False), ("dropping", True)):
         if wrap:
             monkeypatch.setattr(pszsim.cli, "solve_stack", dropping_solve)
-        for log in (smooth_calls, combos, raws):
+        for log in (smooth_calls, combos, raws, db_calls):
             log.clear()
         cfg["output_dir"] = str(tmp_path / run)
         path = tmp_path / f"{run}.json"
@@ -199,6 +213,8 @@ def test_spectra_smooths_each_kept_set_once_against_the_mask_oracle(tmp_path, mo
         assert main(["spectra", str(path)]) == 0
         assert capsys.readouterr().err.count("dropped by the test") == 12 * wrap
         assert len(combos) == 12 and len(raws) == 9
+        assert sorted(db_calls) == ([(1, 4, 318)] * 3 + [(2, 4, 318)] * 3 if wrap
+                                    else [(3, 4, 319)] * 3)
         assert len(smooth_calls) == len({kept.tobytes() for _, kept in combos})
         # per mode, the centered design scene serves two systems, a moved one one
         assert sorted(smooth_calls) == ([(3, 4, 318), (6, 4, 318)] if wrap
@@ -231,6 +247,23 @@ def test_csv_writer_prints_nine_significant_digits():
     text = pszsim.cli._csv_text(list("abcde"), rows)
     expected = ["a,b,c,d,e"] + [",".join(f"{x:.9g}" for x in row) for row in rows]
     assert text == "\n".join(expected) + "\n"
+
+
+def test_csv_writer_writes_an_empty_table_as_its_header():
+    for rows in ([], np.empty((0, 3))):
+        assert pszsim.cli._csv_text(["a", "b", "c"], rows) == "a,b,c\n"
+
+
+def test_csv_writer_gives_row_tuples_and_an_array_of_them_the_same_text():
+    # the area summary passes row tuples (a numpy scalar among them), the
+    # spectra a 2-D array: one text, each value as f"{x:.9g}"
+    header = ["frequency_hz", "level_db", "area_m2"]
+    rows = [(500.0, 20.0, np.float64(0.123456789123)), (1000.0, 30.0, float("nan")),
+            (2000.0, -0.0, 5e-324), (4000.0, 10.0, 1e300)]
+    text = pszsim.cli._csv_text(header, rows)
+    assert text == pszsim.cli._csv_text(header, np.array(rows))
+    assert text.endswith("\n") and text.splitlines() == [",".join(header)] + [
+        ",".join(f"{x:.9g}" for x in row) for row in rows]
 
 
 EDGE_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1.0, 40.0, 5e-324,
@@ -1050,6 +1083,29 @@ def test_usage_errors_exit_1(tmp_path, capsys, argv):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: pszsim")
+
+
+def test_back_to_back_calls_in_one_process_match_separate_processes(tmp_path, capsys,
+                                                                    monkeypatch):
+    # main builds its parser once per process: a usage error, validate,
+    # spectra with a seed and --help, called in turn in this process, give
+    # each the exit code, output and files of its own fresh interpreter
+    path = str(small_config(tmp_path))
+    calls = [["spectra", path, "--seed", "abc"], ["validate", path],
+             ["spectra", path, "--seed", "3", "-o", "out"], ["--help"]]
+    monkeypatch.setenv("COLUMNS", "80")  # the help text's width
+    for side in ("here", "fresh"):
+        (tmp_path / side).mkdir()
+    monkeypatch.chdir(tmp_path / "here")
+    for argv in calls:
+        code = main(argv)
+        here = capsys.readouterr()
+        fresh = run_python(["-c", CLI, *argv], tmp_path / "fresh", COLUMNS="80")
+        assert (code, here.out, here.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert code == 0 and here.out.startswith("usage: pszsim")
+    here, fresh = (sorted((tmp_path / side / "out").iterdir()) for side in ("here", "fresh"))
+    assert [p.name for p in here] == [p.name for p in fresh] and len(here) == 2
+    assert [p.read_bytes() for p in here] == [p.read_bytes() for p in fresh]
 
 
 # Resolved echoes that `validate` printed before the config format became a

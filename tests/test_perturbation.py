@@ -119,6 +119,83 @@ def test_clamped_averages_equal_the_complex_literal_bit_for_bit(trials):
     assert 0.4 < clamped / (2 * 300 * trials * 32) < 0.6
 
 
+def assert_each_is_its_own_call(stacks, freqs, model, stream):
+    """Each stack's average in one call of all ``stacks`` has every bit of its
+    average in a one-stack call, NaN payloads and signed zeros included."""
+    for h, averaged in zip(stacks, averaged_perturbed_stacks(stacks, freqs, model, stream)):
+        (alone,) = averaged_perturbed_stacks([h], freqs, model, stream)
+        assert np.array_equal(averaged.view(np.uint64), alone.view(np.uint64))
+
+
+@pytest.mark.parametrize("trials", [9, 16])
+def test_later_stacks_of_one_speaker_have_the_bits_of_their_own_calls(trials):
+    # one speaker: the second stack shares 3 of its 4 point rows, so its own
+    # rows would be a single entry per draw, whose trials numpy sums pairwise
+    # from 9 on, not in order as it sums them over a whole stack; the third
+    # computes 2 rows, whose trials numpy sums in order only in C order
+    rng = np.random.default_rng(21)
+    freqs = 200.0 + np.arange(300)
+    a = rng.normal(size=(300, 4, 1)) + 1j * rng.normal(size=(300, 4, 1))
+    b, c = a.copy(), a.copy()
+    b[:, 2] *= 1.5
+    c[:, [0, 2]] *= 0.5
+    model = UncertaintyModel(1e-2, 2e-2, trials=trials, seed=5)
+    assert len(freqs) > _BLOCK_NORMALS // (2 * trials * 4)
+    assert_each_is_its_own_call([a, b, c], freqs, model, "eval")
+
+
+def test_a_stack_copies_each_shared_row_from_the_first_stack_that_holds_it():
+    # stack 3 shares row 0 with stack 1 and row 1 with stack 2, at the same
+    # points, and computes row 2; rows equal at other points share no draws
+    rng = np.random.default_rng(22)
+    freqs = 300.0 + np.arange(40)
+    one, two, three = (rng.normal(size=(40, 3, 2)) + 1j * rng.normal(size=(40, 3, 2))
+                       for _ in range(3))
+    three[:, 0], three[:, 1] = one[:, 0], two[:, 1]
+    two[:, 2] = one[:, 0]
+    model = UncertaintyModel(1e-2, 2e-2, trials=10, seed=6)
+    assert_each_is_its_own_call([one, two, three], freqs, model, "design")
+    out = averaged_perturbed_stacks([one, two, three], freqs, model, "design")
+    assert np.array_equal(out[2][:, :2], np.stack([out[0][:, 0], out[1][:, 1]], axis=1))
+    assert not np.array_equal(out[1][:, 2], out[0][:, 0])
+
+
+def test_a_row_that_is_nan_in_two_stacks_keeps_the_bits_of_each_own_call():
+    rng = np.random.default_rng(23)
+    freqs = 400.0 + np.arange(30)
+    stacks = [rng.normal(size=(30, 4, 3)) + 1j * rng.normal(size=(30, 4, 3)) for _ in range(2)]
+    for h in stacks:
+        h[:, 1] = np.nan
+        h[5, 3, 2] = complex(np.nan, 1.0)
+    model = UncertaintyModel(1e-2, 2e-2, trials=3, seed=7)
+    assert_each_is_its_own_call(stacks, freqs, model, "eval")
+
+
+def test_template_scenes_take_the_cosine_of_6_point_rows_per_block(monkeypatch):
+    # the moved-listener scene shares zone B's 2 point rows with the base
+    # scene, so each block takes cos over the base scene's 4 rows and the
+    # moved scene's 2 zone A rows, 6 and not 8, and every bit stays its own
+    config = resolve_config(default_config_dict())
+    model, freqs = config.model, config.frequencies
+    base, moved = config.scenes.values()
+    stacks = [response_matrix(s, s.control_points, freqs) for s in (base, moved)]
+    assert np.array_equal(stacks[0][:, base.zone_b], stacks[1][:, base.zone_b])
+    shapes, cos = [], np.cos
+
+    def counting_cos(x, *args, **kwargs):
+        shapes.append(x.shape)
+        return cos(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cos", counting_cos)
+    averaged_perturbed_stacks(stacks, freqs, model, _EVAL_STREAM)
+    monkeypatch.undo()
+    step = _BLOCK_NORMALS // (model.trials * 2 * 4 * 8)
+    blocks = -(-len(freqs) // step)
+    assert [shape[1:] for shape in shapes] == [(10, 4, 8), (10, 2, 8)] * blocks
+    assert sum(shape[0] * shape[2] for shape in shapes) == 6 * len(freqs)
+    assert_each_is_its_own_call(stacks, freqs, model, _EVAL_STREAM)
+
+
 EDGE_FREQUENCIES = [5e-324, 1e300, 1000.0, float(np.nextafter(1000.0, np.inf))]
 
 

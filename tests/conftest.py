@@ -3,9 +3,9 @@
 Each config is built exactly as the benchmark builds it, from
 ``perfbench/workloads.json`` with ``perfbench/outputs.workload_config``, and
 the run writes into ``out`` under a temporary working directory, the output
-directory name of the committed references. ``map_fine`` runs once per test
-session, and the IPI maps it computes are kept for the tests that check
-contours and area on them.
+directory name of the committed references. ``map_fine`` and
+``spectra_default`` run once per test session; the IPI maps ``map_fine``
+computes are kept for the tests that check contours and area on them.
 """
 
 from __future__ import annotations
@@ -47,17 +47,34 @@ def run_python(args, cwd, **env) -> subprocess.CompletedProcess:
 CLI = "import sys, pszsim.cli; sys.exit(pszsim.cli.main(sys.argv[1:]))"
 
 
-def run_workload(name: str, work: Path) -> Path:
-    """Run the benchmark workload ``name`` at seed 0 in ``work``; its output directory."""
+def workload(name: str) -> tuple[str, dict]:
+    """(command, config) of the benchmark workload ``name``."""
     spec = json.loads((PERFBENCH / "workloads.json").read_text(encoding="utf-8"))
-    workload = spec["workloads"][name]
-    config = perfbench_outputs().workload_config(spec["template"], workload["delta"])
+    listed = spec["workloads"][name]
+    return listed["command"], perfbench_outputs().workload_config(spec["template"], listed["delta"])
+
+
+def run_cli(command: str, config: dict, work: Path) -> Path:
+    """Run ``command`` on ``config`` at seed 0 in ``work``, as the benchmark
+    runs a workload; its output directory."""
     (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
-    argv = [workload["command"], "config.json", "--seed", "0", "-o", "out"]
+    argv = [command, "config.json", "--seed", "0", "-o", "out"]
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
         mp.chdir(work)
         assert pszsim.cli.main(argv) == 0
     return work / "out"
+
+
+def run_workload(name: str, work: Path) -> Path:
+    """Run the benchmark workload ``name`` at seed 0 in ``work``; its output directory."""
+    return run_cli(*workload(name), work)
+
+
+@pytest.fixture(scope="session")
+def spectra_default_run(tmp_path_factory):
+    """Output directory of ``spectra_default`` at seed 0, beside its ``config.json``.
+    Shared by the session: tests only read it."""
+    return run_workload("spectra_default", tmp_path_factory.mktemp("spectra_default"))
 
 
 @pytest.fixture(scope="session")

@@ -79,16 +79,24 @@ def _isolation(num, num_count: int, den, den_count: int):
 
     A block's coherent power sums |channel sum|^2 over its points, its
     incoherent power sums every |entry|^2; each is divided by its count.
+    A one-channel block's two powers sum the same values over the same
+    contiguous axis, so they are one array; when both blocks have one
+    channel, one ratio is both corr and uncorr.
     """
 
     def powers(block, count):
         coh = (np.abs(block.sum(axis=-1)) ** 2).sum(axis=-1) / count
+        if block.shape[-1] == 1:
+            return coh, coh
         # one flat sum keeps numpy's summation order of the whole block
         inc = (np.abs(block) ** 2).reshape(*block.shape[:-2], -1).sum(axis=-1) / count
         return coh, inc
 
     (num_coh, num_inc), (den_coh, den_inc) = powers(num, num_count), powers(den, den_count)
-    return _ratio(num_coh, den_coh), _ratio(num_inc, den_inc)
+    corr = _ratio(num_coh, den_coh)
+    if num_inc is num_coh and den_inc is den_coh:
+        return corr, corr
+    return corr, _ratio(num_inc, den_inc)
 
 
 def izi_ratios(M: np.ndarray, bz_points, dz_points, program_channels):
@@ -100,8 +108,8 @@ def izi_ratios(M: np.ndarray, bz_points, dz_points, program_channels):
         corr   = [sum_bz |sum_i M_ki|^2 / n_bz] / [same over dz]
         uncorr = [sum_bz sum_i |M_ki|^2 / n_bz] / [same over dz]
 
-    Returns the (corr, uncorr) arrays of the leading shape. Point sets must
-    be disjoint.
+    Returns the (corr, uncorr) arrays of the leading shape, one array twice
+    for a one-channel program. Point sets must be disjoint.
     """
     bz, dz = _check_disjoint("bz_points", bz_points, "dz_points", dz_points, M.shape[-2])
     chans = _check_indices("program_channels", program_channels, M.shape[-1])
@@ -117,10 +125,10 @@ def ipi_ratios(M: np.ndarray, zone_points, target_channels, interferer_channels)
         corr   = [sum_z |sum_{i in T} M_ki|^2 / n_T] / [sum_z |sum_{i in J} M_ki|^2 / n_J]
         uncorr = analogous with |.|^2 inside the channel sum
 
-    Returns the (corr, uncorr) arrays of the leading shape. The channel
-    sets must be disjoint. Note the normalizers count channels, not
-    points; the point sums run over the same zone in numerator and
-    denominator.
+    Returns the (corr, uncorr) arrays of the leading shape, one array twice
+    when both programs have one channel. The channel sets must be disjoint.
+    Note the normalizers count channels, not points; the point sums run
+    over the same zone in numerator and denominator.
     """
     zone = _check_indices("zone_points", zone_points, M.shape[-2])
     target, interferer = _check_disjoint(

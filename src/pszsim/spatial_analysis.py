@@ -14,20 +14,20 @@ row, not by the grid. Each row is evaluated once, at the distinct |dx| of
 grid columns from speakers: dx enters a response only as dx*dx and
 hypot(dx, dz), and dy and dz are fixed by the row and the speakers' (y, z).
 Contours and area share one table of per-cell polygon walks, so the area
-is exactly the shoelace area of the polygonized superlevel region and the
-two views can never disagree.
+is the area of the polygonized superlevel region and the two views can
+never disagree.
 Cells with any non-finite corner (grid point on a speaker, or an
 unbounded ratio) are excluded from both. Each map is one call for all of
 its levels. What no level changes is computed once per map: the cells
-with four finite corners, the saddle center means, the cells' corner
-coordinates by column and by row, and the shoelace term of a cell inside
-the region. Each level then takes one numpy classification of its cells;
-a cell inside the region takes the shared term, and only the cells the
-level crosses go through one numpy pass over their (walk, slot)
-vertices, read from per-code tables of the walk table, which gives each
-walk's shoelace term and its contour chords in processing order. Only
-the chaining of chords into polylines runs in Python, on integer edge
-ids. An edge vertex belongs to at most two finite cells, each giving it
+with four finite corners, the saddle center means, and the cells' corner
+coordinates by column and by row. Each level then takes one numpy
+classification of its cells. A cell inside the region adds exactly s^2 to
+the area, so the inside cells are only counted. Only the cells the level
+crosses go through one numpy pass over their (walk, slot) vertices, read
+from per-code tables of the walk table, which gives each walk's shoelace
+term and its contour chords in processing order; ``math.fsum`` adds the
+terms exactly, so the area does not depend on their order. Only the
+chaining of chords into polylines runs in Python, on integer edge ids. An edge vertex belongs to at most two finite cells, each giving it
 one chord, so the chords form disjoint paths and cycles, and chaining
 walks each of them once.
 """
@@ -88,9 +88,10 @@ class ContourSet:
     Each polyline is an (n, 2) array of (x, y) vertices in meters lying
     on grid cell edges. A polyline whose first and last vertices are
     identical is closed. ``area_m2`` is the area in m^2 where the map is at
-    or above the level: the cell walks that give the chords, summed, so it
-    is the shoelace area of the closed contours whenever the region stays
-    clear of the map border. Cells with non-finite corners add nothing.
+    or above the level: the count of cells inside it times spacing^2, plus
+    the exact sum of the shoelace terms of the cell walks that give the
+    chords, so it is the area of the closed contours whenever the region
+    stays clear of the map border. Cells with non-finite corners add nothing.
     """
 
     level_db: float
@@ -311,13 +312,12 @@ def extract_contours(m: IpiMap, levels_db) -> list[ContourSet]:
     x0, y0, s = float(m.x0), float(m.y0), float(m.spacing)
     c0, c1, c2, c3 = v[:-1, :-1], v[:-1, 1:], v[1:, 1:], v[1:, :-1]
     # what no level changes, once per map: the cells with four finite corners,
-    # the saddle center means, each cell's bottom-left corner by column and by
-    # row, and the shoelace term of a cell inside the region
+    # the saddle center means, and each cell's bottom-left corner by column and
+    # by row
     finite = (np.isfinite(c0) & np.isfinite(c1) & np.isfinite(c2) & np.isfinite(c3)).ravel()
     with np.errstate(invalid="ignore", over="ignore"):
         center = ((((c0 + c1) + c2) + c3) / 4.0).ravel()
     cx, cy = x0 + np.arange(nx - 1) * s, y0 + np.arange(ny - 1) * s
-    interior = _inside_terms(cx, cy, s)
     dx, dy = np.array(_CORNERS).T
     flat, corner_offsets = v.ravel(), dy * nx + dx  # a corner's flat index from corner 0's
 
@@ -329,11 +329,9 @@ def extract_contours(m: IpiMap, levels_db) -> list[ContourSet]:
                  | above[1:, :-1] << 3).ravel()
         codes[((codes == 5) | (codes == 10)) & ~(center >= level)] += 16
         codes *= finite
-        # the cells with a walk, in row-major order, and the ones among them that
-        # the level crosses, one row of (walk, slot) vertices each
-        nonzero = np.flatnonzero(codes)
-        at = np.flatnonzero(codes[nonzero] != 15)
-        cells = nonzero[at]
+        # the cells the level crosses, in row-major order, one row of (walk,
+        # slot) vertices each
+        cells = np.flatnonzero((codes != 0) & (codes != 15))
         lo, hi, vertical, nxt, chord = (table[codes[cells]] for table in _WALK_TABLES)
         iy, ix = np.divmod(cells, nx - 1)
         x = cx[ix, None] + (dx * s)[lo]
@@ -352,16 +350,10 @@ def extract_contours(m: IpiMap, levels_db) -> list[ContourSet]:
         acc = 0.0
         for j in range(cross.shape[2]):
             acc = acc + cross[:, :, j]
-        walk_terms = np.abs(acc) / 2.0
-        terms = interior[nonzero]  # each cell's first walk's shoelace term
-        terms[at] = walk_terms[:, 0]
-        # cumsum adds in order (np.sum pairs): row-major cells, then walks, the
-        # second walk of a split saddle right after its first; the leading 0.0
-        # is the empty sum, and as no term is -0.0, the 0.0 terms left out or
-        # added move no bit
-        split = codes[cells] >= 16
-        terms = np.insert(terms, at[split] + 1, walk_terms[split, 1])
-        area = float(np.cumsum(np.append(0.0, terms))[-1])
+        # a cell inside the region adds exactly s * s; the walks' terms (0.0
+        # past a cell's last walk) are summed exactly, in no particular order
+        inside = int(np.count_nonzero(codes == 15))
+        area = inside * (s * s) + math.fsum((np.abs(acc) / 2.0).ravel().tolist())
         # both ends of each chord in processing order: cell, walk, position, end
         cell, col = np.nonzero(chord)
         ends = np.repeat(cell, 2), np.column_stack([col, nxt[cell, col]]).ravel()
@@ -377,22 +369,6 @@ def extract_contours(m: IpiMap, levels_db) -> list[ContourSet]:
         area, ids, xs, ys = walks(level)
         sets.append(ContourSet(level, _chain(ids, xs, ys, level), area))
     return sets
-
-
-def _inside_terms(cx, cy, s) -> np.ndarray:
-    """The shoelace term of each cell's code-15 walk, in row-major cell order.
-
-    The cells' bottom-left corners, ``cx`` by column and ``cy`` by row,
-    broadcast, so every cell runs the expression that a crossing cell's walk
-    runs on its corners. A corner's x depends only on its dx and its y only
-    on its dy, so each of the four products x * y is formed once.
-    """
-    xy = {(dx, dy): (cx + dx * s) * (cy[:, None] + dy * s) for dx in (0, 1) for dy in (0, 1)}
-    walk = [_CORNERS[int(token[1])] for token in _CODE_WALKS[15][0]]
-    acc = 0.0
-    for (dx1, dy1), (dx2, dy2) in zip(walk, walk[1:] + walk[:1]):
-        acc = acc + (xy[dx1, dy2] - xy[dx2, dy1])
-    return (np.abs(acc) / 2.0).ravel()
 
 
 def _chain(ids, xs, ys, level: float) -> tuple[np.ndarray, ...]:

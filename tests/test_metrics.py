@@ -87,6 +87,30 @@ def test_ipi_two_channel_hand_oracle():
     assert result.value == pytest.approx(20.0)
 
 
+def test_one_channel_programs_give_one_ratio_with_the_literal_sums_bits():
+    # with one channel, |channel sum|^2 and the sum of |entry|^2 are the same
+    # power, so corr and uncorr are one array; zones of at most two points
+    # make the literal sums the ones numpy adds (numpy's |z|, not Python's,
+    # which differs in the last bit for about a third of entries)
+    def power(m, points, channel):
+        total = 0.0
+        for k in points:
+            total = total + float(np.abs(m[k, channel])) ** 2
+        return total / len(points)
+
+    rng = np.random.default_rng(11)
+    stack = rng.normal(size=(40, 4, 3)) + 1j * rng.normal(size=(40, 4, 3))
+    for ratios, sets, oracle in (
+        (izi_ratios, ((0, 3), (1, 2), (2,)), lambda m: power(m, (0, 3), 2) / power(m, (1, 2), 2)),
+        (izi_ratios, ((1,), (0, 2), (0,)), lambda m: power(m, (1,), 0) / power(m, (0, 2), 0)),
+        (ipi_ratios, ((2, 1), (1,), (0,)), lambda m: power(m, (2, 1), 1) / power(m, (2, 1), 0)),
+        (ipi_ratios, ((3,), (2,), (1,)), lambda m: power(m, (3,), 2) / power(m, (3,), 1)),
+    ):
+        corr, uncorr = ratios(stack, *sets)
+        assert corr is uncorr
+        assert corr.tobytes() == np.array([oracle(m) for m in stack]).tobytes()
+
+
 def test_zero_interferer_gives_unbounded_sentinel():
     result = ipi([[1.0, 0.0]], (0,), (0,), (1,))
     assert result.db == math.inf

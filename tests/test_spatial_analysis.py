@@ -112,6 +112,18 @@ def test_map_uniformly_above_level_covers_whole_region():
     assert area == pytest.approx(2.0 * 1.0, rel=1e-12)
 
 
+def test_map_at_or_above_level_everywhere_has_exactly_the_cell_count_area():
+    # far from the origin, a cell's shoelace term is a difference of products
+    # of about 1e6 m^2 that cancel to 1e-4 m^2; an inside cell adds s * s
+    values = np.random.default_rng(5).uniform(20.0, 30.0, size=(37, 53))
+    values[::4, ::3] = 20.0  # corners on the level count as inside
+    m = IpiMap(1000.0, 1234.56, -987.65, 0.01, values)
+    (cs,) = extract_contours(m, [20.0])
+    assert cs.polylines == ()
+    assert type(cs.area_m2) is float
+    assert cs.area_m2 == (m.nx - 1) * (m.ny - 1) * (0.01 * 0.01)
+
+
 def test_saddle_resolution_follows_cell_center():
     # one cell whose diagonal corners sit above the level
     values = np.array([[30.0, 0.0], [0.0, 30.0]])
@@ -672,9 +684,15 @@ def oracle_contours(m, level_db, saddles=None):
 
 
 def oracle_area(m, level_db):
+    """Each cell inside the region (all four corners at or above the level)
+    counts s * s; the shoelace terms of the crossed cells' walks are summed
+    exactly."""
     level = float(level_db)
-    total = 0.0
+    inside, terms = 0, []
     for ix, iy, corners, walks in oracle_cell_geometry(m, level):
+        if all(c >= level for c in corners):
+            inside += 1
+            continue
         for walk in walks:
             pts = [oracle_vertex_xy(t, ix, iy, corners, level, m) for t in walk]
             acc = 0.0
@@ -683,8 +701,8 @@ def oracle_area(m, level_db):
                 x1, y1 = pts[i]
                 x2, y2 = pts[(i + 1) % n]
                 acc += x1 * y2 - x2 * y1
-            total += abs(acc) / 2.0
-    return total
+            terms.append(abs(acc) / 2.0)
+    return inside * (m.spacing * m.spacing) + math.fsum(terms)
 
 
 def assert_matches_oracle(m, levels, saddles=None):

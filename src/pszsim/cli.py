@@ -129,10 +129,10 @@ def _json_text(payload, grids=()) -> str:
     ``_GRID`` in ``payload`` written as the next of ``grids``.
 
     A grid is a list of non-empty number lists, given as (indent, body): its
-    placeholder line's indent, and its numbers' text ("%.9g"'s or ``repr``'s)
-    joined by the two texts of ``_grid_seps(indent)``, nan as null and inf as
-    Infinity; ``json``'s pure-Python encoder visits no number. Grids hold the
-    only non-finite numbers of a run: a NaN elsewhere would be written as
+    placeholder line's indent, and its numbers' "%.9g" text joined by the
+    two texts of ``_grid_seps(indent)``, nan as null and inf as Infinity;
+    ``json``'s pure-Python encoder visits no number. Grids hold the only
+    non-finite numbers of a run: a NaN elsewhere would be written as
     ``json`` writes it, NaN. ValueError if the ``_GRID`` count is not the
     grid count, or a grid's indent is not its placeholder's.
     """
@@ -309,7 +309,7 @@ def run_map(config: ExperimentConfig) -> list[Path]:
             "frequency_hz": m.frequency,
             "contours": [{"level_db": cs.level_db, "polylines": [_GRID] * len(cs.polylines)}
                          for cs in contour_sets],
-        }, [(8, row_sep.join([f"%r{sep}%r"] * len(line)) % tuple(line.ravel().tolist()))
+        }, [(8, row_sep.join([f"%.9g{sep}%.9g"] * len(line)) % tuple(line.ravel().tolist()))
             for cs in contour_sets for line in cs.polylines])
         area_rows += [(m.frequency, cs.level_db, cs.area_m2) for cs in contour_sets]
 

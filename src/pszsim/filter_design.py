@@ -215,10 +215,15 @@ def solve_stack(H: np.ndarray, targets, betas, frequencies):
 
 
 def default_beta(n_points: int, sigma_sq: float) -> float:
-    """Regularization matched to the uncertainty level: beta = K * sigma^2.
+    """Regularization scaled to the uncertainty level: beta = K * sigma^2.
 
-    Minimizes the expected design objective J when the design transfer
-    functions carry entrywise variance sigma^2 across K control points.
+    It minimizes the expected design objective J only if every entry of the
+    K control points' transfer functions carries one variance sigma^2.
+    Under :mod:`pszsim.perturbation`'s model the variance v of one draw
+    grows with |H| (0.345 to 2 sigma^2 on the template's base scene), and
+    an average of T draws divides it by T. The expected cost over such an
+    average is minimized by the diagonal D_l = sum_k v_kl / T, not by a
+    scalar: 0.085 to 0.18 of this beta on that scene.
     """
     if n_points < 1:
         raise ValueError(f"n_points must be >= 1, got {n_points}")

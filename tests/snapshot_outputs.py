@@ -26,9 +26,11 @@ With OUTDIR (which must not exist yet) the directories are kept there.
 With ``--digests`` they go to a temporary directory, and ``DIGESTS``
 (``tests/golden/digests.json``) records the sha256 of every output file,
 stdout, stderr and exit code of each invocation, with the environment
-they were taken in. ``tests/test_digests.py`` runs the same invocations
-through :func:`snapshot_all` and compares. Re-record the digests only for
-an intended change of outputs, and list the files that moved in
+they were taken in, and prints :func:`moved`'s line for each invocation or
+file whose digest moved, is missing or is new against the digests it
+replaces. ``tests/test_digests.py`` runs the same invocations through
+:func:`snapshot_all` and compares them the same way. Re-record the digests
+only for an intended change of outputs, and list the printed lines in
 CHANGES.md.
 """
 
@@ -116,6 +118,22 @@ def snapshot_all(outdir: Path) -> dict[str, dict[str, str]]:
     }
 
 
+def moved(recorded: dict, got: dict) -> list[str]:
+    """One line per invocation or file whose digest differs, is missing or is new."""
+    problems = []
+    for run in sorted(recorded.keys() | got.keys()):
+        if run not in got or run not in recorded:
+            problems.append(f"{run}: {'not run' if run not in got else 'not recorded'}")
+            continue
+        want, have = recorded[run], got[run]
+        problems += [
+            f"{run}: {name} " + ("missing" if name not in have else
+                                 "new" if name not in want else "moved")
+            for name in sorted(want.keys() | have.keys()) if want.get(name) != have.get(name)
+        ]
+    return problems
+
+
 def environment() -> dict[str, str]:
     """What can change the last bits of the outputs: interpreter, libraries, BLAS, CPU."""
     import numpy
@@ -151,6 +169,9 @@ def main(argv: list[str]) -> int:
     if argv[0] == "--digests":
         with tempfile.TemporaryDirectory() as tmp:
             invocations = snapshot_all(Path(tmp))
+        old = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
+        for line in moved(old.get("invocations", {}), invocations):
+            print(line)
         DIGESTS.write_text(json.dumps(
             {"environment": environment(), "invocations": invocations}, indent=1, sort_keys=True
         ) + "\n", encoding="utf-8")

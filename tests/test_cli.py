@@ -527,8 +527,30 @@ def test_maps_on_one_grid_share_its_csv_row_templates(cap_db):
         assert ("Infinity" in cells) == (cap_db == np.inf)
 
 
+def nine_digit_json(values):
+    """Each of ``values`` as an f-string's "%.9g", written as JSON writes nan and the infinities."""
+    return [CSV_TO_JSON.get(t, t) for t in (f"{v:.9g}" for v in values)]
+
+
+def contour_json_oracle(frequency, sets):
+    """json.dump's text of the contour file of ``sets``, each vertex number
+    written as its ``nine_digit_json`` text."""
+    layout = json_dump_text({"frequency_hz": frequency, "contours": [
+        {"level_db": cs.level_db, "polylines": [np.zeros(line.shape).tolist()
+                                                for line in cs.polylines]}
+        for cs in sets]})
+    # json.dump writes each vertex number on a line of its own, the only lines 12 deep
+    cells = iter(nine_digit_json(
+        [v for cs in sets for line in cs.polylines for v in line.ravel().tolist()]))
+    lines = [line.replace("0.0", next(cells), 1) if line.startswith(" " * 12) else line
+             for line in layout.splitlines(keepends=True)]
+    assert next(cells, None) is None
+    return "".join(lines)
+
+
 @pytest.mark.parametrize("name", ["edge", "bits"])
-def test_contour_file_rows_are_the_reprs_of_the_polyline_vertices(tmp_path, monkeypatch, name):
+def test_contour_file_rows_are_the_9_digit_texts_of_the_polyline_vertices(
+        tmp_path, monkeypatch, name):
     # a map run whose contours are polylines of extreme and random floats; real
     # contours never hold a non-finite vertex, but the writer's layout does not
     # depend on that: nan is null and inf Infinity, as json.dump writes them
@@ -539,15 +561,13 @@ def test_contour_file_rows_are_the_reprs_of_the_polyline_vertices(tmp_path, monk
     monkeypatch.setattr(pszsim.cli, "extract_contours", lambda m, levels: sets)
     assert main(["map", str(small_config(tmp_path))]) == 0
     text = (tmp_path / "out" / "contours_mono_500hz.json").read_text(encoding="utf-8")
-    payload = {"frequency_hz": 500.0, "contours": [
-        {"level_db": cs.level_db, "polylines": [line.tolist() for line in cs.polylines]}
-        for cs in sets]}
-    assert_same_lines(text, json_dump_text(payload))
+    assert_same_lines(text, contour_json_oracle(500.0, sets))
     # each vertex is one row of the file, its two numbers on the only lines 12 deep
     numbers = [line.strip().rstrip(",") for line in text.splitlines() if line.startswith(" " * 12)]
-    rows = [f"{x}, {y}" for x, y in zip(numbers[::2], numbers[1::2])]
-    want = [row for line in lines for row in repr(line.tolist())[2:-2].split("], [")]
-    assert [row.replace("null", "nan").replace("Infinity", "inf") for row in rows] == want
+    assert numbers == nine_digit_json([v for line in lines for v in line.ravel().tolist()])
+    if name == "edge":
+        assert numbers[:4] == ["null", "Infinity", "-Infinity", "-0"]
+        assert "4.94065646e-324" in numbers and "0.333333333" in numbers
 
 
 def test_validate_command(tmp_path, capsys):
@@ -751,7 +771,9 @@ def test_map_files_are_capped_and_contours_are_not(tmp_path, monkeypatch):
 
         contours = json.loads((config.output_dir / f"contours_{tag}.json").read_text())
         at_30 = [c["polylines"] for c in contours["contours"] if c["level_db"] == 30.0][0]
-        assert at_30 and at_30 == [line.tolist() for line in extract_contours(m, [30.0])[0].polylines]
+        # each vertex of the file is its "%.9g" text, read back exactly
+        assert at_30 and at_30 == [[[float(f"{v:.9g}") for v in row] for row in line.tolist()]
+                                   for line in extract_contours(m, [30.0])[0].polylines]
         assert areas[(areas[:, 0] == m.frequency) & (areas[:, 1] == 30.0)][0, 2] > 0.0
 
     # a -inf cell, which no run above holds

@@ -4,7 +4,7 @@ Every invocation of ``tests/snapshot_outputs.py`` runs here in-process, and
 the sha256 of each output file, stdout, stderr and exit code must equal
 ``tests/golden/digests.json``. The golden and benchmark tests compare
 values to a relative 2e-8; this test catches a change in the last digit of
-any file, the 17-digit contour vertices included.
+any file, which that tolerance lets through.
 
 Another interpreter, numpy, scipy, BLAS build or CPU may change last bits
 with the code unchanged; a failure there says so first. The tolerance-based
@@ -23,23 +23,8 @@ import json
 
 import pytest
 
-from snapshot_outputs import DIGESTS, environment, snapshot_all
-
-
-def moved(recorded: dict, got: dict) -> list[str]:
-    """One line per invocation or file whose digest differs, is missing or is new."""
-    problems = []
-    for run in sorted(recorded.keys() | got.keys()):
-        if run not in got or run not in recorded:
-            problems.append(f"{run}: {'not run' if run not in got else 'not recorded'}")
-            continue
-        want, have = recorded[run], got[run]
-        problems += [
-            f"{run}: {name} " + ("missing" if name not in have else
-                                 "new" if name not in want else "moved")
-            for name in sorted(want.keys() | have.keys()) if want.get(name) != have.get(name)
-        ]
-    return problems
+import snapshot_outputs
+from snapshot_outputs import DIGESTS, environment, moved, snapshot_all
 
 
 def test_every_invocation_prints_and_writes_the_recorded_bytes(tmp_path):
@@ -68,3 +53,18 @@ def test_the_comparison_names_each_moved_missing_and_new_file():
         "c-map-seed1: not recorded",
     ]
     assert moved(recorded, recorded) == []
+
+
+def test_rerecording_prints_what_moved_against_the_digests_it_replaces(
+        tmp_path, monkeypatch, capsys):
+    store = tmp_path / "digests.json"
+    store.write_text(json.dumps({"environment": {}, "invocations": {
+        "a-map-seed0": {"stdout": "1", "out/x.csv": "2"}}}), encoding="utf-8")
+    got = {"a-map-seed0": {"stdout": "1", "out/x.csv": "9"}, "b-map-seed0": {"stdout": "4"}}
+    monkeypatch.setattr(snapshot_outputs, "DIGESTS", store)
+    monkeypatch.setattr(snapshot_outputs, "snapshot_all", lambda outdir: got)
+    assert snapshot_outputs.main(["--digests"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "a-map-seed0: out/x.csv moved", "b-map-seed0: not recorded",
+        f"wrote {store} (2 invocations)"]
+    assert json.loads(store.read_text(encoding="utf-8"))["invocations"] == got

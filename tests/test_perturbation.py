@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+import scipy.special
 
 from pszsim.acoustics import response_matrix
 from pszsim.cli import _DESIGN_STREAM, _EVAL_STREAM
@@ -352,14 +353,21 @@ def test_negative_amplitudes_clamp_to_zero():
     assert np.abs(out).min() == 0.0
 
 
+def template_stacks():
+    """The template config and the nominal (F, K, L) stack of each of its scenes."""
+    config = resolve_config(default_config_dict())
+    stacks = [response_matrix(s, s.control_points, config.frequencies)
+              for s in config.scenes.values()]
+    return config, stacks
+
+
 def test_template_spectra_clamps_amplitudes_at_the_piston_nulls():
     # the template's design and evaluation draws of both scenes, counted from
     # generators built fresh for each key: 1,105 of 408,320 amplitude samples
     # (0.27 %) are negative, at 51 frequencies from 4.46 kHz up, where |H| at
     # the piston's directivity nulls falls far below sigma_amp = 0.01
-    config = resolve_config(default_config_dict())
+    config, stacks = template_stacks()
     model, freqs = config.model, config.frequencies
-    stacks = [response_matrix(s, s.control_points, freqs) for s in config.scenes.values()]
     amp_sd, phase_sd = np.sqrt(model.sigma_amp_sq), np.sqrt(model.sigma_phase_sq)
     clamped, samples = {}, 0
     for stream in (_DESIGN_STREAM, _EVAL_STREAM):
@@ -377,6 +385,109 @@ def test_template_spectra_clamps_amplitudes_at_the_piston_nulls():
                     assert not np.array_equal(out[i], (amp * phase).mean(axis=0))
     assert (sum(clamped.values()), samples, len(clamped)) == (1105, 408320, 51)
     assert round(min(clamped), 1) == 4460.6
+
+
+def draw_moments(h, model):
+    """(E[H~], v, E[A], E[A^2]) of one draw of each entry of ``h``, from the closed forms.
+
+    With A ~ N(mu, sigma_a^2) clamped at 0, phi ~ N(theta, sigma_p^2), mu = |H|,
+    theta = arg H and z = mu / sigma_a: E[A] = mu Phi(z) + sigma_a phi(z),
+    E[A^2] = (mu^2 + sigma_a^2) Phi(z) + mu sigma_a phi(z), E[H~] = E[A] e^(i theta)
+    e^(-sigma_p^2 / 2), and the variance v = E[A^2] - |E[H~]|^2. A T-trial average
+    has mean E[H~] and E|average - E[H~]|^2 = v / T.
+    """
+    mu, sigma_a = np.abs(h), np.sqrt(model.sigma_amp_sq)
+    z = mu / sigma_a
+    cdf, pdf = scipy.special.ndtr(z), np.exp(-z * z / 2) / np.sqrt(2 * np.pi)
+    mean_a = mu * cdf + sigma_a * pdf
+    mean_a2 = (mu * mu + model.sigma_amp_sq) * cdf + mu * sigma_a * pdf
+    mean = mean_a * np.exp(1j * np.angle(h)) * np.exp(-model.sigma_phase_sq / 2)
+    return mean, mean_a2 - np.abs(mean) ** 2, mean_a, mean_a2
+
+
+def scatter_bound(entries):
+    """How far from 1 the mean of |average - E[H~]|^2 / (v / T) over ``entries``
+    independent entries may fall: 5 standard errors. Each term has mean 1 and,
+    for a Gaussian error, variance 2(a^2 + b^2) / (a + b)^2 <= 2, a and b the
+    variances along its principal axes (2 with all of it along one)."""
+    return 5 * np.sqrt(2 / entries)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("stream", [_DESIGN_STREAM, _EVAL_STREAM])
+def test_template_averages_scatter_about_the_closed_form_mean_by_v_over_trials(seed, stream):
+    # every entry of a stack draws its own normals, so its 10,208 entries
+    # (319 frequencies x 4 points x 8 speakers) are independent; the mean
+    # normalized squared error read 0.995 to 1.032 at seed 0
+    config, stacks = template_stacks()
+    model = dataclasses.replace(config.model, seed=seed)
+    for h, averaged in zip(stacks, averaged_perturbed_stacks(stacks, config.frequencies,
+                                                             model, stream)):
+        mean, v, _, _ = draw_moments(h, model)
+        error = np.abs(averaged - mean) ** 2 / (v / model.trials)
+        assert error.size == 10208
+        assert abs(error.mean() - 1) < scatter_bound(error.size)
+    # v is not the constant sigma^2 that auto beta assumes: on the base scene
+    # it runs from 0.345 sigma^2 (mu near 0) to 2 sigma^2 (|H| near 1)
+    _, v, _, _ = draw_moments(stacks[0], model)
+    assert (round(v.min() / model.sigma_amp_sq, 3), round(v.max() / model.sigma_amp_sq, 3)) \
+        == (0.345, 1.998)
+
+
+@pytest.mark.parametrize("stream", [_DESIGN_STREAM, _EVAL_STREAM])
+def test_at_1000_trials_the_closed_form_mean_passes_and_the_nominal_fails(stream):
+    # every 16th template frequency, 640 entries per stack: the scatter about
+    # E[H~] stays near 1 (0.975 to 0.995), while the scatter about the nominal
+    # H carries the phase noise's shrink and the clamp's bias (1.43 to 2.15)
+    config, stacks = template_stacks()
+    model = dataclasses.replace(config.model, trials=1000)
+    stacks = [h[::16] for h in stacks]
+    for h, averaged in zip(stacks, averaged_perturbed_stacks(
+            stacks, config.frequencies[::16], model, stream)):
+        mean, v, _, _ = draw_moments(h, model)
+        bound = scatter_bound(h.size)
+        assert h.size == 640
+        assert abs((np.abs(averaged - mean) ** 2 / (v / model.trials)).mean() - 1) < bound
+        assert (np.abs(averaged - h) ** 2 / (v / model.trials)).mean() - 1 > bound
+
+
+@pytest.mark.parametrize("stream", [_DESIGN_STREAM, _EVAL_STREAM])
+def test_the_clamp_biases_the_mean_amplitude_by_the_closed_form_amount(stream):
+    # from 4.46 kHz up, the template's clamped frequencies, at 1,000 trials:
+    # over the entries with mu < sigma_a, the average's amplitude along arg H,
+    # Re(average e^(-i theta)) e^(sigma_p^2 / 2), exceeds mu by E[A] - mu on
+    # average, within 5 standard errors, and by far more than 5 above 0
+    config, stacks = template_stacks()
+    model = dataclasses.replace(config.model, trials=1000)
+    high = config.frequencies >= 4460.0
+    assert round(config.frequencies[high][0], 1) == 4460.6
+    stacks = [h[high] for h in stacks]
+    shrink = np.exp(-model.sigma_phase_sq / 2)
+    for h, averaged in zip(stacks, averaged_perturbed_stacks(
+            stacks, config.frequencies[high], model, stream)):
+        _, _, mean_a, mean_a2 = draw_moments(h, model)
+        mu = np.abs(h)
+        low = mu < np.sqrt(model.sigma_amp_sq)
+        measured = (averaged * np.exp(-1j * np.angle(h))).real[low] / shrink - mu[low]
+        # Var(A cos(phi - theta)) = E[A^2] (1 + e^(-2 sigma_p^2)) / 2 - (E[A] e^(-sigma_p^2 / 2))^2
+        var = mean_a2[low] * (1 + shrink ** 4) / 2 - (mean_a[low] * shrink) ** 2
+        standard_error = np.sqrt(var.sum() / model.trials) / shrink / low.sum()
+        bias = (mean_a - mu)[low]
+        assert low.sum() >= 58 and bias.min() > 0
+        assert abs(measured.mean() - bias.mean()) < 5 * standard_error
+        assert measured.mean() > 20 * standard_error
+
+
+def test_the_expected_cost_regularizer_is_a_fraction_of_auto_beta():
+    # with H~ = E[H~] + E, independent zero-mean entries E of variance v / T, the
+    # expected cost E||H~ C - M||^2 + beta ||C||^2 adds tr(C^H D C), D the diagonal
+    # D_l = sum_k v_kl / T; auto beta = K sigma^2 is 5.6 to 12 times it on the
+    # template's base scene
+    config, (h, _) = template_stacks()
+    _, v, _, _ = draw_moments(h, config.model)
+    ratio = v.sum(axis=1) / config.model.trials / config.beta_at(config.frequencies)[:, None]
+    assert (round(ratio.min(), 3), round(np.median(ratio), 3), round(ratio.max(), 3)) \
+        == (0.085, 0.164, 0.18)
 
 
 def test_model_validation():
